@@ -179,7 +179,7 @@ def cmd_twirl(args) -> int:
         for k in range(1, args.k + 1):
             dists = p @ dists
             d_k = max(twirl.l1_to_uniform(dists[:, j]) for j in range(size - 1))
-            bound = eps0 + 2 * 0.5**k * (eps0 + 1)
+            bound = twirl.twirl_bound(args.n, k)
             rows.append(f"{k},{d_k!r},{bound!r}")
             ok = ok and d_k <= bound + 1e-9
             final_l1 = d_k
@@ -187,13 +187,13 @@ def cmd_twirl(args) -> int:
         rng = np.random.default_rng(args.seed)
         curve = twirl.mc_convergence_curve(args.n, args.k, args.samples, rng)
         for entry in curve:
-            bound = eps0 + 2 * 0.5 ** entry["k"] * (eps0 + 1)
+            bound = twirl.twirl_bound(args.n, entry["k"])
             rows.append(f"{entry['k']},{entry['l1']!r},{bound!r}")
         final_l1 = curve[-1]["l1"]
         ok = final_l1 <= eps0 + 0.02
     _write("\n".join(rows) + "\n", args.out)
     if args.json:
-        print(twirl.twirl_result_json(args.n, args.k, final_l1, eps0 + 2 * 0.5**args.k * (eps0 + 1)))
+        print(twirl.twirl_result_json(args.n, args.k, final_l1, twirl.twirl_bound(args.n, args.k)))
     return 0 if ok else 1
 
 
@@ -237,13 +237,7 @@ def cmd_estimate(args) -> int:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             settings[key] = flag_val
-
-    class Shim:
-        pass
-
-    shim = Shim()
-    for key, val in settings.items():
-        setattr(shim, key, val)
+    chan_args = argparse.Namespace(**settings)
 
     sweep = [None]
     if args.sweep:
@@ -254,8 +248,8 @@ def cmd_estimate(args) -> int:
     outputs = []
     for value in sweep:
         if value is not None:
-            shim.depolarizing = value
-        ch = _make_channel(shim)
+            chan_args.depolarizing = value
+        ch = _make_channel(chan_args)
         cfg = estimate.ExperimentConfig(
             ch,
             protocol=settings["protocol"],
@@ -383,7 +377,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, RuntimeError) else 2  # RuntimeError: a numerical check failed
 
 
 if __name__ == "__main__":

@@ -22,10 +22,7 @@ __all__ = [
     "GfElement",
     "GrContext",
     "GrElement",
-    "gf_build_context",
-    "gf_trace",
     "gf_gauss_sum",
-    "gr_build_context",
     "gr_2adic",
     "gr_trace",
     "gr_exponential_sum",
@@ -270,14 +267,6 @@ class GfContext:
         return np.asarray(acc % self.p, dtype=np.int64)
 
 
-def gf_build_context(p: int, k: int) -> GfContext:
-    return GfContext(p, k)
-
-
-def gf_trace(ctx: GfContext, x: GfElement) -> int:
-    return ctx.trace(x)
-
-
 def gf_gauss_sum(ctx: GfContext, a: GfElement) -> complex:
     """Additive character sum sum_x exp(2 pi i tr(a x) / p) over GF(p^k)."""
     total = 0j
@@ -447,10 +436,6 @@ class GrContext:
         val = acc.coeffs[0]
         self._trace_cache[c.coeffs] = val
         return val
-
-
-def gr_build_context(m: int) -> GrContext:
-    return GrContext(m)
 
 
 def gr_2adic(ctx: GrContext, c: GrElement) -> tuple[GrElement, GrElement]:

@@ -6,6 +6,14 @@ a_q + 2 b_q for the factor X^(a_q) Z^(b_q) on qubit q (qubit 0 least
 significant).  Phases are tracked on PauliLabel but quotiented out everywhere
 a distribution over the group is involved.
 
+Clifford moves act on the packed form of a qubit label, the symplectic
+tableau of Aaronson-Gottesman (quant-ph/0406196): two integer masks xa, xb
+whose bit q is the X and the Z part on qubit q.  An H, S, T or CNOT is then a
+few bit operations, so one function (_move) moves a single label or a whole
+array of Monte-Carlo samples.  The table _ROUND is the single description of
+a randomized twirl round; the gate sampler, the exact Markov chain and the
+Monte-Carlo round are three short loops over it.
+
 Twirling always means averaging V Lambda(V^dag X V) V^dag over the set; every
 set used here (Pauli group, Clifford group) is closed under inverses, so this
 agrees with the V^dag Lambda(V X V^dag) V form.
@@ -15,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -45,6 +53,7 @@ __all__ = [
     "ideal_good_case_distribution",
     "l1_to_uniform",
     "epsilon0",
+    "twirl_bound",
     "step1_success_probability",
     "mc_convergence",
     "mc_convergence_curve",
@@ -302,23 +311,39 @@ def unitary_1design_check(unitaries, rho: np.ndarray) -> float:
 
 # --- symplectic conjugation (qubits) ---------------------------------------
 
-def _conj_bits(kind: str, qubits: tuple[int, ...], xa: list[int], xb: list[int]) -> None:
-    """In-place symplectic update, phases ignored."""
+def _move(kind: str, xa, xb, qubits: tuple, on=True):
+    """Image of packed labels (xa, xb) under conjugation by one H, S, T or
+    CNOT gate, phases ignored.
+
+    `qubits` is (q,) or (control, target); labels, qubit indices and the `on`
+    mask broadcast together, so one call moves a single label or a whole
+    sample array, and samples with `on` false are left unchanged.
+    """
+    q = qubits[0]
+    a = (xa >> q) & on
+    b = (xb >> q) & on
     if kind == "H":
-        (q,) = qubits
-        xa[q], xb[q] = xb[q], xa[q]
-    elif kind == "S":
-        (q,) = qubits
-        xb[q] ^= xa[q]
-    elif kind == "T":  # X -> Y -> Z -> X
-        (q,) = qubits
-        xa[q], xb[q] = xa[q] ^ xb[q], xa[q]
-    elif kind == "CNOT":
-        c, t = qubits
-        xa[t] ^= xa[c]
-        xb[c] ^= xb[t]
-    else:
-        raise ValueError(f"conjugation not defined for gate kind {kind!r}")
+        return xa ^ ((a ^ b) << q), xb ^ ((a ^ b) << q)
+    if kind == "S":
+        return xa, xb ^ (a << q)
+    if kind == "T":  # X -> Y -> Z -> X
+        return xa ^ (b << q), xb ^ ((a ^ b) << q)
+    if kind == "CNOT":
+        t = qubits[1]
+        return xa ^ (a << t), xb ^ (((xb >> t) & on) << q)
+    raise ValueError(f"conjugation not defined for gate kind {kind!r}")
+
+
+def _from_label_int(v, n: int):
+    """Packed (xa, xb) masks of base-4 label integers."""
+    xa = sum(((v >> (2 * q)) & 1) << q for q in range(n))
+    xb = sum(((v >> (2 * q + 1)) & 1) << q for q in range(n))
+    return xa, xb
+
+
+def _to_label_int(xa, xb, n: int):
+    """Base-4 label integers of packed (xa, xb) masks."""
+    return sum((((xa >> q) & 1) | ((xb >> q) & 1) << 1) << (2 * q) for q in range(n))
 
 
 def conjugate_label(gate: Gate, label: PauliLabel) -> PauliLabel:
@@ -326,69 +351,67 @@ def conjugate_label(gate: Gate, label: PauliLabel) -> PauliLabel:
     (H, S, T, or CNOT), with the global phase quotiented out."""
     if label.d != 2:
         raise ValueError("label conjugation implemented for qubits")
-    xa, xb = list(label.xa), list(label.xb)
-    if gate.kind == "CNOT":
-        _conj_bits("CNOT", (gate.controls[0], gate.targets[0]), xa, xb)
-    else:
-        _conj_bits(gate.kind, (gate.targets[0],), xa, xb)
-    return PauliLabel(2, label.n, tuple(xa), tuple(xb), label.phase)
+    n = label.n
+    xa, xb = _move(gate.kind, *_from_label_int(label.to_int(), n), gate.qudits)
+    return replace(PauliLabel.from_int(2, n, _to_label_int(xa, xb, n)), phase=label.phase)
 
 
 # --- randomized approximate twirl -------------------------------------------
 
-@dataclass(frozen=True)
-class RoundChoices:
-    """One round of sampled randomness for the approximate twirl."""
+# One round of the twirl after its parity fan-in onto the control, as
+# (gate, qubits relative to the control, law) steps in order.  "c" is the
+# control and "o" stands for each other qubit in ascending order; law _THIRDS
+# applies the gate e times with e uniform in {0, 1, 2}, a float p applies it
+# once with probability p.  The gate sampler, the exact chain and the Monte
+# Carlo round all read this table.
+_THIRDS = "T^e"
+_ROUND = (
+    ("T", "o", _THIRDS),
+    ("CNOT", "co", 0.75),
+    ("T", "o", _THIRDS),
+    ("S", "c", 0.5),
+    ("CNOT", "oc", 0.5),
+    ("T", "c", _THIRDS),
+)
 
-    mask: int  # non-empty qubit subset B
-    s_pre: tuple[int, ...]  # T exponents on non-control qubits, before fan-out
-    fanout: tuple[bool, ...]  # CNOT control->target included (prob 3/4 each)
-    s_post: tuple[int, ...]  # T exponents after fan-out
-    s_gate: bool  # S-twirl on the control (prob 1/2)
-    fanin: tuple[bool, ...]  # CNOT target->control included (prob 1/2 each)
-    t_final: int  # final T exponent on the control
 
-    @property
-    def control(self) -> int:
-        return (self.mask & -self.mask).bit_length() - 1
+def _place(roles: str, control, q) -> tuple:
+    """Concrete qubits of a step: "c" becomes the control, "o" the qubit q."""
+    return tuple(control if r == "c" else q for r in roles)
 
 
-def _sample_round(n: int, rng: np.random.Generator) -> tuple[RoundChoices, int]:
-    bits = 0
+def _draw(law, size, rng: np.random.Generator):
+    """Times a step's gate is applied: an exponent in {0, 1, 2} or a coin."""
+    return rng.integers(0, 3, size=size) if law == _THIRDS else rng.random(size) < law
+
+
+def _law_bits(law) -> int:
+    """Fair coin flips one draw costs: 2 for T^e, log2 of p's denominator."""
+    return 2 if law == _THIRDS else law.as_integer_ratio()[1].bit_length() - 1
+
+
+def _sample_round(n: int, rng: np.random.Generator) -> tuple[tuple, int]:
+    """One round of sampled randomness, (subset mask, one draw per _ROUND
+    step), and the random bits it used."""
     mask = int(rng.integers(1, 2**n))
-    bits += n
-    others = n - 1
-    s_pre = tuple(int(v) for v in rng.integers(0, 3, size=others))
-    fanout = tuple(bool(v) for v in rng.random(others) < 0.75)
-    s_post = tuple(int(v) for v in rng.integers(0, 3, size=others))
-    s_gate = bool(rng.random() < 0.5)
-    fanin = tuple(bool(v) for v in rng.random(others) < 0.5)
-    t_final = int(rng.integers(0, 3))
-    bits += 2 * others + 2 * others + 2 * others + 1 + others + 2
-    return RoundChoices(mask, s_pre, fanout, s_post, s_gate, fanin, t_final), bits
+    draws = [_draw(law, n - 1 if "o" in roles else None, rng) for _, roles, law in _ROUND]
+    bits = n + sum(_law_bits(law) * (n - 1 if "o" in roles else 1) for _, roles, law in _ROUND)
+    return (mask, draws), bits
 
 
-def _round_gates(n: int, rc: RoundChoices) -> list[Gate]:
+def _round_gates(n: int, choices: tuple) -> list[Gate]:
     """Concrete H/S/T/CNOT gate sequence realizing one sampled round."""
-    control = rc.control
-    members = [q for q in range(n) if (rc.mask >> q) & 1 and q != control]
+    mask, draws = choices
+    control = (mask & -mask).bit_length() - 1
     others = [q for q in range(n) if q != control]
+    members = [q for q in others if (mask >> q) & 1]
     gates: list[Gate] = []
     if members:
         gates.extend(parallel_prefix_parity(n, members, control).gates)
-    for q, s in zip(others, rc.s_pre):
-        gates.extend([Gate("T", (q,))] * s)
-    for q, inc in zip(others, rc.fanout):
-        if inc:
-            gates.append(Gate("CNOT", (q,), (control,)))
-    for q, s in zip(others, rc.s_post):
-        gates.extend([Gate("T", (q,))] * s)
-    if rc.s_gate:
-        gates.append(Gate("S", (control,)))
-    for q, inc in zip(others, rc.fanin):
-        if inc:
-            gates.append(Gate("CNOT", (control,), (q,)))
-    gates.extend([Gate("T", (control,))] * rc.t_final)
+    for (kind, roles, _), draw in zip(_ROUND, draws):
+        for q, times in zip(others if "o" in roles else [control], np.atleast_1d(draw)):
+            qubits = _place(roles, control, q)
+            gates.extend([Gate(kind, qubits[-1:], qubits[:-1])] * int(times))
     return gates
 
 
@@ -408,25 +431,22 @@ def sample_twirl_circuit(n: int, rounds: int, rng: np.random.Generator) -> Twirl
     circuit = Circuit(n, 2)
     total_bits = 0
     for _ in range(rounds):
-        rc, bits = _sample_round(n, rng)
+        choices, bits = _sample_round(n, rng)
         total_bits += bits
-        for g in _round_gates(n, rc):
+        for g in _round_gates(n, choices):
             circuit.append(g)
     return TwirlSample(circuit=circuit, random_bits_used=total_bits, rounds=rounds)
 
 
 # --- exact Markov chain over label distributions ----------------------------
 
+EXACT_CHAIN_CAP = 5  # largest n for the exact chain: P is 4^n x 4^n
+
+
 @lru_cache(maxsize=None)
 def _perm_table(n: int, kind: str, qubits: tuple[int, ...]) -> np.ndarray:
-    size = 4**n
-    perm = np.empty(size, dtype=np.int64)
-    for v in range(size):
-        xa = [(v >> (2 * q)) & 1 for q in range(n)]
-        xb = [(v >> (2 * q + 1)) & 1 for q in range(n)]
-        _conj_bits(kind, qubits, xa, xb)
-        perm[v] = sum((xa[q] + 2 * xb[q]) << (2 * q) for q in range(n))
-    return perm
+    xa, xb = _from_label_int(np.arange(4**n, dtype=np.int64), n)
+    return _to_label_int(*_move(kind, xa, xb, qubits), n)
 
 
 def _push(dist: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -436,33 +456,22 @@ def _push(dist: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 
 def _step2_push(dist: np.ndarray, n: int, control: int) -> np.ndarray:
+    """Exact image of label distributions (along axis 0) under the _ROUND
+    steps for a fixed control."""
     others = [q for q in range(n) if q != control]
-    t_perm = {q: _perm_table(n, "T", (q,)) for q in range(n)}
-    for q in others:
-        dist = (dist + _push(dist, t_perm[q]) + _push(_push(dist, t_perm[q]), t_perm[q])) / 3
-    for q in others:
-        dist = 0.25 * dist + 0.75 * _push(dist, _perm_table(n, "CNOT", (control, q)))
-    for q in others:
-        dist = (dist + _push(dist, t_perm[q]) + _push(_push(dist, t_perm[q]), t_perm[q])) / 3
-    s_perm = _perm_table(n, "S", (control,))
-    dist = 0.5 * dist + 0.5 * _push(dist, s_perm)
-    for q in others:
-        dist = 0.5 * dist + 0.5 * _push(dist, _perm_table(n, "CNOT", (q, control)))
-    tc = t_perm[control]
-    dist = (dist + _push(dist, tc) + _push(_push(dist, tc), tc)) / 3
+    for kind, roles, law in _ROUND:
+        for q in others if "o" in roles else [control]:
+            perm = _perm_table(n, kind, _place(roles, control, q))
+            if law == _THIRDS:
+                once = _push(dist, perm)
+                dist = (dist + once + _push(once, perm)) / 3
+            else:
+                dist = (1 - law) * dist + law * _push(dist, perm)
     return dist
 
 
-def twirl_markov_step(dist: np.ndarray, n: int) -> np.ndarray:
-    """Exact one-round pushforward of a distribution over qubit Pauli labels
-    under the randomized twirl (uniform over the 2^n - 1 subset choices)."""
-    if n > 3:
-        raise ValueError("exact chain capped at n <= 3")
-    dist = np.asarray(dist, dtype=float)
-    if dist.shape != (4**n,):
-        raise ValueError(f"distribution length {dist.shape} != 4^{n}")
-    if dist.min() < -1e-12 or abs(dist.sum() - 1) > 1e-8:
-        raise ValueError("input is not a probability distribution")
+def _chain_step(dist: np.ndarray, n: int) -> np.ndarray:
+    """One round pushed through every column of dist at once."""
     out = np.zeros_like(dist)
     for mask in range(1, 2**n):
         control = (mask & -mask).bit_length() - 1
@@ -474,16 +483,25 @@ def twirl_markov_step(dist: np.ndarray, n: int) -> np.ndarray:
     return out / (2**n - 1)
 
 
+def twirl_markov_step(dist: np.ndarray, n: int) -> np.ndarray:
+    """Exact one-round pushforward of a distribution over qubit Pauli labels
+    under the randomized twirl (uniform over the 2^n - 1 subset choices)."""
+    if n > EXACT_CHAIN_CAP:
+        raise ValueError(f"exact chain capped at n <= {EXACT_CHAIN_CAP}")
+    dist = np.asarray(dist, dtype=float)
+    if dist.shape != (4**n,):
+        raise ValueError(f"distribution length {dist.shape} != 4^{n}")
+    if dist.min() < -1e-12 or abs(dist.sum() - 1) > 1e-8:
+        raise ValueError("input is not a probability distribution")
+    return _chain_step(dist, n)
+
+
 def markov_transition_matrix(n: int) -> np.ndarray:
     """Column-stochastic matrix P with P[:, v] the one-round image of the
     point mass at label v."""
-    size = 4**n
-    p = np.empty((size, size))
-    for v in range(size):
-        e = np.zeros(size)
-        e[v] = 1
-        p[:, v] = twirl_markov_step(e, n)
-    return p
+    if n > EXACT_CHAIN_CAP:
+        raise ValueError(f"exact chain capped at n <= {EXACT_CHAIN_CAP}")
+    return _chain_step(np.eye(4**n), n)
 
 
 def ideal_good_case_distribution(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -512,6 +530,12 @@ def epsilon0(n: int) -> float:
     return 1.0 / (2**n - 2.0**-n)
 
 
+def twirl_bound(n: int, k: int) -> float:
+    """Bound eps0 + 2 (1/2)^k (eps0 + 1) on the l1 gap after k rounds."""
+    eps0 = epsilon0(n)
+    return eps0 + 2 * 0.5**k * (eps0 + 1)
+
+
 def step1_success_probability(label: PauliLabel) -> float:
     """Exact probability that the fan-in step leaves X or Y on the control.
 
@@ -534,65 +558,33 @@ def step1_success_probability(label: PauliLabel) -> float:
 
 # --- vectorized Monte-Carlo convergence --------------------------------------
 
-def _mc_round(xa: np.ndarray, xb: np.ndarray, n: int, rng: np.random.Generator) -> float:
-    """Apply one sampled round to every row of the (samples, n) bit arrays,
-    drawing fresh randomness per sample.  Mirrors _round_gates exactly.
+def _mc_round(xa: np.ndarray, xb: np.ndarray, n: int, rng: np.random.Generator):
+    """Apply one sampled round to every packed label in (xa, xb), drawing
+    fresh randomness per sample.
 
-    Returns the empirical step-1 success rate: the fraction of samples whose
-    control qubit carries X or Y after the fan-in.  The analysis only uses
-    1/2 as a lower bound for it; it is reported, never asserted tighter.
+    Returns the moved (xa, xb) and the empirical step-1 success rate: the
+    fraction of samples whose control qubit carries X or Y after the fan-in.
+    The analysis only uses 1/2 as a lower bound for it; it is reported, never
+    asserted tighter.
     """
     m = xa.shape[0]
     mask = rng.integers(1, 2**n, size=m)
-    low = mask & -mask
-    control = np.round(np.log2(low)).astype(np.int64)
-    rows = np.arange(m)
-
-    def apply_t(qsel: np.ndarray, times: np.ndarray) -> None:
-        # T: (a, b) -> (a xor b, a), `times` in {0,1,2} per row
-        for rep in (1, 2):
-            sel = times >= rep
-            a = xa[rows[sel], qsel[sel]]
-            b = xb[rows[sel], qsel[sel]]
-            xa[rows[sel], qsel[sel]] = a ^ b
-            xb[rows[sel], qsel[sel]] = a
-
-    # step 1: fan-in parity from the other members of B onto the control
-    for q in range(n):
+    control = np.round(np.log2(mask & -mask)).astype(np.int64)
+    for q in range(n):  # fan-in: CNOT(q -> control) for the other members of B
         member = ((mask >> q) & 1).astype(bool) & (control != q)
-        if not member.any():
-            continue
-        # CNOT(q -> control): a_ctrl ^= a_q ; b_q ^= b_ctrl
-        sel = rows[member]
-        xa[sel, control[member]] ^= xa[sel, q]
-        xb[sel, q] ^= xb[sel, control[member]]
-    success_rate = float((xa[rows, control] == 1).mean())
+        xa, xb = _move("CNOT", xa, xb, (q, control), member)
+    success_rate = float(((xa >> control) & 1).mean())
 
-    for q in range(n):
-        isq = control != q
-        times = np.where(isq, rng.integers(0, 3, size=m), 0)
-        apply_t(np.full(m, q), times)
-    for q in range(n):
-        inc = (rng.random(m) < 0.75) & (control != q)
-        sel = rows[inc]
-        # CNOT(control -> q)
-        xa[sel, q] ^= xa[sel, control[inc]]
-        xb[sel, control[inc]] ^= xb[sel, q]
-    for q in range(n):
-        isq = control != q
-        times = np.where(isq, rng.integers(0, 3, size=m), 0)
-        apply_t(np.full(m, q), times)
-    s_on = rng.random(m) < 0.5
-    sel = rows[s_on]
-    xb[sel, control[s_on]] ^= xa[sel, control[s_on]]
-    for q in range(n):
-        inc = (rng.random(m) < 0.5) & (control != q)
-        sel = rows[inc]
-        # CNOT(q -> control)
-        xa[sel, control[inc]] ^= xa[sel, q]
-        xb[sel, q] ^= xb[sel, control[inc]]
-    apply_t(control, rng.integers(0, 3, size=m))
-    return success_rate
+    for kind, roles, law in _ROUND:
+        # "o" steps draw for every qubit and drop the draw on the control
+        for q in range(n) if "o" in roles else [None]:
+            times = _draw(law, m, rng)
+            if q is not None:
+                times = times * (control != q)
+            qubits = _place(roles, control, q)
+            for rep in range(1, 3 if law == _THIRDS else 2):
+                xa, xb = _move(kind, xa, xb, qubits, times >= rep)
+    return xa, xb, success_rate
 
 
 def mc_convergence_curve(
@@ -612,16 +604,14 @@ def mc_convergence_curve(
     """
     if start is None:
         start = PauliLabel(2, n, (1,) + (0,) * (n - 1), (0,) * n)
-    xa = np.tile(np.array(start.xa, dtype=np.int64), (samples, 1))
-    xb = np.tile(np.array(start.xb, dtype=np.int64), (samples, 1))
+    xa, xb = (np.full(samples, m, dtype=np.int64) for m in _from_label_int(start.to_int(), n))
     u = np.full(4**n - 1, 1.0 / (4**n - 1))
     null_draw = rng.multinomial(samples, u) / samples
     floor = l1_to_uniform(np.concatenate(([0.0], null_draw)))
     curve = []
     for step in range(1, k + 1):
-        success = _mc_round(xa, xb, n, rng)
-        values = ((xa + 2 * xb) << (2 * np.arange(n))).sum(axis=1)
-        empirical = np.bincount(values, minlength=4**n) / samples
+        xa, xb, success = _mc_round(xa, xb, n, rng)
+        empirical = np.bincount(_to_label_int(xa, xb, n), minlength=4**n) / samples
         raw = l1_to_uniform(empirical)
         curve.append(
             {
@@ -657,8 +647,9 @@ def approx_twirl_channel(
     """Push a channel's Pauli weights through k twirl rounds and bound the
     diamond-norm gap to the perfect Clifford twirl.
 
-    trials = 0 runs the exact chain (n <= 3); otherwise the weights are
-    propagated by `trials` sampled circuits per non-identity source label.
+    trials = 0 runs the exact chain (n <= EXACT_CHAIN_CAP); otherwise the
+    weights are propagated by `trials` sampled circuits per non-identity
+    source label.
     Returns the twirled Pauli channel and B(Lambda) (eps0 + eps_k), where
     eps_k is the realized l1 gap beyond eps0, maximized over source labels in
     exact mode.
@@ -686,15 +677,10 @@ def approx_twirl_channel(
         if rest > 1e-12:
             cond = pauli_ch.weights[1:] / rest
             picks = rng.choice(np.arange(1, 4**n), size=trials, p=cond)
-            xa = np.empty((trials, n), dtype=np.int64)
-            xb = np.empty((trials, n), dtype=np.int64)
-            for q in range(n):
-                digit = (picks >> (2 * q)) & 3
-                xa[:, q] = digit & 1
-                xb[:, q] = digit >> 1
+            xa, xb = _from_label_int(picks, n)
             for _ in range(k):
-                _mc_round(xa, xb, n, rng)
-            values = ((xa + 2 * xb) << (2 * np.arange(n))).sum(axis=1)
+                xa, xb, _ = _mc_round(xa, xb, n, rng)
+            values = _to_label_int(xa, xb, n)
             weights[1:] += np.bincount(values, minlength=4**n)[1:] / trials * rest
             est = mc_convergence(n, k, trials, rng)
             eps_k = max(0.0, est["l1"] - epsilon0(n))

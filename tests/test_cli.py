@@ -188,3 +188,16 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mub", "--prime"])
     assert exc.value.code == 2
+
+
+def test_check_failure_exit_code(monkeypatch, capsys):
+    import qdesigns.estimate
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("ancillas failed to return to |00>: residual 1.00e+00")
+
+    monkeypatch.setattr(qdesigns.estimate, "projected_mub_prepare", fail)
+    code, _, err = run(capsys, ["estimate", "--protocol", "projected", "--depolarizing", "0.9",
+                                "--d", "2", "--trials", "0"])
+    assert code == 1
+    assert err.startswith("error:")

@@ -430,3 +430,43 @@ def test_distribution_csv_and_result_json():
     payload = json.loads(twirl_result_json(2, 12, 0.001, 0.27))
     assert set(payload) == {"n", "k", "l1", "epsilon0", "bound"}
     assert abs(payload["epsilon0"] - 4 / 15) < 1e-12
+
+
+def test_markov_chain_n4_is_stochastic_and_matches_mc():
+    n, k = 4, 4
+    p = markov_transition_matrix(n)
+    assert np.abs(p.sum(axis=0) - 1).max() < 1e-12
+    assert p.min() >= -1e-15
+    u = np.concatenate(([0.0], np.full(4**n - 1, 1 / (4**n - 1))))
+    assert np.abs(p @ u - u).max() < 1e-12
+    start = np.zeros(4**n)
+    start[1] = 1  # X on qubit 0
+    exact = l1_to_uniform(np.linalg.matrix_power(p, k) @ start)
+    est = mc_convergence(n, k, samples=200_000, rng=np.random.default_rng(71))
+    assert abs(est["l1"] - exact) < 0.02
+
+
+def test_seeded_twirl_outputs_are_pinned(tmp_path, capsys):
+    # the CLI's byte-identical contract depends on the order of the RNG draws
+    from qdesigns.cli import main
+
+    out = tmp_path / "c2.csv"
+    code = main(["twirl", "--n", "2", "--k", "3", "--samples", "2000", "--seed", "1",
+                 "--json", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{"bound": 0.5833333333333333, "epsilon0": 0.26666666666666666, "k": 3, '
+        '"l1": 0.0, "n": 2}\n'
+    )
+    assert out.read_text() == (
+        "k,l1,bound\n"
+        "1,0.20833333333333343,1.5333333333333332\n"
+        "2,0.03600000000000002,0.8999999999999999\n"
+        "3,0.0,0.5833333333333333\n"
+    )
+    sample = sample_twirl_circuit(3, 2, np.random.default_rng(3))
+    assert [(g.kind, g.targets, g.controls) for g in sample.circuit] == [
+        ("CNOT", (1,), (2,)), ("CNOT", (2,), (1,)), ("S", (1,), ()), ("CNOT", (1,), (0,)),
+        ("CNOT", (1,), (2,)), ("CNOT", (0,), (2,)), ("T", (1,), ()), ("T", (1,), ()),
+        ("CNOT", (1,), (0,)), ("CNOT", (2,), (0,)), ("T", (2,), ()), ("T", (0,), ()),
+    ]
