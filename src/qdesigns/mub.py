@@ -39,6 +39,7 @@ __all__ = [
 PRIME_CAP = 127
 PRIME_POWER_CAP = 128
 QUBIT_CAP = 7
+_GRAM_ROWS = 256  # rows of the angle-check Gram matrix held at once
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,9 @@ def mub_prime(p: int) -> MubFamily:
     if p > PRIME_CAP:
         raise ValueError(f"p = {p} exceeds the supported cap {PRIME_CAP}")
     x = np.arange(p)
+    e = (x[:, None, None] * x * x + x[:, None] * x) % p  # e[a, b, x] = a x^2 + b x
     states = np.empty((p + 1, p, p), dtype=complex)
-    omega = np.exp(2j * np.pi / p)
-    for a in range(p):
-        for b in range(p):
-            states[a, b] = omega ** ((a * x * x + b * x) % p) / math.sqrt(p)
+    states[:p] = (np.exp(2j * np.pi / p) ** np.arange(p))[e] / math.sqrt(p)
     states[p] = np.eye(p)
     return MubFamily(d=p, kind="prime", states=states)
 
@@ -86,21 +85,13 @@ def mub_prime_power(p: int, k: int) -> MubFamily:
         raise ValueError(f"p^k = {p**k} outside the supported range (k >= 1, p^k <= {PRIME_POWER_CAP})")
     ctx = GfContext(p, k)
     d = p**k
-    els = ctx.elements()
-    squares = [e * e for e in els]
-    omega = np.exp(2j * np.pi / p)
+    c = np.arange(d)[:, None] // p ** np.arange(k) % p  # c[x] = coefficients of element x
+    m = np.array(ctx.mul_matrices)
+    sq = np.einsum("xi,ijl,xl->xj", c, m, c) % p  # coefficients of x^2
+    ta = c @ (ctx.trace_vector @ m) % p  # tr(a y) = ta[a] . y
+    e = ((ta @ sq.T)[:, None, :] + ta @ c.T) % p  # e[a, b, x] = tr(a x^2 + b x)
     states = np.empty((d + 1, d, d), dtype=complex)
-    norm = 1 / math.sqrt(d)
-    t = ctx.trace_vector
-    for a_lab, a in enumerate(els):
-        ta = (t @ ctx.mul_matrix(a)) % p
-        for b_lab, b in enumerate(els):
-            tb = (t @ ctx.mul_matrix(b)) % p
-            amps = np.empty(d, dtype=complex)
-            for x_lab in range(d):
-                e = (ta @ squares[x_lab].coeffs + tb @ els[x_lab].coeffs) % p
-                amps[x_lab] = omega**e
-            states[a_lab, b_lab] = amps * norm
+    states[:d] = (np.exp(2j * np.pi / p) ** np.arange(p))[e] * (1 / math.sqrt(d))
     states[d] = np.eye(d)
     return MubFamily(d=d, kind="prime_power", states=states)
 
@@ -114,15 +105,10 @@ def mub_galois_ring(n: int) -> MubFamily:
     d = 2**n
     # tr((a+2b)x) = tr(ax) + 2 tr(bx) with ax, bx back in the Teichmuller set,
     # so all phases come from the trace on T and cyclic index arithmetic
-    tr_t = np.array([ctx.trace(t) for t in ctx.teichmuller])
     mul = np.array([[ctx.teich_mul_index(i, j) for j in range(d)] for i in range(d)])
+    tr_ax = np.array([ctx.trace(t) for t in ctx.teichmuller])[mul]  # tr_ax[a, x] = tr(a x)
     states = np.empty((d + 1, d, d), dtype=complex)
-    norm = 1 / math.sqrt(d)
-    i_pow = np.array(I_POWERS)
-    for ai in range(d):
-        for bi in range(d):
-            exps = (tr_t[mul[ai]] + 2 * tr_t[mul[bi]]) % 4
-            states[ai, bi] = i_pow[exps] * norm
+    states[:d] = np.array(I_POWERS)[(tr_ax[:, None, :] + 2 * tr_ax) % 4] * (1 / math.sqrt(d))
     states[d] = np.eye(d)
     return MubFamily(d=d, kind="galois_ring", states=states)
 
@@ -169,8 +155,8 @@ def verify_unbiased(family: MubFamily, tol: float = 1e-9) -> VerifyReport:
                 err = np.abs(g - np.eye(d))
             else:
                 err = np.abs(g - target)
-            i, j = np.unravel_index(np.argmax(err), err.shape)
-            e = float(err[i, j])
+            i, j = np.unravel_index(np.argmax(err), err.shape)  # argmax lands on a NaN if there is one
+            e = math.inf if math.isnan(err[i, j]) else float(err[i, j])
             if a1 == a2:
                 if e > max_orth:
                     max_orth, worst_orth = e, ((a1, int(i)), (a2, int(j)))
@@ -197,9 +183,8 @@ def state_design_sum(family: MubFamily, m: np.ndarray, n: np.ndarray) -> complex
     if m.shape != (d, d) or n.shape != (d, d):
         raise ValueError(f"operators must be {d} x {d}")
     s = family.all_states()
-    vm = np.einsum("si,ij,sj->s", s.conj(), m, s)
-    vn = np.einsum("si,ij,sj->s", s.conj(), n, s)
-    return complex(np.sum(vm * vn))
+    sc = s.conj()
+    return complex(np.sum(((sc @ m) * s).sum(1) * ((sc @ n) * s).sum(1)))
 
 
 def haar_moment(m: np.ndarray, n: np.ndarray) -> complex:
@@ -229,42 +214,55 @@ def haar_moment_mc(
 
 def t_design_angle_check(family: MubFamily, k: int) -> float:
     """(1/|X|^2) sum over state pairs of |<psi|phi>|^(2k); equals
-    1/binom(d+k-1, k) when the family is a k-design."""
+    1/binom(d+k-1, k) when the family is a k-design.  Sums the Gram matrix by row blocks."""
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1, or 2")
     s = family.all_states()
-    g2 = np.abs(s @ s.conj().T) ** 2
-    return float(np.sum(g2**k) / s.shape[0] ** 2)
+    sh = s.conj().T
+    g2_blocks = (np.abs(s[i:i + _GRAM_ROWS] @ sh) ** 2 for i in range(0, len(s), _GRAM_ROWS))
+    return float(sum(np.sum(g2**k) for g2 in g2_blocks) / len(s) ** 2)
 
 
 def export_family(family: MubFamily, path: str) -> None:
     """Text export: header line, then one line `a b re0 im0 re1 im1 ...` per state."""
-    lines = [f"MUB d={family.d} kind={family.kind}"]
-    for a in range(family.d + 1):
-        for b in range(family.d):
-            amps = family.states[a, b]
-            nums = " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in amps)
-            lines.append(f"{a} {b} {nums}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"MUB d={family.d} kind={family.kind}\n")
+        for a, basis in enumerate(np.ascontiguousarray(family.states, dtype=complex)):  # rows viewable as floats
+            for b, state in enumerate(basis):
+                fh.write(f"{a} {b} {' '.join(map(repr, state.view(float).tolist()))}\n")
 
 
 def load_family(path: str) -> MubFamily:
+    """Read an `export_family` file.  Raises ValueError, naming the line, unless
+    the header has d >= 1 and every (a, b) with 0 <= a <= d, 0 <= b < d appears
+    exactly once with 2d finite numbers."""
     with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "MUB" or not head[1].startswith("d=") or not head[2].startswith("kind="):
-        raise ValueError(f"bad MUB header: {lines[0]!r}")
+        lines = [(no, ln) for no, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
+    no, header = lines[0] if lines else (1, "")
+    head = header.split()
+    if (len(head) != 3 or head[0] != "MUB" or not head[1].startswith("d=") or not head[1][2:].isdecimal()
+            or int(head[1][2:]) < 1 or not head[2].startswith("kind=")):
+        raise ValueError(f"line {no}: bad MUB header {header!r}, wanted 'MUB d=<integer >= 1> kind=<name>'")
     d = int(head[1][2:])
     kind = head[2][5:]
-    states = np.zeros((d + 1, d, d), dtype=complex)
     if len(lines) != 1 + (d + 1) * d:
         raise ValueError(f"expected {(d + 1) * d} state lines, found {len(lines) - 1}")
-    for ln in lines[1:]:
+    states = np.empty((d + 1, d, d), dtype=complex)
+    seen = np.zeros((d + 1, d), dtype=bool)
+    for no, ln in lines[1:]:
         parts = ln.split()
-        a, b = int(parts[0]), int(parts[1])
-        nums = [float(t) for t in parts[2:]]
-        if len(nums) != 2 * d:
-            raise ValueError(f"state line for (a={a}, b={b}) has {len(nums)} numbers, wanted {2 * d}")
-        states[a, b] = np.array(nums[0::2]) + 1j * np.array(nums[1::2])
+        try:
+            a, b = int(parts[0]), int(parts[1])
+            nums = np.array(parts[2:], dtype=float)
+        except (ValueError, IndexError):
+            raise ValueError(f"line {no}: expected integer labels a b and then numbers: {ln[:60]!r}") from None
+        if not (0 <= a <= d and 0 <= b < d):
+            raise ValueError(f"line {no}: label (a={a}, b={b}) outside 0 <= a <= {d}, 0 <= b < {d}")
+        if seen[a, b]:
+            raise ValueError(f"line {no}: duplicate state line for (a={a}, b={b})")
+        if len(nums) != 2 * d or not np.isfinite(nums).all():
+            raise ValueError(f"line {no}: state line for (a={a}, b={b}) needs {2 * d} numbers, all finite; "
+                             f"got {len(nums)}, {np.isfinite(nums).sum()} finite")
+        seen[a, b] = True
+        states[a, b] = nums.view(complex)
     return MubFamily(d=d, kind=kind, states=states)

@@ -57,6 +57,49 @@ def test_verify_subcommand_and_corruption(tmp_path, capsys):
     assert code == 1 and stdout.startswith("FAIL")
 
 
+def _q2_export(tmp_path, capsys):
+    out = tmp_path / "q2.mub"
+    run(capsys, ["mub", "--qubits", "2", "--out", str(out)])
+    return out, out.read_text().splitlines()
+
+
+def test_verify_rejects_nan_amplitude_file(tmp_path, capsys):
+    out, lines = _q2_export(tmp_path, capsys)
+    parts = lines[3].split()
+    parts[4] = "nan"
+    lines[3] = " ".join(parts)
+    out.write_text("\n".join(lines) + "\n")
+    code, stdout, err = run(capsys, ["verify", "--family", str(out)])
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: line 4:") and "all finite" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_verify_fails_on_overflowing_overlaps(tmp_path, capsys):
+    # finite amplitudes whose self-overlap is inf - inf = nan must not pass
+    out, lines = _q2_export(tmp_path, capsys)
+    lines[1] = "0 0 " + " ".join(["1e308"] * 8)
+    out.write_text("\n".join(lines) + "\n")
+    code, stdout, _ = run(capsys, ["verify", "--family", str(out)])
+    assert code == 1
+    assert stdout.startswith("FAIL") and "max_orth_err=inf" in stdout
+
+
+@pytest.mark.parametrize("edit", [
+    lambda ls: ls.__setitem__(1, "9" + ls[1][1:]),
+    lambda ls: ls.__setitem__(5, "-1" + ls[5][1:]),
+    lambda ls: ls.__setitem__(2, ls[1]),
+    lambda ls: ls.__setitem__(0, "MUB d=0 kind=galois_ring"),
+], ids=["a_too_large", "a_negative", "duplicate_pair", "d_zero"])
+def test_verify_malformed_family_exit_code(tmp_path, capsys, edit):
+    out, lines = _q2_export(tmp_path, capsys)
+    edit(lines)
+    out.write_text("\n".join(lines) + "\n")
+    code, stdout, err = run(capsys, ["verify", "--family", str(out)])
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: line ") and "Traceback" not in err
+
+
 def test_design_state_pass(capsys):
     code, stdout, _ = run(capsys, ["design", "state", "--d", "9"])
     assert code == 0

@@ -2,9 +2,15 @@
 
 import math
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from qdesigns.finite_algebra import I_POWERS, GfContext, GrContext
 from qdesigns.linalg import random_complex_matrix
 from qdesigns.mub import (
     MubFamily,
@@ -217,3 +223,172 @@ def test_export_round_trip(tmp_path):
     loaded = load_family(str(path))
     assert loaded.d == 4 and loaded.kind == "galois_ring"
     assert np.abs(loaded.states - fam.states).max() == 0.0  # repr round-trips doubles exactly
+
+
+# --- slow reference paths: the per-(a, b, x) formulas the builders replace ---
+
+def reference_prime(p):
+    x = np.arange(p)
+    states = np.empty((p + 1, p, p), dtype=complex)
+    omega = np.exp(2j * np.pi / p)
+    for a in range(p):
+        for b in range(p):
+            states[a, b] = omega ** ((a * x * x + b * x) % p) / math.sqrt(p)
+    states[p] = np.eye(p)
+    return states
+
+
+def reference_prime_power(p, k):
+    ctx = GfContext(p, k)
+    d = p**k
+    els = ctx.elements()
+    squares = [e * e for e in els]
+    omega = np.exp(2j * np.pi / p)
+    states = np.empty((d + 1, d, d), dtype=complex)
+    t = ctx.trace_vector
+    for a_lab, a in enumerate(els):
+        ta = (t @ ctx.mul_matrix(a)) % p
+        for b_lab, b in enumerate(els):
+            tb = (t @ ctx.mul_matrix(b)) % p
+            amps = np.empty(d, dtype=complex)
+            for x_lab in range(d):
+                amps[x_lab] = omega ** ((ta @ squares[x_lab].coeffs + tb @ els[x_lab].coeffs) % p)
+            states[a_lab, b_lab] = amps * (1 / math.sqrt(d))
+    states[d] = np.eye(d)
+    return states
+
+
+def reference_galois_ring(n):
+    ctx = GrContext(n)
+    d = 2**n
+    tr_t = np.array([ctx.trace(t) for t in ctx.teichmuller])
+    mul = np.array([[ctx.teich_mul_index(i, j) for j in range(d)] for i in range(d)])
+    states = np.empty((d + 1, d, d), dtype=complex)
+    for ai in range(d):
+        for bi in range(d):
+            states[ai, bi] = np.array(I_POWERS)[(tr_t[mul[ai]] + 2 * tr_t[mul[bi]]) % 4] * (1 / math.sqrt(d))
+    states[d] = np.eye(d)
+    return states
+
+
+def reference_export_text(family):
+    lines = [f"MUB d={family.d} kind={family.kind}"]
+    for a in range(family.d + 1):
+        for b in range(family.d):
+            nums = " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in family.states[a, b])
+            lines.append(f"{a} {b} {nums}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_angle_sum(family, k):
+    s = family.all_states()
+    g2 = np.abs(s @ s.conj().T) ** 2
+    return float(np.sum(g2**k) / s.shape[0] ** 2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 61])
+def test_prime_builder_is_bit_identical_to_reference(p):
+    assert np.array_equal(mub_prime(p).states.view(float), reference_prime(p).view(float))
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 2), (3, 3)])
+def test_prime_power_builder_is_bit_identical_to_reference(p, k):
+    assert np.array_equal(mub_prime_power(p, k).states.view(float), reference_prime_power(p, k).view(float))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_galois_ring_builder_is_bit_identical_to_reference(n):
+    assert np.array_equal(mub_galois_ring(n).states.view(float), reference_galois_ring(n).view(float))
+
+
+@pytest.mark.parametrize("fam", [mub_prime(17), mub_galois_ring(4)], ids=["p17", "q4"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_blocked_angle_check_matches_full_gram(fam, k):
+    assert fam.all_states().shape[0] > 256  # more than one row block
+    assert abs(t_design_angle_check(fam, k) - reference_angle_sum(fam, k)) <= 1e-15
+
+
+@pytest.mark.parametrize("fam", [
+    mub_galois_ring(3),
+    mub_prime_power(3, 2),
+    MubFamily(d=4, kind="galois_ring", states=np.asfortranarray(mub_galois_ring(2).states)),
+    MubFamily(d=4, kind="galois_ring", states=mub_galois_ring(2).states.astype(np.complex64)),
+], ids=["q3", "pp9", "q2_fortran_order", "q2_complex64"])
+def test_export_bytes_match_reference_formatter(fam, tmp_path):
+    path = tmp_path / "fam.mub"
+    export_family(fam, str(path))
+    assert path.read_bytes() == reference_export_text(fam).encode()
+
+
+def test_verify_fails_nan_family():
+    rep = verify_unbiased(MubFamily(d=3, kind="prime", states=np.full((4, 3, 3), np.nan, dtype=complex)))
+    assert not rep.ok
+    assert rep.max_orthonormality_error == math.inf and rep.max_unbiasedness_error == math.inf
+
+
+def test_verify_fails_single_nan_amplitude():
+    states = mub_prime(5).states.copy()
+    states[2, 3, 1] = complex(np.nan, 0.0)
+    rep = verify_unbiased(MubFamily(d=5, kind="prime", states=states))
+    assert not rep.ok
+    assert rep.worst_orthonormality_pair[0] == (2, 3) or rep.worst_orthonormality_pair[1] == (2, 3)
+
+
+def _amplitude_arrays():
+    return st.integers(1, 4).flatmap(lambda d: arrays(
+        np.float64, (d + 1, d, 2 * d), elements=st.floats(allow_nan=False, allow_infinity=False)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_amplitude_arrays())
+@example(np.array([[[-0.0, 0.0]], [[5e-324, -2.2250738585072014e-308]]]))
+@example(np.array([[[1e308, -1e308]], [[1.7976931348623157e308, -5e-324]]]))
+def test_export_load_round_trips_bit_for_bit(amps):
+    d = amps.shape[1]
+    fam = MubFamily(d=d, kind="prime", states=np.ascontiguousarray(amps).view(complex))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/fam.mub"
+        export_family(fam, path)
+        loaded = load_family(path)
+    assert loaded.d == d and loaded.kind == "prime"
+    assert loaded.states.tobytes() == fam.states.tobytes()
+
+
+def _q1_lines(tmp_path):
+    path = tmp_path / "q1.mub"
+    export_family(mub_galois_ring(1), str(path))
+    return path, path.read_text().splitlines()
+
+
+def _set_line(lines, i, a=None, b=None, nums=None):
+    parts = lines[i].split()
+    if a is not None:
+        parts[0] = a
+    if b is not None:
+        parts[1] = b
+    if nums is not None:
+        parts[2:] = nums
+    lines[i] = " ".join(parts)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda ls: _set_line(ls, 1, a="9"), "line 2: label (a=9, b=0) outside"),
+    (lambda ls: _set_line(ls, 3, a="-1"), "line 4: label (a=-1, b=0) outside"),
+    (lambda ls: _set_line(ls, 2, b="0"), "line 3: duplicate state line for (a=0, b=0)"),
+    (lambda ls: _set_line(ls, 1, a="0.5"), "line 2: expected integer labels"),
+    (lambda ls: _set_line(ls, 1, nums=["1.0", "0.0", "x", "0.0"]), "line 2: expected integer labels"),
+    (lambda ls: _set_line(ls, 5, nums=["1.0", "0.0"]), "line 6: state line for (a=2, b=0) needs 4 numbers, all finite; got 2, 2 finite"),
+    (lambda ls: _set_line(ls, 1, nums=["nan", "0.0", "0.0", "0.0"]), "line 2: state line for (a=0, b=0) needs 4 numbers, all finite; got 4, 3 finite"),
+    (lambda ls: _set_line(ls, 1, nums=["1e400", "0.0", "0.0", "0.0"]), "line 2: state line for (a=0, b=0) needs 4 numbers, all finite; got 4, 3 finite"),
+    (lambda ls: ls.__setitem__(0, "MUB d=0 kind=galois_ring"), "line 1: bad MUB header"),
+    (lambda ls: ls.__setitem__(0, "MUB d=two kind=galois_ring"), "line 1: bad MUB header"),
+    (lambda ls: ls.pop(), "expected 6 state lines, found 5"),
+    (lambda ls: ls.clear(), "line 1: bad MUB header ''"),
+])
+def test_load_rejects_malformed_files(tmp_path, edit, message):
+    path, lines = _q1_lines(tmp_path)
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        load_family(str(path))
+    assert message in str(exc.value)
