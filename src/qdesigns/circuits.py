@@ -49,7 +49,11 @@ SIMULATE_DIM_CAP = 2**12
 UNITARY_DIM_CAP = 256
 
 _QUBIT_ONLY = {"H", "X", "Z", "S", "T_pi8", "T", "PhaseExp", "CNOT"}
-_KINDS = _QUBIT_ONLY | {"Xd", "Zd", "Fp", "Fpinv", "PhaseVec", "CPhase", "CADD"}
+# kind -> (number of targets, number of controls)
+_ARITY = {
+    **dict.fromkeys(_QUBIT_ONLY - {"CNOT"} | {"Xd", "Zd", "Fp", "Fpinv", "PhaseVec"}, (1, 0)),
+    "CPhase": (2, 0), "CNOT": (1, 1), "CADD": (1, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -83,10 +87,18 @@ class Circuit:
             self.append(g)
 
     def append(self, gate: Gate) -> None:
-        if gate.kind not in _KINDS:
+        if gate.kind not in _ARITY:
             raise ValueError(f"unknown gate kind {gate.kind!r}")
         if gate.kind in _QUBIT_ONLY and self.d != 2:
             raise ValueError(f"gate {gate.kind} requires qubits (d = 2), register has d = {self.d}")
+        n_targets, n_controls = _ARITY[gate.kind]
+        if (len(gate.targets), len(gate.controls)) != (n_targets, n_controls):
+            raise ValueError(
+                f"gate {gate.kind} takes {n_targets} target(s) and {n_controls} control(s), "
+                f"got {len(gate.targets)} and {len(gate.controls)}"
+            )
+        if gate.kind == "PhaseVec" and len(gate.phases) != self.d:
+            raise ValueError(f"PhaseVec needs {self.d} phase numerators, got {len(gate.phases)}")
         qs = gate.qudits
         if len(set(qs)) != len(qs):
             raise ValueError(f"gate {gate.kind} touches a qudit twice: {qs}")
@@ -194,8 +206,6 @@ def gate_matrix(g: Gate, d: int) -> np.ndarray:
     if k == "Fpinv":
         return _fourier(d).conj().T
     if k == "PhaseVec":
-        if len(g.phases) != d:
-            raise ValueError(f"PhaseVec needs {d} phase numerators, got {len(g.phases)}")
         return np.diag([cmath.exp(2j * np.pi * x / g.den) for x in g.phases])
     if k == "CPhase":
         u = np.arange(d)
@@ -211,15 +221,17 @@ def gate_matrix(g: Gate, d: int) -> np.ndarray:
 
 
 def apply_local(state: np.ndarray, mat: np.ndarray, qudits: tuple[int, ...], n: int, d: int) -> np.ndarray:
-    """Apply a matrix acting on the listed qudits (first listed = major index)."""
-    t = state.reshape((d,) * n)
-    # qudit j lives on axis n-1-j
-    axes = [n - 1 - q for q in qudits]
+    """Apply a matrix acting on the listed qudits (first listed = major index)
+    to the last axis of a state or of a stack of states."""
+    batch = state.shape[:-1]
+    t = state.reshape(batch + (d,) * n)
+    # qudit j lives on axis n-1-j after the batch axes
+    axes = [len(batch) + n - 1 - q for q in qudits]
     m = mat.reshape((d,) * (2 * len(qudits)))
     t = np.tensordot(m, t, axes=(list(range(len(qudits), 2 * len(qudits))), axes))
     # tensordot puts the new indices first, in qudit-list order
     t = np.moveaxis(t, range(len(qudits)), axes)
-    return t.reshape(-1)
+    return t.reshape(state.shape)
 
 
 def _digit(idx: np.ndarray, q: int, d: int) -> np.ndarray:
@@ -227,7 +239,7 @@ def _digit(idx: np.ndarray, q: int, d: int) -> np.ndarray:
 
 
 def _apply_gate(state: np.ndarray, g: Gate, n: int, d: int) -> np.ndarray:
-    dim = state.size
+    dim = state.shape[-1]
     k = g.kind
     if k in ("Z", "S", "T_pi8", "PhaseExp", "Zd", "PhaseVec", "CPhase"):
         idx = np.arange(dim)
@@ -252,17 +264,18 @@ def _apply_gate(state: np.ndarray, g: Gate, n: int, d: int) -> np.ndarray:
         v = _digit(idx, g.targets[0], d)
         new_idx = idx + ((v + num * c) % d - v) * d ** g.targets[0]
         out = np.empty_like(state)
-        out[new_idx] = state
+        out[..., new_idx] = state
         return out
     return apply_local(state, gate_matrix(g, d), g.targets, n, d)
 
 
 def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """Run the circuit on a statevector; returns a fresh array."""
+    """Run the circuit on a statevector of shape (dim,), or on each row of a
+    stack of shape (m, dim); returns a fresh array of the same shape."""
     dim = circuit.d**circuit.n
     state = np.asarray(state, dtype=complex)
-    if state.shape != (dim,):
-        raise ValueError(f"input dimension {state.shape} does not match register size {dim}")
+    if state.ndim not in (1, 2) or state.shape[-1] != dim:
+        raise ValueError(f"input shape {state.shape} is not (dim,) or (m, dim) for register size {dim}")
     if dim > SIMULATE_DIM_CAP:
         raise ValueError(f"register dimension {dim} exceeds the simulation cap {SIMULATE_DIM_CAP}")
     out = state.copy()
@@ -272,16 +285,11 @@ def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full unitary by simulating every basis input (capped at dimension 256)."""
+    """Full unitary by simulating every basis input at once (capped at dimension 256)."""
     dim = circuit.d**circuit.n
     if dim > UNITARY_DIM_CAP:
         raise ValueError(f"dimension {dim} exceeds the dense-unitary cap {UNITARY_DIM_CAP}")
-    u = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[j] = 1
-        u[:, j] = simulate(circuit, e)
-    return u
+    return simulate(circuit, np.eye(dim)).T
 
 
 def _tournament_rounds(m: int) -> list[tuple[list[tuple[int, int]], int | None]]:
@@ -489,17 +497,13 @@ def projected_mub_prepare(n_qubits: int, a: int, b: int, ancilla_tol: float = 1e
     rot = np.array([[alpha, -math.sqrt(1 - alpha * alpha)], [math.sqrt(1 - alpha * alpha), alpha]])
 
     inv = prep.inverse()
-    n_all = n_qubits + 2
 
+    # the rotated ancilla is the major qubit: one row of the register per ancilla level
     def apply_a(v: np.ndarray) -> np.ndarray:
-        rows = v.reshape(2, reg_dim)
-        rows = np.stack([simulate(prep, rows[0]), simulate(prep, rows[1])])
-        return apply_local(rows.reshape(-1), rot.astype(complex), (n_all - 1,), n_all, 2)
+        return (rot @ simulate(prep, v.reshape(2, reg_dim))).reshape(-1)
 
     def apply_a_dag(v: np.ndarray) -> np.ndarray:
-        v = apply_local(v, rot.T.astype(complex), (n_all - 1,), n_all, 2)
-        rows = v.reshape(2, reg_dim)
-        return np.stack([simulate(inv, rows[0]), simulate(inv, rows[1])]).reshape(-1)
+        return simulate(inv, rot.T @ v.reshape(2, reg_dim)).reshape(-1)
 
     full0 = np.zeros(2 * reg_dim, dtype=complex)
     full0[0] = 1

@@ -129,14 +129,24 @@ def cmd_design(args) -> int:
     return 0 if ok else 1
 
 
+_CHANNEL_SOURCES = (("channel_json", "--channel-json"), ("depolarizing", "--depolarizing"),
+                    ("sweep", "--sweep"), ("noise", "--noise"))
+
+
 def _make_channel(args) -> channels.KrausChannel:
-    if getattr(args, "channel_json", None):
+    given = [flag for key, flag in _CHANNEL_SOURCES if getattr(args, key, None) is not None]
+    if len(given) > 1:
+        raise ValueError(f"conflicting channel sources {' and '.join(given)}: choose one")
+    if getattr(args, "channel_json", None) is not None:
         with open(args.channel_json) as fh:
             return channels.channel_from_json(fh.read())
-    if getattr(args, "depolarizing", None) is not None:
+    p_dep = getattr(args, "depolarizing", None)
+    if p_dep is None:
+        p_dep = getattr(args, "sweep", None)
+    if p_dep is not None:
         if args.d is None:
             raise ValueError("--depolarizing needs --d")
-        return channels.depolarizing(args.d, args.depolarizing)
+        return channels.depolarizing(args.d, p_dep)
     if getattr(args, "noise", None):
         if args.p is None:
             raise ValueError("--noise needs --p")
@@ -201,7 +211,7 @@ _CONFIG_KEYS = {
     "protocol": str,
     "trials": int,
     "seed": int,
-    "workers": int,
+    "workers": int,  # accepted and ignored: results depend only on (seed, trials)
     "d": int,
     "depolarizing": float,
     "noise": str,
@@ -228,7 +238,7 @@ def _load_config(path: str) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    settings = {"protocol": "mub_mc", "trials": 0, "seed": 0, "workers": 1,
+    settings = {"protocol": "mub_mc", "trials": 0, "seed": 0,
                 "d": None, "depolarizing": None, "noise": None, "p": None,
                 "channel_json": None}
     if args.config:
@@ -247,15 +257,13 @@ def cmd_estimate(args) -> int:
 
     outputs = []
     for value in sweep:
-        if value is not None:
-            chan_args.depolarizing = value
+        chan_args.sweep = value  # a depolarizing source of its own
         ch = _make_channel(chan_args)
         cfg = estimate.ExperimentConfig(
             ch,
             protocol=settings["protocol"],
             trials=settings["trials"],
             seed=settings["seed"],
-            workers=settings["workers"],
         )
         outputs.append((value, estimate.run_protocol(cfg)))
 
@@ -346,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key=value config file; flags override")
     p.add_argument("--protocol", choices=list(estimate.PROTOCOLS))
     p.add_argument("--trials", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int,
+                   help="accepted and ignored: results depend only on (seed, trials)")
     p.add_argument("--channel-json")
     p.add_argument("--depolarizing", type=float)
     p.add_argument("--d", type=int)

@@ -7,16 +7,14 @@ each prepared state is computed once, then Bernoulli samples are drawn from
 it -- statistically identical to per-shot measurement simulation and far
 cheaper.  trials = 0 selects the deterministic average over every state.
 
-Trials may be sharded across workers; each shard derives its own seed from
-the experiment seed and the merge is order-fixed, so results depend only on
-(seed, trials, workers).
+All trials are drawn from one random stream seeded from the experiment seed,
+so results depend only on (seed, trials).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +53,6 @@ class ExperimentConfig:
     trials: int = 0  # 0 = deterministic average over all states
     seed: int = 0
     target_unitary: np.ndarray | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -99,45 +96,26 @@ class EstimateResult:
 
 
 def _pure_outcome_probs(states: np.ndarray, kraus) -> np.ndarray:
-    """<psi|E(|psi><psi|)|psi> = sum_k |<psi|A_k|psi>|^2 for stacked states."""
-    vals = np.zeros(states.shape[0])
-    for a in kraus:
-        vals += np.abs(np.einsum("si,ij,sj->s", states.conj(), a, states)) ** 2
-    return vals
+    """<psi|E(|psi><psi|)|psi> = sum_k |<psi|A_k|psi>|^2 for stacked states:
+    <psi|A|psi> is the inner product of vec(A) with vec(conj(psi) psi^T)."""
+    s, d = states.shape
+    outer = (states.conj()[:, :, None] * states[:, None, :]).reshape(s, d * d)
+    amps = np.reshape(kraus, (-1, d * d)) @ outer.T  # (K, S)
+    return (np.abs(amps) ** 2).sum(axis=0)
 
 
-def _shard_sizes(total: int, workers: int) -> list[int]:
-    workers = max(1, min(workers, total)) if total else 1
-    base, extra = divmod(total, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
-
-
-def _bernoulli_shards(
-    probs: np.ndarray, weights: np.ndarray | None, trials: int, seed: int, workers: int
+def _bernoulli_mean(
+    probs: np.ndarray, weights: np.ndarray | None, trials: int, seed: int
 ) -> tuple[float, float]:
     """Sample `trials` states uniformly, draw weighted Bernoulli outcomes, and
-    return (mean, stderr of the mean); sharded deterministically by seed."""
-    sizes = _shard_sizes(trials, workers)
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-
-    def run(args):
-        size, ss = args
-        rng = np.random.default_rng(ss)
-        idx = rng.integers(0, probs.size, size=size)
-        hits = (rng.random(size) < probs[idx]).astype(float)
-        if weights is not None:
-            hits *= weights[idx]
-        return hits.sum(), (hits**2).sum()
-
-    if len(sizes) == 1:
-        parts = [run((sizes[0], seeds[0]))]
-    else:
-        with ThreadPoolExecutor(max_workers=len(sizes)) as pool:
-            parts = list(pool.map(run, zip(sizes, seeds)))
-    total = float(sum(p[0] for p in parts))
-    total_sq = float(sum(p[1] for p in parts))
-    mean = total / trials
-    var = max(total_sq / trials - mean**2, 0.0)
+    return (mean, stderr of the mean); one stream seeded from `seed`."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    idx = rng.integers(0, probs.size, size=trials)
+    hits = (rng.random(trials) < probs[idx]).astype(float)
+    if weights is not None:
+        hits *= weights[idx]
+    mean = float(hits.sum()) / trials
+    var = max(float((hits**2).sum()) / trials - mean**2, 0.0)
     return mean, math.sqrt(var / trials)
 
 
@@ -158,7 +136,7 @@ def mub_mc_estimate(cfg: ExperimentConfig, family: MubFamily) -> EstimateResult:
     if cfg.trials == 0 or cfg.protocol == "mub_exact":
         p_hat = float(probs.mean())
         return EstimateResult(cfg.protocol, d, 0, cfg.seed, p_hat, 0.0, exact, p_hat)
-    p_hat, std_err = _bernoulli_shards(probs, None, cfg.trials, cfg.seed, cfg.workers)
+    p_hat, std_err = _bernoulli_mean(probs, None, cfg.trials, cfg.seed)
     return EstimateResult(cfg.protocol, d, cfg.trials, cfg.seed, p_hat, std_err, exact, p_hat)
 
 
@@ -194,7 +172,7 @@ def projected_estimate(cfg: ExperimentConfig) -> EstimateResult:
     if cfg.trials == 0:
         p_tilde = float((weights**2 * probs).mean())
         return EstimateResult(cfg.protocol, d, 0, cfg.seed, p_tilde, 0.0, exact, p_tilde * rescale)
-    p_tilde, err = _bernoulli_shards(probs, weights**2, cfg.trials, cfg.seed, cfg.workers)
+    p_tilde, err = _bernoulli_mean(probs, weights**2, cfg.trials, cfg.seed)
     return EstimateResult(
         cfg.protocol, d, cfg.trials, cfg.seed, p_tilde, err, exact, p_tilde * rescale
     )
@@ -223,17 +201,15 @@ def ancilla_entanglement_estimate(cfg: ExperimentConfig) -> EstimateResult:
     inv = prep.inverse()
     dim = d * d
     phi = simulate(prep, np.eye(dim, dtype=complex)[0])
-    p_zero = 0.0
-    for a in noise.kraus:
-        branch = (phi.reshape(d, d) @ a.T).reshape(-1)  # (I (x) A_k) |phi>
-        p_zero += abs(simulate(inv, branch)[0]) ** 2
+    kraus = np.array(noise.kraus)
+    # row k is (I (x) A_k) |phi>
+    branches = (phi.reshape(d, d) @ kraus.transpose(0, 2, 1)).reshape(len(kraus), dim)
+    p_zero = float((np.abs(simulate(inv, branches)[:, 0]) ** 2).sum())
     exact = entanglement_fidelity(noise)
     f_avg = avg_from_entanglement(d, p_zero)
     if cfg.trials == 0:
-        return EstimateResult(cfg.protocol, d, 0, cfg.seed, float(p_zero), 0.0, exact, f_avg)
-    p_hat, err = _bernoulli_shards(
-        np.array([p_zero]), None, cfg.trials, cfg.seed, cfg.workers
-    )
+        return EstimateResult(cfg.protocol, d, 0, cfg.seed, p_zero, 0.0, exact, f_avg)
+    p_hat, err = _bernoulli_mean(np.array([p_zero]), None, cfg.trials, cfg.seed)
     return EstimateResult(
         cfg.protocol, d, cfg.trials, cfg.seed, p_hat, err, exact, avg_from_entanglement(d, p_hat)
     )

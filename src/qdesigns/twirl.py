@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import KrausChannel, Supermatrix, kraus_to_supermatrix, vec
+from .channels import KrausChannel, Supermatrix, generalized_paulis, kraus_to_supermatrix, vec
 from .circuits import Circuit, Gate, parallel_prefix_parity
 from .linalg import dagger
 
@@ -118,20 +118,12 @@ class PauliLabel:
         )
 
 
-def _single_pauli(d: int, a: int, b: int) -> np.ndarray:
-    om = np.exp(2j * np.pi / d)
-    x = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        x[(j + 1) % d, j] = 1
-    z = np.diag(om ** np.arange(d))
-    return np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
-
-
 def pauli_matrix(label: PauliLabel) -> np.ndarray:
     """Dense matrix of the label (qudit 0 least significant)."""
     if label.d**label.n > MATRIX_DIM_CAP:
         raise ValueError("matrix dimension exceeds the cap")
-    factors = [_single_pauli(label.d, label.xa[q], label.xb[q]) for q in range(label.n - 1, -1, -1)]
+    paulis = generalized_paulis(label.d)  # index a*d + b holds X^a Z^b
+    factors = [paulis[label.xa[q] * label.d + label.xb[q]] for q in range(label.n - 1, -1, -1)]
     out = factors[0]
     for f in factors[1:]:
         out = np.kron(out, f)

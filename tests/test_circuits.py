@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdesigns.circuits import (
     Circuit,
@@ -23,6 +25,8 @@ from qdesigns.circuits import (
     parse_circuit,
     projected_mub_prepare,
     simulate,
+    _ARITY,
+    _QUBIT_ONLY,
     _tournament_rounds,
 )
 from qdesigns.linalg import basis_state, random_unitary
@@ -371,3 +375,95 @@ def test_gate_validation():
     qc = Circuit(2, d=3)
     with pytest.raises(ValueError):
         qc.append(Gate("H", (0,)))
+
+
+@pytest.mark.parametrize("text,line_no", [
+    ("CIRCUIT n=2 d=3\nGATE PhaseVec targets=0 controls= param=1,2/3\n", 2),
+    ("CIRCUIT n=2 d=2\nGATE H targets=0 controls= param=0/1\nGATE CNOT targets=1 controls= param=0/1\n", 3),
+    ("CIRCUIT n=2 d=2\nGATE CPhase targets=1 controls= param=1/4\n", 2),
+    ("CIRCUIT n=3 d=2\nGATE H targets=0,1 controls= param=0/1\n", 2),
+    ("CIRCUIT n=2 d=2\nGATE X targets=0 controls=1 param=0/1\n", 2),
+])
+def test_parse_rejects_wrong_gate_shape(text, line_no):
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(text)
+    assert err.value.line_no == line_no
+
+
+def test_append_checks_gate_shape():
+    with pytest.raises(ValueError, match="PhaseVec needs 3"):
+        Circuit(2, d=3).append(Gate("PhaseVec", (0,), den=3, phases=(1, 2)))
+    for bad in (Gate("CNOT", (1,)), Gate("CPhase", (0,), num=1, den=4), Gate("H", (0, 1))):
+        with pytest.raises(ValueError, match="target"):
+            Circuit(2).append(bad)
+
+
+def every_kind_circuit(n, d, rng):
+    """A random circuit on n qudits that uses every gate kind the register allows."""
+    c = Circuit(n, d)
+    single = ["Xd", "Zd", "Fp", "Fpinv", "PhaseVec"]
+    if d == 2:
+        single += ["H", "X", "Z", "S", "T_pi8", "T", "PhaseExp"]
+    for _ in range(2):
+        for kind in single:
+            q = int(rng.integers(n))
+            c.append(Gate(kind, (q,), num=int(rng.integers(1, 7)), den=7,
+                          phases=tuple(int(x) for x in rng.integers(0, 5, d)) if kind == "PhaseVec" else ()))
+        for kind in ["CPhase", "CNOT", "CADD"] if d == 2 else ["CPhase", "CADD"]:
+            a, b = (int(x) for x in rng.choice(n, 2, replace=False))
+            if kind == "CPhase":
+                c.append(Gate(kind, (a, b), num=int(rng.integers(1, 9)), den=9))
+            else:
+                c.append(Gate(kind, (a,), (b,), num=int(rng.integers(1, d))))
+    return c
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (2, 3), (3, 5)])
+def test_batched_simulate_matches_row_by_row(n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    c = every_kind_circuit(n, d, rng)
+    dim = d**n
+    stack = rng.standard_normal((5, dim)) + 1j * rng.standard_normal((5, dim))
+    rows = np.array([simulate(c, row) for row in stack])
+    assert np.abs(simulate(c, stack) - rows).max() < 1e-14
+    assert np.abs(stack @ circuit_unitary(c).T - rows).max() < 1e-12
+
+
+def test_simulate_rejects_bad_shapes():
+    c = Circuit(2)
+    with pytest.raises(ValueError):
+        simulate(c, np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError):
+        simulate(c, np.zeros((3, 5)))
+    with pytest.raises(ValueError):
+        simulate(c, np.zeros(8))
+
+
+@st.composite
+def valid_circuits(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(2, 5))
+    kinds = sorted(k for k, (t, c) in _ARITY.items() if t + c <= n and (d == 2 or k not in _QUBIT_ONLY))
+    circuit = Circuit(n, d)
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        n_targets, n_controls = _ARITY[kind]
+        qudits = draw(st.permutations(range(n)))[: n_targets + n_controls]
+        ints = st.integers(-3, 40)
+        den = draw(st.integers(1, 40))
+        if kind == "PhaseVec":
+            phases = draw(st.lists(ints, min_size=d, max_size=d))
+            gate = Gate(kind, tuple(qudits), den=den, phases=tuple(phases))
+        else:
+            gate = Gate(kind, tuple(qudits[n_controls:]), tuple(qudits[:n_controls]), num=draw(ints), den=den)
+        circuit.append(gate)
+    return circuit
+
+
+@settings(max_examples=80, deadline=None)
+@given(valid_circuits())
+def test_emit_parse_round_trip_property(circuit):
+    text = emit_circuit(circuit)
+    parsed = parse_circuit(text)
+    assert (parsed.n, parsed.d, parsed.gates) == (circuit.n, circuit.d, circuit.gates)
+    assert emit_circuit(parsed) == text

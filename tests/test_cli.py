@@ -198,6 +198,33 @@ def test_estimate_sweep_csv(tmp_path, capsys):
     assert abs(float(rows[1].split(",")[4]) - 0.75) < 1e-9  # 0.5 + 0.5/2
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["--channel-json", "rand.json", "--d", "2", "--sweep", "0.5,0.9"], ("--channel-json", "--sweep")),
+    (["--noise", "bit_flip", "--p", "0.8", "--depolarizing", "0.5", "--d", "2"], ("--depolarizing", "--noise")),
+    (["--channel-json", "rand.json", "--noise", "phase_flip", "--p", "0.3"], ("--channel-json", "--noise")),
+])
+def test_estimate_rejects_two_channel_sources(tmp_path, capsys, monkeypatch, argv, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rand.json").write_text(channel_to_json(depolarizing(2, 0.7)))
+    code, out, err = run(capsys, ["estimate", *argv])
+    assert code == 2
+    assert out == ""
+    assert all(flag in err for flag in named)
+
+
+def test_estimate_config_source_conflicts_with_flag_source(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("depolarizing = 0.9\nd = 2\nworkers = 4\n")
+    assert run(capsys, ["estimate", "--config", str(cfg)])[0] == 0  # workers is accepted and ignored
+    code, _, err = run(capsys, ["estimate", "--config", str(cfg), "--noise", "bit_flip", "--p", "0.8"])
+    assert code == 2
+    assert "--depolarizing" in err and "--noise" in err
+    argv = ["channel", "--depolarizing", "0.9", "--d", "2", "--noise", "bit_flip", "--p", "0.8"]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "--depolarizing" in err and "--noise" in err
+
+
 def test_estimate_malformed_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense line without equals\n")

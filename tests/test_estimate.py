@@ -13,8 +13,12 @@ from qdesigns.channels import (
     entanglement_fidelity,
     unitary_channel,
 )
+from qdesigns.circuits import simulate
+from qdesigns.cli import main
 from qdesigns.estimate import (
     ExperimentConfig,
+    _bell_prep,
+    _pure_outcome_probs,
     ancilla_entanglement_estimate,
     mub_mc_estimate,
     pauli_expectation,
@@ -56,14 +60,69 @@ def test_mc_depolarizing_hits_formula():
     assert res.std_err <= 1 / math.sqrt(res.trials_used)
 
 
-def test_mc_is_reproducible_and_worker_invariant_means():
+def test_mc_is_reproducible_and_worker_invariant_means(capsys):
     ch = depolarizing(2, 0.8)
     fam = family_for_dimension(2)
     a = mub_mc_estimate(ExperimentConfig(ch, trials=5000, seed=3), fam)
     b = mub_mc_estimate(ExperimentConfig(ch, trials=5000, seed=3), fam)
     assert a == b
-    c = mub_mc_estimate(ExperimentConfig(ch, trials=5000, seed=3, workers=4), fam)
-    assert abs(c.p_hat - a.p_hat) < 5 * (a.std_err + c.std_err)  # different stream, same law
+    # --workers is accepted and ignored: the output depends only on (seed, trials)
+    outs = []
+    for workers in ("1", "4"):
+        argv = ["estimate", "--depolarizing", "0.8", "--d", "2", "--trials", "5000", "--seed", "3"]
+        assert main(argv + ["--workers", workers]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_mc_stream_is_pinned(capsys):
+    argv = ["estimate", "--protocol", "mub_mc", "--depolarizing", "0.9", "--d", "4",
+            "--trials", "20000", "--seed", "11"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        '{"d": 4, "exact": 0.925, "fidelity": 0.9231, "p_hat": 0.9231, "protocol": "mub_mc", '
+        '"seed": 11, "std_err": 0.0018839637735370597, "trials": 20000}\n'
+    )
+
+
+def einsum_outcome_probs(states, kraus):
+    """Oracle: one einsum per Kraus operator."""
+    vals = np.zeros(states.shape[0])
+    for a in kraus:
+        vals += np.abs(np.einsum("si,ij,sj->s", states.conj(), a, states)) ** 2
+    return vals
+
+
+def per_branch_p_zero(noise):
+    """Oracle: one simulation of the inverse Bell preparation per Kraus branch."""
+    d = noise.dim
+    prep = _bell_prep(d.bit_length() - 1)
+    phi = simulate(prep, np.eye(d * d, dtype=complex)[0])
+    inv = prep.inverse()
+    p_zero = 0.0
+    for a in noise.kraus:
+        branch = (phi.reshape(d, d) @ a.T).reshape(-1)
+        p_zero += abs(simulate(inv, branch)[0]) ** 2
+    return p_zero
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16])
+def test_stacked_kraus_probs_match_einsum_oracle(d):
+    rng = np.random.default_rng(100 + d)
+    states = family_for_dimension(d).all_states()
+    for k in (1, 3, d):
+        kraus = random_channel(rng, d, k).kraus
+        got = _pure_outcome_probs(states, kraus)
+        assert np.abs(got - einsum_outcome_probs(states, kraus)).max() < 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_batched_ancilla_matches_per_branch_oracle(d):
+    rng = np.random.default_rng(200 + d)
+    for k in (1, 3, d):
+        ch = random_channel(rng, d, k)
+        res = ancilla_entanglement_estimate(ExperimentConfig(ch, protocol="ancilla"))
+        assert abs(res.p_hat - per_branch_p_zero(ch)) < 1e-14
 
 
 def test_target_unitary_is_factored_out():

@@ -48,6 +48,15 @@ def test_pauli_matrix_basics():
     z3 = pauli_matrix(PauliLabel(3, 1, (0,), (1,)))
     w = np.exp(2j * np.pi / 3)
     assert np.abs(z3 - np.diag([1, w, w**2])).max() < 1e-12
+    # bit-identical to building each factor as X^a Z^b by matrix powers
+    for d, n in [(2, 2), (3, 2)]:
+        x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+        z = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+        for v in range(d ** (2 * n)):
+            lab = PauliLabel.from_int(d, n, v)
+            factors = [np.linalg.matrix_power(x, lab.xa[q]) @ np.linalg.matrix_power(z, lab.xb[q])
+                       for q in range(n - 1, -1, -1)]
+            assert np.array_equal(pauli_matrix(lab), np.kron(*factors))
 
 
 def test_label_int_round_trip():
