@@ -3,12 +3,16 @@
 All protocols factor the target unitary out of the channel first, so the
 motion-reversal pair U U^dagger drops out and only the cumulative noise is
 sampled.  Monte-Carlo runs are two-stage: the exact outcome probability of
-each prepared state is computed once, then Bernoulli samples are drawn from
-it -- statistically identical to per-shot measurement simulation and far
-cheaper.  trials = 0 selects the deterministic average over every state.
+each prepared state is computed once, then the trials are drawn through their
+sufficient statistics -- a multinomial count of trials on each state and a
+binomial number of successes among them.  This has exactly the law of
+per-shot measurement simulation, and its cost depends on the number of
+states, not on `trials`.  trials = 0 selects the deterministic average over
+every state.
 
-All trials are drawn from one random stream seeded from the experiment seed,
-so results depend only on (seed, trials).
+The counts and successes are drawn from one random stream seeded from the
+experiment seed, so results depend only on (seed, trials); the points of a
+sweep share the seed, and so share its per-state counts.
 """
 
 from __future__ import annotations
@@ -59,6 +63,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.trials < 0:
             raise ValueError("trials must be >= 0")
+        if self.trials >= 2**63:  # the sampler counts trials in int64
+            raise ValueError(f"trials must be < 2**63, got {self.trials}")
         if not self.channel.trace_preserving:
             raise ValueError("estimation requires a trace-preserving channel")
 
@@ -107,15 +113,15 @@ def _pure_outcome_probs(states: np.ndarray, kraus) -> np.ndarray:
 def _bernoulli_mean(
     probs: np.ndarray, weights: np.ndarray | None, trials: int, seed: int
 ) -> tuple[float, float]:
-    """Sample `trials` states uniformly, draw weighted Bernoulli outcomes, and
-    return (mean, stderr of the mean); one stream seeded from `seed`."""
+    """Sample `trials` uniform states and weighted Bernoulli outcomes through
+    the per-state trial counts and successes; return (mean, stderr of the
+    mean).  One stream seeded from `seed`; cost grows with probs.size only."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    idx = rng.integers(0, probs.size, size=trials)
-    hits = (rng.random(trials) < probs[idx]).astype(float)
-    if weights is not None:
-        hits *= weights[idx]
-    mean = float(hits.sum()) / trials
-    var = max(float((hits**2).sum()) / trials - mean**2, 0.0)
+    counts = rng.multinomial(trials, np.full(probs.size, 1 / probs.size))
+    hits = rng.binomial(counts, np.clip(probs, 0.0, 1.0))
+    w = np.ones(probs.size) if weights is None else weights
+    mean = float(w @ hits) / trials
+    var = max(float(w**2 @ hits) / trials - mean**2, 0.0)
     return mean, math.sqrt(var / trials)
 
 
@@ -242,7 +248,6 @@ def pauli_expectation(
     plus = v[:, w > 0]
     p_plus = float(np.real(np.einsum("ik,ij,jk->", plus.conj(), rho, plus)))
     p_plus = min(max(p_plus, 0.0), 1.0)
-    outcomes = np.where(rng.random(shots) < p_plus, 1.0, -1.0)
-    mean = float(outcomes.mean())
+    mean = float(2 * rng.binomial(shots, p_plus) - shots) / shots
     stderr = math.sqrt(max(1 - mean**2, 0.0) / shots)
     return mean, stderr

@@ -119,6 +119,23 @@ def test_design_unitary_paulis_fail_but_1design(capsys):
     assert payload["max_1design_deviation"] < 1e-10
 
 
+def test_design_unitary_failed_clifford_closure_exits_1(monkeypatch, capsys):
+    import qdesigns.twirl
+
+    class PhaseGateIsIdentity:  # S = diag(1, 1j) built as I: the closure of {H} has 2 classes
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def diag(v):
+            return np.eye(len(v))
+
+    monkeypatch.setattr(qdesigns.twirl, "np", PhaseGateIsIdentity())
+    code, stdout, err = run(capsys, ["design", "unitary", "--cliffords1q"])
+    assert code == 1 and stdout == ""
+    assert err == "error: closure of {H, S} gave 2 classes, expected 24\n"
+
+
 def test_channel_info_and_generation(tmp_path, capsys):
     out = tmp_path / "ch.json"
     code, stdout, _ = run(
@@ -170,6 +187,24 @@ def test_estimate_json_and_determinism(capsys):
     payload = json.loads(out1)
     assert abs(payload["exact"] - 0.925) < 1e-12
     assert abs(payload["p_hat"] - 0.925) < 5 * payload["std_err"]
+
+
+def test_estimate_trials_beyond_int64_is_usage_error(capsys):
+    code, stdout, err = run(capsys, ["estimate", "--protocol", "mub_mc", "--depolarizing", "0.9",
+                                     "--d", "4", "--trials", str(10**19), "--seed", "1"])
+    assert code == 2 and stdout == ""
+    assert err == f"error: trials must be < 2**63, got {10**19}\n"
+
+
+def test_estimate_trillion_trials(capsys):
+    # cost is independent of the trial count, so 1e12 trials run in memory of O(states)
+    code, stdout, _ = run(capsys, ["estimate", "--protocol", "mub_mc", "--depolarizing", "0.9",
+                                   "--d", "4", "--trials", str(10**12), "--seed", "1"])
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["trials"] == 10**12
+    assert 0 < payload["std_err"] < 1e-6
+    assert abs(payload["p_hat"] - payload["exact"]) < 6 * payload["std_err"]
 
 
 def test_estimate_config_file_and_flag_override(tmp_path, capsys):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import qdesigns.estimate
 from qdesigns.channels import (
     KrausChannel,
     avg_fidelity_exact,
@@ -18,6 +19,7 @@ from qdesigns.cli import main
 from qdesigns.estimate import (
     ExperimentConfig,
     _bell_prep,
+    _bernoulli_mean,
     _pure_outcome_probs,
     ancilla_entanglement_estimate,
     mub_mc_estimate,
@@ -75,14 +77,91 @@ def test_mc_is_reproducible_and_worker_invariant_means(capsys):
     assert outs[0] == outs[1]
 
 
-def test_mc_stream_is_pinned(capsys):
+def per_trial_bernoulli_mean(probs, weights, trials, seed):
+    """Oracle: one uniform state index and one uniform draw per trial."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    idx = rng.integers(0, probs.size, size=trials)
+    hits = (rng.random(trials) < probs[idx]).astype(float)
+    if weights is not None:
+        hits *= weights[idx]
+    mean = float(hits.sum()) / trials
+    var = max(float((hits**2).sum()) / trials - mean**2, 0.0)
+    return mean, math.sqrt(var / trials)
+
+
+SAMPLERS = pytest.mark.parametrize(
+    "sampler", [per_trial_bernoulli_mean, _bernoulli_mean], ids=["per_trial", "counts"]
+)
+
+
+def test_mc_stream_is_pinned(capsys, monkeypatch):
     argv = ["estimate", "--protocol", "mub_mc", "--depolarizing", "0.9", "--d", "4",
             "--trials", "20000", "--seed", "11"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        '{"d": 4, "exact": 0.925, "fidelity": 0.92675, "p_hat": 0.92675, "protocol": "mub_mc", '
+        '"seed": 11, "std_err": 0.001842341411085362, "trials": 20000}\n'
+    )
+    # the per-trial oracle still draws the stream the per-trial sampler drew
+    monkeypatch.setattr(qdesigns.estimate, "_bernoulli_mean", per_trial_bernoulli_mean)
     assert main(argv) == 0
     assert capsys.readouterr().out == (
         '{"d": 4, "exact": 0.925, "fidelity": 0.9231, "p_hat": 0.9231, "protocol": "mub_mc", '
         '"seed": 11, "std_err": 0.0018839637735370597, "trials": 20000}\n'
     )
+
+
+# probabilities a hair outside [0, 1] count as 1 and 0, as a uniform draw u < p does
+LAW_PROBS = {
+    "states": np.array([0.0, 0.2, 0.45, 0.7, 0.95, 1.0, 1 + 1e-15, -1e-16]),
+    "ancilla": np.array([0.5]),
+}
+CHI2_8DF_0999 = 26.12  # 0.999 quantile of chi-square with 8 degrees of freedom
+
+
+@SAMPLERS
+@pytest.mark.parametrize("case", sorted(LAW_PROBS))
+def test_sampler_total_hits_are_binomial(sampler, case):
+    # each trial succeeds with the mean clipped probability, independently,
+    # so the total over 8 trials is Binomial(8, p_bar)
+    probs = LAW_PROBS[case]
+    trials, seeds = 8, 4000
+    p_bar = float(np.clip(probs, 0, 1).mean())
+    totals = [round(sampler(probs, None, trials, seed)[0] * trials) for seed in range(seeds)]
+    observed = np.bincount(totals, minlength=trials + 1)
+    expected = seeds * np.array(
+        [math.comb(trials, k) * p_bar**k * (1 - p_bar) ** (trials - k) for k in range(trials + 1)]
+    )
+    assert expected.min() >= 5
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    assert chi2 < CHI2_8DF_0999
+
+
+@SAMPLERS
+def test_weighted_sampler_mean_and_variance(sampler):
+    # projected-style weights: a zero-weight state is counted correct with weight 0
+    probs = np.array([1.0, 0.3, 0.8, 0.55, 1.0])
+    weights = np.array([0.0, 0.25, 0.5, 1.0, 0.81])
+    trials, seeds = 16, 3000
+    first = float((weights * probs).mean())
+    second = float((weights**2 * probs).mean())
+    var_of_mean = (second - first**2) / trials
+    means, errs = np.array([sampler(probs, weights, trials, seed) for seed in range(seeds)]).T
+    assert abs(means.mean() - first) < 5 * math.sqrt(var_of_mean / seeds)
+    centred = means - means.mean()
+    var = float((centred**2).mean())
+    var_se = math.sqrt((float((centred**4).mean()) - var**2) / seeds)
+    assert abs(var - var_of_mean) < 5 * var_se
+    # the reported stderr is the plug-in one: E[trials err^2] = (trials - 1) / trials * var(X)
+    reported = errs**2 * trials
+    want = (trials - 1) / trials * (second - first**2)
+    assert abs(reported.mean() - want) < 5 * float(reported.std()) / math.sqrt(seeds)
+
+
+def test_trials_bound():
+    ExperimentConfig(depolarizing(2, 0.5), trials=2**63 - 1)
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        ExperimentConfig(depolarizing(2, 0.5), trials=2**63)
 
 
 def einsum_outcome_probs(states, kraus):

@@ -196,6 +196,17 @@ def test_clifford_twirl_unitary_x_channel():
     assert abs(p - (-1 / 3)) < 1e-12
 
 
+def test_clifford_twirl_exact_raises_when_group_is_paulis(monkeypatch):
+    # the Pauli group is not a 2-design: twirling a non-Pauli channel over it
+    # leaves a non-depolarizing part, which the residual check must catch
+    import qdesigns.twirl
+
+    monkeypatch.setattr(qdesigns.twirl, "clifford_group_1q", lambda: [np.eye(2, dtype=complex), X, Y, Z])
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    with pytest.raises(RuntimeError, match="failed to depolarize"):
+        clifford_twirl_exact(unitary_channel(h))
+
+
 def test_unitary_design_check_cliffords():
     from qdesigns.twirl import unitary_design_check
 
