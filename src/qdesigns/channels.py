@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dagger, hermitian_eig, tensor
+from .linalg import SUPERMATRIX_DIM_CAP, dagger, hermitian_eig, tensor
 
 __all__ = [
     "KrausChannel",
@@ -61,6 +61,8 @@ class KrausChannel:
     dim: int
     kraus: tuple[np.ndarray, ...]
     trace_preserving: bool = field(init=False)
+    # max |sum_k A_k^dagger A_k - I|, the deviation from trace preservation
+    _completeness_error: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.kraus:
@@ -68,9 +70,12 @@ class KrausChannel:
         for a in self.kraus:
             if a.shape != (self.dim, self.dim):
                 raise ValueError(f"Kraus operator shape {a.shape} does not match dim {self.dim}")
+        # a loop of d x d products: as fast as one product over the stacked
+        # operators, which would first copy all K d^2 entries, twice
         total = sum(dagger(a) @ a for a in self.kraus)
-        tp = bool(np.abs(total - np.eye(self.dim)).max() <= TP_TOL)
-        object.__setattr__(self, "trace_preserving", tp)
+        err = float(np.abs(total - np.eye(self.dim)).max())
+        object.__setattr__(self, "_completeness_error", err)
+        object.__setattr__(self, "trace_preserving", err <= TP_TOL)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
@@ -131,9 +136,18 @@ def generalized_paulis(d: int) -> list[np.ndarray]:
     return out
 
 
+def _check_kraus_dim(d: int) -> None:
+    """A channel given as up to d^2 dense d x d operators holds d^4 numbers,
+    as many as its supermatrix: cap d^2 before allocating any of them."""
+    if d < 1 or d * d > SUPERMATRIX_DIM_CAP:
+        raise ValueError(f"channel dimension {d} outside 1..{math.isqrt(SUPERMATRIX_DIM_CAP)} "
+                         f"(d^2 is capped at {SUPERMATRIX_DIM_CAP})")
+
+
 def depolarizing(d: int, p: float) -> KrausChannel:
     """rho -> p rho + (1-p) I/d, realized as a generalized-Pauli mixture with
     weight p + (1-p)/d^2 on the identity and (1-p)/d^2 on each other Pauli."""
+    _check_kraus_dim(d)
     if not 0 <= p <= 1:
         raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
     paulis = generalized_paulis(d)
@@ -215,20 +229,15 @@ def avg_fidelity_exact(u: np.ndarray, ch: KrausChannel) -> float:
     return float((total + d) / (d**2 + d))
 
 
+def _sum_abs_trace_sq(stack: np.ndarray) -> float:
+    """sum_k |tr A_k|^2 over a (K, d, d) stack of Kraus operators."""
+    return float((np.abs(np.trace(stack, axis1=1, axis2=2)) ** 2).sum())
+
+
 def entanglement_fidelity(ch: KrausChannel) -> float:
-    """<phi| (I (x) E)(|phi><phi|) |phi> for the maximally entangled phi,
-    computed by explicit d^2-dimensional construction."""
-    d = ch.dim
-    phi = np.zeros(d * d, dtype=complex)
-    for x in range(d):
-        phi[x * d + x] = 1
-    phi /= math.sqrt(d)
-    eye = np.eye(d, dtype=complex)
-    val = 0.0
-    for a in ch.kraus:
-        big = tensor(eye, a)
-        val += abs(np.vdot(phi, big @ phi)) ** 2
-    return float(val)
+    """<phi| (I (x) E)(|phi><phi|) |phi> for the maximally entangled phi, in
+    closed form: <phi| I (x) A_k |phi> = tr(A_k)/d, so F_e = sum_k |tr A_k|^2 / d^2."""
+    return _sum_abs_trace_sq(np.asarray(ch.kraus)) / ch.dim**2
 
 
 def avg_from_entanglement(d: int, f_e: float) -> float:
@@ -239,13 +248,20 @@ def invariant_decompose(s) -> tuple[complex, complex]:
     """Parameters (p, q) of the twirl-invariant form Lambda(X) = p X + q tr(X) I/d.
 
     p = (tr S - tr Lambda(I)/d) / (d^2 - 1), q = tr Lambda(I)/d - p; accepts a
-    Supermatrix or a KrausChannel.
+    Supermatrix or a KrausChannel.  For Kraus operators A_k both traces have
+    closed forms, tr S = sum_k |tr A_k|^2 and tr Lambda(I) = sum_k ||A_k||_F^2,
+    so no supermatrix is built.
     """
-    if isinstance(s, KrausChannel):
-        s = kraus_to_supermatrix(s)
     d = s.dim
-    tr_hat = complex(np.trace(s.mat))
-    tr_on_id = complex(np.trace(s.apply(np.eye(d, dtype=complex))))
+    if d < 2:
+        raise ValueError("the twirl-invariant form needs dimension d >= 2")
+    if isinstance(s, KrausChannel):
+        stack = np.asarray(s.kraus)
+        tr_hat = complex(_sum_abs_trace_sq(stack))
+        tr_on_id = complex((np.abs(stack) ** 2).sum())
+    else:
+        tr_hat = complex(np.trace(s.mat))
+        tr_on_id = complex(np.trace(s.apply(np.eye(d, dtype=complex))))
     p = (tr_hat - tr_on_id / d) / (d**2 - 1)
     q = tr_on_id / d - p
     return p, q
@@ -253,24 +269,33 @@ def invariant_decompose(s) -> tuple[complex, complex]:
 
 def channel_to_json(ch: KrausChannel) -> str:
     """JSON form {"dim": d, "kraus": [[[re, im], ...row-major], ...]}."""
-    payload = {
-        "dim": ch.dim,
-        "kraus": [[[float(z.real), float(z.imag)] for z in a.ravel()] for a in ch.kraus],
-    }
-    return json.dumps(payload, sort_keys=True)
+    pairs = np.asarray(ch.kraus, dtype=complex).view(float).reshape(len(ch.kraus), -1, 2)
+    # tolist() builds a fresh tree of lists, so there is no cycle to look for
+    return json.dumps({"dim": ch.dim, "kraus": pairs.tolist()}, sort_keys=True, check_circular=False)
 
 
 def channel_from_json(text: str, completeness_tol: float = 1e-6) -> KrausChannel:
+    """Parse channel_to_json's form; every malformed input raises ValueError,
+    naming the Kraus entry at fault."""
     payload = json.loads(text)
-    d = int(payload["dim"])
+    if not isinstance(payload, dict) or not {"dim", "kraus"} <= payload.keys():
+        raise ValueError('channel JSON must be an object with keys "dim" and "kraus"')
+    d, entries = payload["dim"], payload["kraus"]
+    if type(d) is not int:
+        raise ValueError(f"channel dim must be an integer, got {d!r}")
+    _check_kraus_dim(d)
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("channel kraus must be a non-empty list of Kraus entries")
     ops = []
-    for flat in payload["kraus"]:
-        if len(flat) != d * d:
-            raise ValueError(f"Kraus entry has {len(flat)} numbers, wanted {d * d}")
-        a = np.array([re + 1j * im for re, im in flat], dtype=complex).reshape(d, d)
-        ops.append(a)
+    for k, entry in enumerate(entries):
+        try:
+            pairs = np.array(entry, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # ragged, or not a number
+            pairs = None
+        if pairs is None or pairs.shape != (d * d, 2) or not np.isfinite(pairs).all():
+            raise ValueError(f"Kraus entry {k} is not {d * d} pairs [re, im] of finite numbers")
+        ops.append(pairs.view(complex).reshape(d, d))
     ch = KrausChannel(d, tuple(ops))
-    total = sum(dagger(a) @ a for a in ch.kraus)
-    if np.abs(total - np.eye(d)).max() > completeness_tol:
+    if ch._completeness_error > completeness_tol:
         raise ValueError("Kraus operators fail the completeness check")
     return ch

@@ -1,9 +1,12 @@
 """Gate-level circuits, statevector simulation, and the MUB preparation circuits.
 
 Registers are n qudits of equal local dimension d; qudit j carries the base-d
-digit of weight d^j of the computational-basis index (little-endian).  Gates
-are applied in list order by local tensor contraction; the full unitary is
-never materialized during simulation.
+digit of weight d^j of the computational-basis index (little-endian).  Each
+circuit is compiled once, on first simulation, into a plan: every maximal run
+of diagonal gates becomes one phase vector (the product of the gates' phases),
+and every other gate is applied by local tensor contraction or an index
+permutation.  Appending a gate discards the plan.  The full unitary is never
+materialized during simulation.
 
 Supported gate kinds:
     H, X, Z, S, T_pi8              single-qubit (d = 2); T_pi8 is diag(1, e^{i pi/4})
@@ -49,6 +52,7 @@ SIMULATE_DIM_CAP = 2**12
 UNITARY_DIM_CAP = 256
 
 _QUBIT_ONLY = {"H", "X", "Z", "S", "T_pi8", "T", "PhaseExp", "CNOT"}
+_DIAGONAL = {"Z", "S", "T_pi8", "PhaseExp", "Zd", "PhaseVec", "CPhase"}
 # kind -> (number of targets, number of controls)
 _ARITY = {
     **dict.fromkeys(_QUBIT_ONLY - {"CNOT"} | {"Xd", "Zd", "Fp", "Fpinv", "PhaseVec"}, (1, 0)),
@@ -74,7 +78,8 @@ class Circuit:
     """Ordered gate list on n qudits of dimension d, immutable once built up.
 
     depth is the greedy-layered schedule depth: each gate occupies the
-    earliest layer after the last use of any qudit it touches.
+    earliest layer after the last use of any qudit it touches.  The plan that
+    simulate runs is compiled on first use and discarded by append.
     """
 
     def __init__(self, n: int, d: int = 2, gates: list[Gate] | None = None):
@@ -83,6 +88,7 @@ class Circuit:
         self.n = n
         self.d = d
         self.gates: list[Gate] = []
+        self._plan: list[Gate | np.ndarray] | None = None
         for g in gates or []:
             self.append(g)
 
@@ -107,6 +113,23 @@ class Circuit:
         if gate.den <= 0:
             raise ValueError("phase denominator must be positive")
         self.gates.append(gate)
+        self._plan = None
+
+    def _compiled(self) -> list[Gate | np.ndarray]:
+        """The gates in order, with each maximal run of diagonal gates
+        replaced by one phase vector over the register's basis states."""
+        if self._plan is None:
+            digits = _register_digits(self.n, self.d)
+            plan: list[Gate | np.ndarray] = []
+            for g in self.gates:
+                if g.kind not in _DIAGONAL:
+                    plan.append(g)
+                elif plan and isinstance(plan[-1], np.ndarray):
+                    plan[-1] = plan[-1] * _diagonal_phases(g, digits, self.d)
+                else:
+                    plan.append(_diagonal_phases(g, digits, self.d))
+            self._plan = plan
+        return self._plan
 
     @property
     def gate_count(self) -> int:
@@ -234,29 +257,37 @@ def apply_local(state: np.ndarray, mat: np.ndarray, qudits: tuple[int, ...], n: 
     return t.reshape(state.shape)
 
 
-def _digit(idx: np.ndarray, q: int, d: int) -> np.ndarray:
+def _digit(idx: np.ndarray, q, d: int) -> np.ndarray:
     return (idx // d**q) % d
+
+
+def _register_digits(n: int, d: int) -> np.ndarray:
+    """Row q holds qudit q's digit of every basis index of an n-qudit register."""
+    return _digit(np.arange(d**n), np.arange(n)[:, None], d)
+
+
+def _diagonal_phases(g: Gate, digits: np.ndarray, d: int) -> np.ndarray:
+    """The diagonal of a diagonal gate over all basis states, given the
+    register's digit table from _register_digits."""
+    k = g.kind
+    if k == "CPhase":
+        u = digits[g.targets[0]]
+        v = digits[g.targets[1]]
+        return np.exp(2j * np.pi * g.num * (u * v) / g.den)
+    t = digits[g.targets[0]]
+    if k == "PhaseVec":
+        return np.exp(2j * np.pi * np.asarray(g.phases)[t] / g.den)
+    if k == "Zd":
+        return np.exp(2j * np.pi * g.num * t / d)
+    num, den = {"Z": (1, 2), "S": (1, 4), "T_pi8": (1, 8)}.get(k, (g.num, g.den))
+    return np.where(t == 1, cmath.exp(2j * np.pi * num / den), 1.0)
 
 
 def _apply_gate(state: np.ndarray, g: Gate, n: int, d: int) -> np.ndarray:
     dim = state.shape[-1]
     k = g.kind
-    if k in ("Z", "S", "T_pi8", "PhaseExp", "Zd", "PhaseVec", "CPhase"):
-        idx = np.arange(dim)
-        if k == "CPhase":
-            u = _digit(idx, g.targets[0], d)
-            v = _digit(idx, g.targets[1], d)
-            phases = np.exp(2j * np.pi * g.num * (u * v) / g.den)
-        else:
-            t = _digit(idx, g.targets[0], d)
-            if k == "PhaseVec":
-                phases = np.exp(2j * np.pi * np.asarray(g.phases)[t] / g.den)
-            elif k == "Zd":
-                phases = np.exp(2j * np.pi * g.num * t / d)
-            else:
-                num, den = {"Z": (1, 2), "S": (1, 4), "T_pi8": (1, 8)}.get(k, (g.num, g.den))
-                phases = np.where(t == 1, cmath.exp(2j * np.pi * num / den), 1.0)
-        return state * phases
+    if k in _DIAGONAL:
+        return state * _diagonal_phases(g, _register_digits(n, d), d)
     if k in ("CNOT", "CADD"):
         num = 1 if k == "CNOT" else g.num
         idx = np.arange(dim)
@@ -270,8 +301,8 @@ def _apply_gate(state: np.ndarray, g: Gate, n: int, d: int) -> np.ndarray:
 
 
 def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """Run the circuit on a statevector of shape (dim,), or on each row of a
-    stack of shape (m, dim); returns a fresh array of the same shape."""
+    """Run the circuit's plan on a statevector of shape (dim,), or on each row
+    of a stack of shape (m, dim); returns a fresh array of the same shape."""
     dim = circuit.d**circuit.n
     state = np.asarray(state, dtype=complex)
     if state.ndim not in (1, 2) or state.shape[-1] != dim:
@@ -279,8 +310,11 @@ def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     if dim > SIMULATE_DIM_CAP:
         raise ValueError(f"register dimension {dim} exceeds the simulation cap {SIMULATE_DIM_CAP}")
     out = state.copy()
-    for g in circuit.gates:
-        out = _apply_gate(out, g, circuit.n, circuit.d)
+    for step in circuit._compiled():
+        if isinstance(step, Gate):
+            out = _apply_gate(out, step, circuit.n, circuit.d)
+        else:
+            out = out * step
     return out
 
 

@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 PROTOCOLS = ("mub_mc", "mub_exact", "projected", "ancilla")
+_BRANCH_CHUNK = 256  # Kraus branches per simulate call in the ancilla protocol
 
 
 @dataclass(frozen=True)
@@ -207,10 +208,14 @@ def ancilla_entanglement_estimate(cfg: ExperimentConfig) -> EstimateResult:
     inv = prep.inverse()
     dim = d * d
     phi = simulate(prep, np.eye(dim, dtype=complex)[0])
-    kraus = np.array(noise.kraus)
-    # row k is (I (x) A_k) |phi>
-    branches = (phi.reshape(d, d) @ kraus.transpose(0, 2, 1)).reshape(len(kraus), dim)
-    p_zero = float((np.abs(simulate(inv, branches)[:, 0]) ** 2).sum())
+    # row k is (I (x) A_k) |phi>; the rows are simulated _BRANCH_CHUNK at a time
+    # so the stack of branch states stays small for Kraus rank d^2 at large d
+    zero_amps = []
+    for lo in range(0, len(noise.kraus), _BRANCH_CHUNK):
+        part = np.array(noise.kraus[lo:lo + _BRANCH_CHUNK])
+        branches = (phi.reshape(d, d) @ part.transpose(0, 2, 1)).reshape(len(part), dim)
+        zero_amps.append(simulate(inv, branches)[:, 0])
+    p_zero = float((np.abs(np.concatenate(zero_amps)) ** 2).sum())
     exact = entanglement_fidelity(noise)
     f_avg = avg_from_entanglement(d, p_zero)
     if cfg.trials == 0:

@@ -1,10 +1,14 @@
 """Channel representations, conversions, and fidelity formulas."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qdesigns.channels
 from qdesigns.channels import (
     ChoiMatrix,
     KrausChannel,
@@ -24,7 +28,14 @@ from qdesigns.channels import (
     unvec,
     vec,
 )
-from qdesigns.linalg import dagger, random_density, random_kraus_channel_ops, random_unitary
+from qdesigns.linalg import (
+    SUPERMATRIX_DIM_CAP,
+    dagger,
+    random_density,
+    random_kraus_channel_ops,
+    random_unitary,
+    tensor,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -244,3 +255,111 @@ def test_trace_preserving_flag():
     assert not half.trace_preserving
     with pytest.raises(ValueError):
         avg_fidelity_exact(np.eye(2), half)
+
+
+def kron_entanglement_fidelity(ch):
+    """<phi| (I (x) E)(|phi><phi|) |phi> by explicit d^2-dimensional
+    construction: the oracle for the closed form."""
+    d = ch.dim
+    phi = np.zeros(d * d, dtype=complex)
+    for x in range(d):
+        phi[x * d + x] = 1
+    phi /= math.sqrt(d)
+    eye = np.eye(d, dtype=complex)
+    return float(sum(abs(np.vdot(phi, tensor(eye, a) @ phi)) ** 2 for a in ch.kraus))
+
+
+def oracle_channels():
+    rng = np.random.default_rng(12)
+    chans = [depolarizing(d, p) for d in (2, 3, 4, 8) for p in (0.0, 0.35, 0.9, 1.0)]
+    chans += [standard_noise(kind, p) for kind in ("bit_flip", "phase_flip", "bit_phase_flip")
+              for p in (0.0, 0.2, 1.0)]
+    chans += [random_channel(rng, d, k) for d, k in ((2, 1), (3, 4), (5, 7), (6, 36))]
+    return chans
+
+
+def test_entanglement_fidelity_matches_kron_oracle():
+    for ch in oracle_channels():
+        assert abs(entanglement_fidelity(ch) - kron_entanglement_fidelity(ch)) < 1e-14
+
+
+def test_invariant_decompose_matches_supermatrix_oracle():
+    rng = np.random.default_rng(13)
+    half = KrausChannel(3, (np.eye(3, dtype=complex) / 2, random_unitary(rng, 3) / 3))
+    for ch in oracle_channels() + [half]:
+        got = invariant_decompose(ch)
+        want = invariant_decompose(kraus_to_supermatrix(ch))
+        assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) < 1e-14
+
+
+def test_invariant_decompose_needs_two_levels():
+    with pytest.raises(ValueError, match="d >= 2"):
+        invariant_decompose(identity_channel(1))
+
+
+def test_channel_dimension_cap_fails_before_allocating(monkeypatch):
+    def no_paulis(d):
+        raise AssertionError(f"built {d * d} Pauli operators past the cap")
+
+    monkeypatch.setattr(qdesigns.channels, "generalized_paulis", no_paulis)
+    cap_d = math.isqrt(SUPERMATRIX_DIM_CAP)
+    for d in (cap_d + 1, 300, 0, -3):
+        with pytest.raises(ValueError, match=f"channel dimension {d} outside 1..{cap_d}"):
+            depolarizing(d, 0.9)
+        with pytest.raises(ValueError, match=f"channel dimension {d} outside"):
+            channel_from_json(json.dumps({"dim": d, "kraus": [[[1.0, 0.0]]]}))
+
+
+@pytest.mark.parametrize("kraus,message", [
+    ([[[1, 0]], [[1, "x"]]], r"Kraus entry 1 is not 1 pairs \[re, im\] of finite numbers"),
+    ([[[1, 0]], [[1, 0, 0]]], "Kraus entry 1 is not 1 pairs"),
+    ([[[1, 0]], [1, 0]], "Kraus entry 1 is not 1 pairs"),
+    ([[[1, 0], [0, 0]]], "Kraus entry 0 is not 1 pairs"),
+    ([[[1, 0]], [[1, 0], 2]], "Kraus entry 1 is not 1 pairs"),
+    ([[[1, 0]], [[None, 0]]], "Kraus entry 1 is not 1 pairs"),
+    ([[[1, 0]], {"re": 1}], "Kraus entry 1 is not 1 pairs"),
+    ([[[1, 0]], [[10**400, 0]]], "Kraus entry 1 is not 1 pairs"),
+    ([[[1, 0]], [[float("nan"), 0]]], "Kraus entry 1 is not 1 pairs"),
+    ([[[1, float("inf")]]], "Kraus entry 0 is not 1 pairs"),
+    ([], "non-empty list"),
+    ("kraus", "non-empty list"),
+])
+def test_channel_from_json_rejects_malformed_entries(kraus, message):
+    with pytest.raises(ValueError, match=message):
+        channel_from_json(json.dumps({"dim": 1, "kraus": kraus}))
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"kraus": [[[1, 0]]]}', "keys"),
+    ('{"dim": 1}', "keys"),
+    ('[1, 2]', "keys"),
+    ('{"dim": "1", "kraus": [[[1, 0]]]}', "dim must be an integer"),
+    ('{"dim": 1.0, "kraus": [[[1, 0]]]}', "dim must be an integer"),
+    ('{"dim": true, "kraus": [[[1, 0]]]}', "dim must be an integer"),
+])
+def test_channel_from_json_rejects_malformed_payload(text, message):
+    with pytest.raises(ValueError, match=message):
+        channel_from_json(text)
+
+
+@st.composite
+def channel_texts(draw):
+    """channel_to_json of a depolarizing channel whose Kraus operators carry
+    random phases and zeros of random sign in their real and imaginary parts."""
+    d = draw(st.integers(1, 4))
+    p = draw(st.floats(0, 1))
+    kraus = []
+    for a in depolarizing(d, p).kraus:
+        a = a * np.exp(1j * draw(st.floats(0, 2 * math.pi)))
+        parts = a.view(float).copy()
+        zero = parts == 0
+        signs = draw(st.lists(st.booleans(), min_size=int(zero.sum()), max_size=int(zero.sum())))
+        parts[zero] = np.where(signs, -0.0, 0.0)
+        kraus.append(parts.view(complex))
+    return channel_to_json(KrausChannel(d, tuple(kraus)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(channel_texts())
+def test_channel_json_round_trip_is_byte_identical(text):
+    assert channel_to_json(channel_from_json(text)) == text

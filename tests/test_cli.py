@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import qdesigns.channels
 from qdesigns.channels import channel_to_json, depolarizing
 from qdesigns.cli import main
 from qdesigns.circuits import parse_circuit, simulate
@@ -149,6 +150,40 @@ def test_channel_info_and_generation(tmp_path, capsys):
     code, stdout, _ = run(capsys, ["channel", "--channel-json", str(out), "--json"])
     assert code == 0
     assert abs(json.loads(stdout)["invariant_p"] - 0.9) < 1e-9
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"dim": 1, "kraus": [[[1, 0]], [[1, "x"]]]}', "Kraus entry 1 is not 1 pairs [re, im] of finite numbers"),
+    ('{"dim": 2, "kraus": [[[1, 0], [0, 0], [0, 0]]]}', "Kraus entry 0 is not 4 pairs [re, im] of finite numbers"),
+    ('{"dim": 1, "kraus": [[[1, NaN]]]}', "Kraus entry 0 is not 1 pairs [re, im] of finite numbers"),
+    ('{"dim": 1}', 'channel JSON must be an object with keys "dim" and "kraus"'),
+    ('{"kraus": [[[1, 0]]]}', 'channel JSON must be an object with keys "dim" and "kraus"'),
+    ('{"dim": 65, "kraus": [[[1, 0]]]}', "channel dimension 65 outside 1..64 (d^2 is capped at 4096)"),
+])
+def test_channel_malformed_json_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    for argv in (["channel"], ["estimate", "--protocol", "mub_exact"]):
+        code, stdout, err = run(capsys, [*argv, "--channel-json", str(path)])
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("d", ["300", "65", "0"])
+def test_channel_dimension_cap_exits_2(capsys, monkeypatch, d):
+    def no_paulis(d):
+        raise AssertionError(f"built {d * d} Pauli operators past the cap")
+
+    monkeypatch.setattr(qdesigns.channels, "generalized_paulis", no_paulis)
+    code, stdout, err = run(capsys, ["channel", "--depolarizing", "0.9", "--d", d])
+    assert (code, stdout) == (2, "")
+    assert err == f"error: channel dimension {d} outside 1..64 (d^2 is capped at 4096)\n"
+
+
+def test_channel_json_round_trip_through_the_cli(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(capsys, ["channel", "--depolarizing", "0.9", "--d", "4", "--out", str(a)])[0] == 0
+    assert run(capsys, ["channel", "--channel-json", str(a), "--out", str(b)])[0] == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_twirl_exact_csv(tmp_path, capsys):

@@ -204,6 +204,16 @@ def test_batched_ancilla_matches_per_branch_oracle(d):
         assert abs(res.p_hat - per_branch_p_zero(ch)) < 1e-14
 
 
+def test_ancilla_branch_chunks_do_not_change_p_hat(monkeypatch):
+    rng = np.random.default_rng(31)
+    for ch in (depolarizing(4, 0.9), random_channel(rng, 8, 7)):
+        cfg = ExperimentConfig(ch, protocol="ancilla")
+        whole = ancilla_entanglement_estimate(cfg)
+        for chunk in (1, 3, 5):
+            monkeypatch.setattr(qdesigns.estimate, "_BRANCH_CHUNK", chunk)
+            assert ancilla_entanglement_estimate(cfg) == whole
+
+
 def test_target_unitary_is_factored_out():
     rng = np.random.default_rng(5)
     d = 3
