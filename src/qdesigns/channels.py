@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SUPERMATRIX_DIM_CAP, dagger, hermitian_eig, tensor
+from .linalg import SUPERMATRIX_DIM_CAP, dagger, hermitian_eig
 
 __all__ = [
     "KrausChannel",
@@ -56,23 +56,24 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive map rho -> sum_k A_k rho A_k^dagger."""
+    """Completely positive map rho -> sum_k A_k rho A_k^dagger, its operators
+    held as one complex (K, d, d) array (a stack given that way is not copied)."""
 
     dim: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     trace_preserving: bool = field(init=False)
     # max |sum_k A_k^dagger A_k - I|, the deviation from trace preservation
     _completeness_error: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.kraus:
-            raise ValueError("need at least one Kraus operator")
-        for a in self.kraus:
-            if a.shape != (self.dim, self.dim):
-                raise ValueError(f"Kraus operator shape {a.shape} does not match dim {self.dim}")
-        # a loop of d x d products: as fast as one product over the stacked
-        # operators, which would first copy all K d^2 entries, twice
-        total = sum(dagger(a) @ a for a in self.kraus)
+        kraus = np.ascontiguousarray(self.kraus, dtype=complex)
+        if kraus.ndim != 3 or kraus.shape[1:] != (self.dim, self.dim) or not len(kraus):
+            raise ValueError(f"Kraus operators of shape {kraus.shape} do not form "
+                             f"a non-empty (K, {self.dim}, {self.dim}) stack")
+        object.__setattr__(self, "kraus", kraus)
+        # a loop of d x d products: as fast as one product over the stack,
+        # which would first copy all K d^2 entries, twice
+        total = sum(dagger(a) @ a for a in kraus)
         err = float(np.abs(total - np.eye(self.dim)).max())
         object.__setattr__(self, "_completeness_error", err)
         object.__setattr__(self, "trace_preserving", err <= TP_TOL)
@@ -81,15 +82,13 @@ class KrausChannel:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise ValueError(f"state shape {rho.shape} does not match channel dim {self.dim}")
-        out = np.zeros_like(rho)
-        for a in self.kraus:
-            out += a @ rho @ dagger(a)
-        return out
+        # sum_k (A_k rho) A_k^dagger as one contraction over k and the inner index
+        return np.tensordot(self.kraus @ rho, self.kraus.conj(), axes=([0, 2], [0, 2]))
 
     def compose_unitary_inverse(self, u: np.ndarray) -> "KrausChannel":
         """The cumulative-noise channel with the target unitary factored out:
         Kraus operators A_k u^dagger."""
-        return KrausChannel(self.dim, tuple(a @ dagger(u) for a in self.kraus))
+        return KrausChannel(self.dim, self.kraus @ dagger(u))
 
 
 @dataclass(frozen=True)
@@ -118,22 +117,16 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
     return KrausChannel(u.shape[0], (u,))
 
 
-def generalized_paulis(d: int) -> list[np.ndarray]:
-    """The d^2 operators X^a Z^b with X the cyclic shift and Z the clock."""
-    om = np.exp(2j * np.pi / d)
-    x = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        x[(j + 1) % d, j] = 1
-    z = np.diag(om ** np.arange(d))
-    out = []
-    xa = np.eye(d, dtype=complex)
-    for _ in range(d):
-        zb = np.eye(d, dtype=complex)
-        for _ in range(d):
-            out.append(xa @ zb)
-            zb = zb @ z
-        xa = xa @ x
-    return out
+def generalized_paulis(d: int) -> np.ndarray:
+    """The d^2 operators X^a Z^b (X the cyclic shift, Z the clock) as one
+    (d^2, d, d) stack, index a*d + b.  Column j of X^a Z^b holds omega^(b j)
+    at row (j + a) mod d, so one table of exponents b j mod d fills it."""
+    j = np.arange(d)
+    roots = np.exp(2j * np.pi * j / d)
+    a, b, col = j[:, None, None], j[None, :, None], j[None, None, :]
+    out = np.zeros((d, d, d, d), dtype=complex)
+    out[a, b, (col + a) % d, col] = roots[(b * col) % d]
+    return out.reshape(d * d, d, d)
 
 
 def _check_kraus_dim(d: int) -> None:
@@ -150,13 +143,13 @@ def depolarizing(d: int, p: float) -> KrausChannel:
     _check_kraus_dim(d)
     if not 0 <= p <= 1:
         raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
-    paulis = generalized_paulis(d)
-    w_id = p + (1 - p) / d**2
+    ops = generalized_paulis(d)
     w_other = (1 - p) / d**2
-    ops = [math.sqrt(w_id) * paulis[0]]
-    if w_other > 0:
-        ops.extend(math.sqrt(w_other) * q for q in paulis[1:])
-    return KrausChannel(d, tuple(ops))
+    if w_other == 0:
+        ops = ops[:1].copy()  # not a view that keeps all d^2 operators alive
+    ops[0] *= math.sqrt(p + w_other)
+    ops[1:] *= math.sqrt(w_other)
+    return KrausChannel(d, ops)
 
 
 _NOISE_OPS = {
@@ -172,36 +165,31 @@ def standard_noise(kind: str, p: float) -> KrausChannel:
         raise ValueError(f"unknown noise kind {kind!r}")
     if not 0 <= p <= 1:
         raise ValueError(f"noise parameter {p} outside [0, 1]")
-    ops = []
-    if p > 0:
-        ops.append(math.sqrt(p) * np.eye(2, dtype=complex))
-    if p < 1:
-        ops.append(math.sqrt(1 - p) * _NOISE_OPS[kind])
-    return KrausChannel(2, tuple(ops))
+    ops = np.array([math.sqrt(p) * np.eye(2, dtype=complex), math.sqrt(1 - p) * _NOISE_OPS[kind]])
+    return KrausChannel(2, ops[[p > 0, p < 1]])  # a zero-weight operator is left out
 
 
 def kraus_to_supermatrix(ch: KrausChannel) -> Supermatrix:
-    mat = np.zeros((ch.dim**2, ch.dim**2), dtype=complex)
-    for a in ch.kraus:
-        mat += np.kron(a.conj(), a)
-    return Supermatrix(ch.dim, mat)
+    """sum_k conj(A_k) (x) A_k, as one Gram product of the flattened operators:
+    entry (i d + k, j d + l) is sum_m conj(A_m[i, j]) A_m[k, l]."""
+    d = ch.dim
+    _check_kraus_dim(d)
+    flat = ch.kraus.reshape(len(ch.kraus), d * d)
+    gram = flat.conj().T @ flat
+    return Supermatrix(d, gram.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d))
 
 
 def supermatrix_to_choi(s: Supermatrix) -> ChoiMatrix:
-    """Choi matrix sum_ij (E_ij (x) I) S (I (x) E_ij)."""
+    """Choi matrix sum_ij (E_ij (x) I) S (I (x) E_ij), which reshuffles the
+    entries of S: Choi[(a, b), (c, e)] = S[(e, b), (c, a)]."""
     d = s.dim
-    eye = np.eye(d, dtype=complex)
-    out = np.zeros((d**2, d**2), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1
-            out += tensor(e, eye) @ s.mat @ tensor(eye, e)
-    return ChoiMatrix(d, out)
+    _check_kraus_dim(d)
+    return ChoiMatrix(d, s.mat.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d))
 
 
 def choi_to_kraus(x: ChoiMatrix, drop_tol: float = 1e-10, neg_tol: float = 1e-8) -> KrausChannel:
-    """Kraus operators sqrt(lambda_k) unvec(eigvec_k) of the Choi matrix.
+    """Kraus operators sqrt(lambda_k) unvec(eigvec_k) of the Choi matrix, in
+    descending order of lambda_k.
 
     Eigenvalues in (-neg_tol, 0) are clipped to zero; anything more negative
     means the map is not completely positive and raises.
@@ -209,35 +197,41 @@ def choi_to_kraus(x: ChoiMatrix, drop_tol: float = 1e-10, neg_tol: float = 1e-8)
     w, v = hermitian_eig(x.mat)
     if w.min() < -neg_tol:
         raise ValueError(f"Choi matrix has significantly negative eigenvalue {w.min():.3e}")
-    ops = []
-    for k in range(w.size - 1, -1, -1):
-        lam = max(float(w[k]), 0.0)
-        if lam <= drop_tol:
-            continue
-        ops.append(math.sqrt(lam) * unvec(v[:, k]))
-    if not ops:
+    lam = np.maximum(w, 0.0)
+    keep = np.flatnonzero(lam > drop_tol)[::-1]
+    if not keep.size:
         raise ValueError("Choi matrix is numerically zero")
-    return KrausChannel(x.dim, tuple(ops))
+    d = x.dim
+    # column k of v is vec(A_k) column-stacked, so row k of v.T reshapes to A_k^T
+    ops = (v[:, keep].T * np.sqrt(lam[keep])[:, None]).reshape(keep.size, d, d)
+    return KrausChannel(d, ops.transpose(0, 2, 1))
 
 
 def avg_fidelity_exact(u: np.ndarray, ch: KrausChannel) -> float:
-    """Closed-form average gate fidelity (sum_k |tr A_k u^dagger|^2 + d) / (d^2 + d)."""
+    """Closed-form average gate fidelity (sum_k |tr A_k u^dagger|^2 + d) / (d^2 + d),
+    with tr(A u^dagger) the inner product of the flattened A and conj(u)."""
     if not ch.trace_preserving:
         raise ValueError("average fidelity formula requires a trace-preserving channel")
     d = ch.dim
-    total = sum(abs(np.trace(a @ dagger(u))) ** 2 for a in ch.kraus)
-    return float((total + d) / (d**2 + d))
+    if np.shape(u) != (d, d):
+        raise ValueError(f"unitary shape {np.shape(u)} does not match channel dim {d}")
+    traces = ch.kraus.reshape(len(ch.kraus), d * d) @ np.conj(u).reshape(d * d)
+    return float((np.vdot(traces, traces).real + d) / (d**2 + d))
 
 
-def _sum_abs_trace_sq(stack: np.ndarray) -> float:
-    """sum_k |tr A_k|^2 over a (K, d, d) stack of Kraus operators."""
-    return float((np.abs(np.trace(stack, axis1=1, axis2=2)) ** 2).sum())
+def _kraus_traces(ch: KrausChannel) -> tuple[float, float]:
+    """(sum_k |tr A_k|^2, sum_k ||A_k||_F^2): the traces of the channel's
+    supermatrix and of Lambda(I), without building either."""
+    traces = np.trace(ch.kraus, axis1=1, axis2=2)
+    mod_sq = np.abs(ch.kraus)
+    mod_sq *= mod_sq  # in place: the one temporary is K d^2 floats
+    return float((np.abs(traces) ** 2).sum()), float(mod_sq.sum())
 
 
 def entanglement_fidelity(ch: KrausChannel) -> float:
     """<phi| (I (x) E)(|phi><phi|) |phi> for the maximally entangled phi, in
     closed form: <phi| I (x) A_k |phi> = tr(A_k)/d, so F_e = sum_k |tr A_k|^2 / d^2."""
-    return _sum_abs_trace_sq(np.asarray(ch.kraus)) / ch.dim**2
+    return _kraus_traces(ch)[0] / ch.dim**2
 
 
 def avg_from_entanglement(d: int, f_e: float) -> float:
@@ -256,9 +250,7 @@ def invariant_decompose(s) -> tuple[complex, complex]:
     if d < 2:
         raise ValueError("the twirl-invariant form needs dimension d >= 2")
     if isinstance(s, KrausChannel):
-        stack = np.asarray(s.kraus)
-        tr_hat = complex(_sum_abs_trace_sq(stack))
-        tr_on_id = complex((np.abs(stack) ** 2).sum())
+        tr_hat, tr_on_id = _kraus_traces(s)
     else:
         tr_hat = complex(np.trace(s.mat))
         tr_on_id = complex(np.trace(s.apply(np.eye(d, dtype=complex))))
@@ -269,7 +261,7 @@ def invariant_decompose(s) -> tuple[complex, complex]:
 
 def channel_to_json(ch: KrausChannel) -> str:
     """JSON form {"dim": d, "kraus": [[[re, im], ...row-major], ...]}."""
-    pairs = np.asarray(ch.kraus, dtype=complex).view(float).reshape(len(ch.kraus), -1, 2)
+    pairs = ch.kraus.view(float).reshape(len(ch.kraus), -1, 2)
     # tolist() builds a fresh tree of lists, so there is no cycle to look for
     return json.dumps({"dim": ch.dim, "kraus": pairs.tolist()}, sort_keys=True, check_circular=False)
 
@@ -286,7 +278,7 @@ def channel_from_json(text: str, completeness_tol: float = 1e-6) -> KrausChannel
     _check_kraus_dim(d)
     if not isinstance(entries, list) or not entries:
         raise ValueError("channel kraus must be a non-empty list of Kraus entries")
-    ops = []
+    ops = np.empty((len(entries), d, d), dtype=complex)
     for k, entry in enumerate(entries):
         try:
             pairs = np.array(entry, dtype=float)
@@ -294,8 +286,8 @@ def channel_from_json(text: str, completeness_tol: float = 1e-6) -> KrausChannel
             pairs = None
         if pairs is None or pairs.shape != (d * d, 2) or not np.isfinite(pairs).all():
             raise ValueError(f"Kraus entry {k} is not {d * d} pairs [re, im] of finite numbers")
-        ops.append(pairs.view(complex).reshape(d, d))
-    ch = KrausChannel(d, tuple(ops))
+        ops[k] = pairs.view(complex).reshape(d, d)
+    ch = KrausChannel(d, ops)
     if ch._completeness_error > completeness_tol:
         raise ValueError("Kraus operators fail the completeness check")
     return ch

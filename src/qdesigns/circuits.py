@@ -148,9 +148,8 @@ class Circuit:
 
     def inverse(self) -> "Circuit":
         inv = Circuit(self.n, self.d)
-        for g in reversed(self.gates):
-            for ig in _invert_gate(g, self.d):
-                inv.append(ig)
+        # the inverses of validated gates are valid: skip append's checks
+        inv.gates = [ig for g in reversed(self.gates) for ig in _invert_gate(g, self.d)]
         return inv
 
     def __iter__(self):

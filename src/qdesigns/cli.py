@@ -103,8 +103,7 @@ def cmd_design(args) -> int:
             unitaries = twirl.clifford_group_1q()
             label = "cliffords1q"
         elif args.paulis:
-            unitaries = [twirl.pauli_matrix(twirl.PauliLabel.from_int(2, args.n, v))
-                         for v in range(4**args.n)]
+            unitaries = twirl._pauli_stack(2, args.n)
             label = "paulis"
         else:
             raise ValueError("choose --cliffords1q or --paulis")
@@ -181,14 +180,7 @@ def cmd_twirl(args) -> int:
     ok = True
     final_l1 = 0.0
     if args.exact:
-        p = twirl.markov_transition_matrix(args.n)
-        size = 4**args.n
-        dists = np.zeros((size, size - 1))
-        for v in range(1, size):
-            dists[v, v - 1] = 1
-        for k in range(1, args.k + 1):
-            dists = p @ dists
-            d_k = max(twirl.l1_to_uniform(dists[:, j]) for j in range(size - 1))
+        for k, d_k in enumerate(twirl._exact_chain(args.n, args.k)[0][1:], start=1):
             bound = twirl.twirl_bound(args.n, k)
             rows.append(f"{k},{d_k!r},{bound!r}")
             ok = ok and d_k <= bound + 1e-9

@@ -212,7 +212,7 @@ def ancilla_entanglement_estimate(cfg: ExperimentConfig) -> EstimateResult:
     # so the stack of branch states stays small for Kraus rank d^2 at large d
     zero_amps = []
     for lo in range(0, len(noise.kraus), _BRANCH_CHUNK):
-        part = np.array(noise.kraus[lo:lo + _BRANCH_CHUNK])
+        part = noise.kraus[lo:lo + _BRANCH_CHUNK]
         branches = (phi.reshape(d, d) @ part.transpose(0, 2, 1)).reshape(len(part), dim)
         zero_amps.append(simulate(inv, branches)[:, 0])
     p_zero = float((np.abs(np.concatenate(zero_amps)) ** 2).sum())

@@ -24,11 +24,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .channels import KrausChannel, Supermatrix, generalized_paulis, kraus_to_supermatrix, vec
+from .channels import _check_kraus_dim, _kraus_traces
 from .circuits import Circuit, Gate, parallel_prefix_parity
 from .linalg import dagger
 
@@ -124,14 +125,21 @@ def pauli_matrix(label: PauliLabel) -> np.ndarray:
         raise ValueError("matrix dimension exceeds the cap")
     paulis = generalized_paulis(label.d)  # index a*d + b holds X^a Z^b
     factors = [paulis[label.xa[q] * label.d + label.xb[q]] for q in range(label.n - 1, -1, -1)]
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out * np.exp(2j * np.pi * label.phase / label.d)
+    return reduce(np.kron, factors) * np.exp(2j * np.pi * label.phase / label.d)
 
 
 def all_labels(d: int, n: int) -> list[PauliLabel]:
     return [PauliLabel.from_int(d, n, v) for v in range((d * d) ** n)]
+
+
+def _pauli_stack(d: int, n: int) -> np.ndarray:
+    """pauli_matrix of every phase-free label, stacked in label-integer order
+    as one (d^(2n), d^n, d^n) array; capped like a channel's d^2 operators."""
+    _check_kraus_dim(d**n)
+    # index a + d b of a factor holds X^a Z^b, as a label digit does; the kron
+    # of two stacks pairs every label with every label, high digit first
+    one = generalized_paulis(d).reshape(d, d, d, d).swapaxes(0, 1).reshape(d * d, d, d)
+    return reduce(np.kron, [one] * n)
 
 
 def symplectic_inner(x: PauliLabel, y: PauliLabel) -> int:
@@ -178,11 +186,9 @@ class PauliChannel:
             raise ValueError("weight vector has the wrong length")
 
     def to_kraus(self) -> KrausChannel:
-        ops = []
-        for v, w in enumerate(self.weights):
-            if w > 1e-14:
-                ops.append(math.sqrt(float(w)) * pauli_matrix(PauliLabel.from_int(self.d, self.n, v)))
-        return KrausChannel(self.d**self.n, tuple(ops))
+        keep = self.weights > 1e-14
+        ops = np.sqrt(self.weights[keep])[:, None, None] * _pauli_stack(self.d, self.n)[keep]
+        return KrausChannel(self.d**self.n, ops)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return self.to_kraus().apply(rho)
@@ -196,11 +202,9 @@ def pauli_twirl(ch: KrausChannel, d: int = 2) -> PauliChannel:
     if ch.dim > 16:
         raise ValueError("Pauli twirl capped at D <= 16")
     dim2 = ch.dim**2
-    weights = np.zeros((d * d) ** n)
-    for v, label in enumerate(all_labels(d, n)):
-        p = pauli_matrix(label)
-        weights[v] = sum(abs(np.trace(dagger(p) @ a)) ** 2 for a in ch.kraus) / dim2
-    return PauliChannel(d, n, weights)
+    # tr(P_r^dagger A_k) is the inner product of the flattened operators
+    amps = _pauli_stack(d, n).reshape(-1, dim2).conj() @ ch.kraus.reshape(-1, dim2).T
+    return PauliChannel(d, n, (np.abs(amps) ** 2).sum(axis=1) / dim2)
 
 
 def pauli_twirl_brute(ch: KrausChannel, rho: np.ndarray, d: int = 2) -> np.ndarray:
@@ -496,6 +500,19 @@ def markov_transition_matrix(n: int) -> np.ndarray:
     return _chain_step(np.eye(4**n), n)
 
 
+def _exact_chain(n: int, k: int) -> tuple[list[float], np.ndarray]:
+    """Push every non-identity point mass through k rounds of the exact chain:
+    the l1 gap to uniform after rounds 0..k, maximized over the sources, and
+    the final (4^n, 4^n - 1) stack whose column v - 1 started at label v."""
+    p = markov_transition_matrix(n)
+    dists = np.eye(4**n, 4**n - 1, k=-1)
+    l1 = [max(map(l1_to_uniform, dists.T))]
+    for _ in range(k):
+        dists = p @ dists
+        l1.append(max(map(l1_to_uniform, dists.T)))
+    return l1, dists
+
+
 def ideal_good_case_distribution(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(exact, idealized) step-2 output for a point mass with X on the control.
 
@@ -650,16 +667,15 @@ def approx_twirl_channel(
     if pauli_ch.n != n:
         raise ValueError("channel size disagrees with n")
     dim = 2**n
-    tr_hat = sum(abs(np.trace(a)) ** 2 for a in ch.kraus)
-    tr_on_id = float(np.real(np.trace(sum(a @ dagger(a) for a in ch.kraus))))
+    tr_hat, tr_on_id = _kraus_traces(ch)
     b_lambda = (dim * tr_on_id - tr_hat) / dim**4
     eps_k = 0.0
     if trials == 0:
-        p = markov_transition_matrix(n)
-        pk = np.linalg.matrix_power(p, k)
-        weights = pk @ pauli_ch.weights
-        for v in range(1, 4**n):
-            eps_k = max(eps_k, l1_to_uniform(pk[:, v]) - epsilon0(n))
+        l1, dists = _exact_chain(n, k)
+        # the identity label is a fixed point, so it keeps its own weight
+        weights = dists @ pauli_ch.weights[1:]
+        weights[0] += pauli_ch.weights[0]
+        eps_k = max(0.0, l1[-1] - epsilon0(n))
     else:
         if rng is None:
             raise ValueError("Monte-Carlo mode needs an rng")
@@ -676,7 +692,7 @@ def approx_twirl_channel(
             weights[1:] += np.bincount(values, minlength=4**n)[1:] / trials * rest
             est = mc_convergence(n, k, trials, rng)
             eps_k = max(0.0, est["l1"] - epsilon0(n))
-    bound = float(np.real(b_lambda)) * (epsilon0(n) + max(eps_k, 0.0))
+    bound = b_lambda * (epsilon0(n) + eps_k)
     return PauliChannel(2, n, weights), bound
 
 

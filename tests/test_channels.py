@@ -12,6 +12,7 @@ import qdesigns.channels
 from qdesigns.channels import (
     ChoiMatrix,
     KrausChannel,
+    Supermatrix,
     avg_fidelity_exact,
     avg_from_entanglement,
     channel_from_json,
@@ -19,6 +20,7 @@ from qdesigns.channels import (
     choi_to_kraus,
     depolarizing,
     entanglement_fidelity,
+    generalized_paulis,
     identity_channel,
     invariant_decompose,
     kraus_to_supermatrix,
@@ -31,6 +33,7 @@ from qdesigns.channels import (
 from qdesigns.linalg import (
     SUPERMATRIX_DIM_CAP,
     dagger,
+    hermitian_eig,
     random_density,
     random_kraus_channel_ops,
     random_unitary,
@@ -363,3 +366,130 @@ def channel_texts(draw):
 @given(channel_texts())
 def test_channel_json_round_trip_is_byte_identical(text):
     assert channel_to_json(channel_from_json(text)) == text
+
+
+# --- the per-operator loops the stacked (K, d, d) array replaced, as oracles --
+
+def loop_apply(ch, rho):
+    out = np.zeros((ch.dim, ch.dim), dtype=complex)
+    for a in ch.kraus:
+        out += a @ rho @ dagger(a)
+    return out
+
+
+def loop_supermatrix(ch):
+    mat = np.zeros((ch.dim**2, ch.dim**2), dtype=complex)
+    for a in ch.kraus:
+        mat += np.kron(a.conj(), a)
+    return mat
+
+
+def loop_choi(s):
+    """sum_ij (E_ij (x) I) S (I (x) E_ij), one d^2 x d^2 product pair per (i, j)."""
+    d = s.dim
+    eye = np.eye(d, dtype=complex)
+    out = np.zeros((d**2, d**2), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = 1
+            out += tensor(e, eye) @ s.mat @ tensor(eye, e)
+    return out
+
+
+def loop_choi_to_kraus(x, drop_tol=1e-10):
+    w, v = hermitian_eig(x.mat)
+    ops = []
+    for k in range(w.size - 1, -1, -1):
+        lam = max(float(w[k]), 0.0)
+        if lam > drop_tol:
+            ops.append(math.sqrt(lam) * unvec(v[:, k]))
+    return np.array(ops)
+
+
+def loop_avg_fidelity(u, ch):
+    d = ch.dim
+    total = sum(abs(np.trace(a @ dagger(u))) ** 2 for a in ch.kraus)
+    return float((total + d) / (d**2 + d))
+
+
+def matrix_power_paulis(d):
+    """X^a Z^b built by repeated d x d products, index a*d + b."""
+    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    z = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+    out = []
+    xa = np.eye(d, dtype=complex)
+    for _ in range(d):
+        zb = np.eye(d, dtype=complex)
+        for _ in range(d):
+            out.append(xa @ zb)
+            zb = zb @ z
+        xa = xa @ x
+    return np.array(out)
+
+
+def test_stacked_apply_and_supermatrix_match_loop_oracles():
+    rng = np.random.default_rng(14)
+    for ch in oracle_channels():
+        rho = random_density(rng, ch.dim)
+        assert np.abs(ch.apply(rho) - loop_apply(ch, rho)).max() <= 1e-13
+        assert np.abs(kraus_to_supermatrix(ch).mat - loop_supermatrix(ch)).max() <= 1e-13
+
+
+def test_choi_reshuffle_is_the_product_sum_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for ch in oracle_channels():
+        s = kraus_to_supermatrix(ch)
+        assert np.array_equal(supermatrix_to_choi(s).mat, loop_choi(s))
+    s = Supermatrix(3, random_kraus_channel_ops(rng, 9, 1)[0])  # not a channel's: any entries
+    assert np.array_equal(supermatrix_to_choi(s).mat, loop_choi(s))
+
+
+def test_stacked_choi_to_kraus_matches_eigenvalue_loop_bit_for_bit():
+    for ch in oracle_channels():
+        choi = supermatrix_to_choi(kraus_to_supermatrix(ch))
+        assert np.array_equal(choi_to_kraus(choi).kraus, loop_choi_to_kraus(choi))
+
+
+def test_avg_fidelity_and_unitary_composition_match_loop_oracles():
+    rng = np.random.default_rng(16)
+    for ch in oracle_channels():
+        u = random_unitary(rng, ch.dim)
+        assert abs(avg_fidelity_exact(u, ch) - loop_avg_fidelity(u, ch)) <= 1e-13
+        with pytest.raises(ValueError, match="unitary shape"):
+            avg_fidelity_exact(u.reshape(1, -1), ch)  # as many entries, but not d x d
+        noise = ch.compose_unitary_inverse(u)
+        assert np.abs(noise.kraus - np.array([a @ dagger(u) for a in ch.kraus])).max() <= 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
+def test_exponent_table_paulis_match_matrix_powers(d):
+    got = generalized_paulis(d)
+    assert got.shape == (d * d, d, d)
+    assert np.abs(got - matrix_power_paulis(d)).max() <= 1e-13
+
+
+def test_kraus_channel_keeps_a_stacked_array_and_iterates_as_before():
+    stack = depolarizing(3, 0.4).kraus
+    ch = KrausChannel(3, stack)
+    assert ch.kraus is stack and stack.shape == (9, 3, 3)
+    assert len(ch.kraus) == 9 and all(a.shape == (3, 3) for a in ch.kraus)
+
+
+@pytest.mark.parametrize("kraus,message", [
+    (np.eye(2, dtype=complex), "do not form a non-empty"),
+    (np.zeros((2, 2, 3), dtype=complex), "do not form a non-empty"),
+    (np.zeros((0, 2, 2), dtype=complex), "do not form a non-empty"),
+    ((), "do not form a non-empty"),
+])
+def test_kraus_channel_rejects_malformed_stacks(kraus, message):
+    with pytest.raises(ValueError, match=message):
+        KrausChannel(2, kraus)
+
+
+def test_supermatrix_and_choi_caps_fail_before_allocating():
+    big = math.isqrt(SUPERMATRIX_DIM_CAP) + 1
+    with pytest.raises(ValueError, match=f"channel dimension {big} outside"):
+        kraus_to_supermatrix(unitary_channel(np.eye(big)))
+    with pytest.raises(ValueError, match=f"channel dimension {big} outside"):
+        supermatrix_to_choi(Supermatrix(big, np.zeros((1, 1))))

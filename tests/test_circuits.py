@@ -454,6 +454,22 @@ def test_compiled_plan_matches_per_gate_oracle(n, d):
         assert np.abs(simulate(c.inverse(), stack) - per_gate_simulate(c.inverse(), stack)).max() < 1e-14
 
 
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (2, 3), (3, 5)])
+def test_inverse_builds_valid_gates_without_append(n, d, monkeypatch):
+    rng = np.random.default_rng(200 + n * 10 + d)
+    c = every_kind_circuit(n, d, rng)
+    stack = random_stack(rng, 3, d**n)
+    monkeypatch.setattr(Circuit, "append", lambda self, gate: pytest.fail("inverse called append"))
+    inv = c.inverse()
+    twice = inv.inverse()
+    monkeypatch.undo()
+    assert inv._plan is None and twice._plan is None
+    # every inverted gate passes the checks that append would have made
+    assert Circuit(n, d, inv.gates).gates == inv.gates
+    assert np.abs(simulate(inv, simulate(c, stack)) - stack).max() < 1e-12
+    assert np.abs(simulate(twice, stack) - simulate(c, stack)).max() < 1e-12
+
+
 @pytest.mark.parametrize("n,d", [(3, 2), (2, 3)])
 def test_compiled_plan_is_bit_identical_without_adjacent_diagonal_gates(n, d):
     # a lone diagonal gate is its own phase vector, so nothing is reassociated

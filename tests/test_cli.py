@@ -152,6 +152,35 @@ def test_channel_info_and_generation(tmp_path, capsys):
     assert abs(json.loads(stdout)["invariant_p"] - 0.9) < 1e-9
 
 
+def test_depolarizing_outputs_are_pinned(tmp_path, capsys):
+    # the Paulis come from an exponent table and the average fidelity from one
+    # matrix-vector product; each printed value is within 3e-16 of its closed form
+    out = tmp_path / "dep2.json"
+    assert run(capsys, ["channel", "--depolarizing", "0.9", "--d", "2", "--out", str(out)])[0] == 0
+    assert out.read_text() == (
+        '{"dim": 2, "kraus": [[[0.9617692030835673, 0.0], [0.0, 0.0], [0.0, 0.0], '
+        '[0.9617692030835673, 0.0]], [[0.15811388300841894, 0.0], [0.0, 0.0], [0.0, 0.0], '
+        '[-0.15811388300841894, 1.9363366072701933e-17]], [[0.0, 0.0], [0.15811388300841894, 0.0], '
+        '[0.15811388300841894, 0.0], [0.0, 0.0]], [[0.0, 0.0], '
+        '[-0.15811388300841894, 1.9363366072701933e-17], [0.15811388300841894, 0.0], [0.0, 0.0]]]}'
+    )
+    assert run(capsys, ["channel", "--depolarizing", "0.9", "--d", "16", "--json"])[1] == (
+        '{"avg_fidelity": 0.9062499999999997, "dim": 16, "entanglement_fidelity": 0.9003906249999999, '
+        '"invariant_p": 0.8999999999999999, "invariant_q": 0.09999999999999987, "kraus_count": 256, '
+        '"trace_preserving": true}\n'
+    )
+    assert run(capsys, ["channel", "--depolarizing", "0.5", "--d", "3", "--json"])[1] == (
+        '{"avg_fidelity": 0.6666666666666666, "dim": 3, "entanglement_fidelity": 0.5555555555555557, '
+        '"invariant_p": 0.5000000000000001, "invariant_q": 0.5000000000000001, "kraus_count": 9, '
+        '"trace_preserving": true}\n'
+    )
+    argv = ["estimate", "--protocol", "mub_exact", "--depolarizing", "0.9", "--d", "16"]
+    assert run(capsys, argv)[1] == (
+        '{"d": 16, "exact": 0.9062499999999997, "fidelity": 0.90625, "p_hat": 0.90625, '
+        '"protocol": "mub_exact", "seed": 0, "std_err": 0.0, "trials": 0}\n'
+    )
+
+
 @pytest.mark.parametrize("text,message", [
     ('{"dim": 1, "kraus": [[[1, 0]], [[1, "x"]]]}', "Kraus entry 1 is not 1 pairs [re, im] of finite numbers"),
     ('{"dim": 2, "kraus": [[[1, 0], [0, 0], [0, 0]]]}', "Kraus entry 0 is not 4 pairs [re, im] of finite numbers"),

@@ -10,6 +10,7 @@ from qdesigns.channels import KrausChannel, depolarizing, kraus_to_supermatrix, 
 from qdesigns.circuits import Gate, circuit_unitary
 from qdesigns.linalg import dagger, random_complex_matrix, random_density, random_kraus_channel_ops
 from qdesigns.twirl import (
+    PauliChannel,
     PauliLabel,
     all_labels,
     approx_twirl_channel,
@@ -28,6 +29,7 @@ from qdesigns.twirl import (
     pauli_twirl_brute,
     sample_twirl_circuit,
     symplectic_inner,
+    twirl_bound,
     twirl_markov_step,
 )
 
@@ -48,7 +50,8 @@ def test_pauli_matrix_basics():
     z3 = pauli_matrix(PauliLabel(3, 1, (0,), (1,)))
     w = np.exp(2j * np.pi / 3)
     assert np.abs(z3 - np.diag([1, w, w**2])).max() < 1e-12
-    # bit-identical to building each factor as X^a Z^b by matrix powers
+    # within 1e-14 of building each factor as X^a Z^b by matrix powers; the
+    # factors now come from an exponent table of roots of unity
     for d, n in [(2, 2), (3, 2)]:
         x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
         z = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
@@ -56,7 +59,7 @@ def test_pauli_matrix_basics():
             lab = PauliLabel.from_int(d, n, v)
             factors = [np.linalg.matrix_power(x, lab.xa[q]) @ np.linalg.matrix_power(z, lab.xb[q])
                        for q in range(n - 1, -1, -1)]
-            assert np.array_equal(pauli_matrix(lab), np.kron(*factors))
+            assert np.abs(pauli_matrix(lab) - np.kron(*factors)).max() <= 1e-14
 
 
 def test_label_int_round_trip():
@@ -490,3 +493,78 @@ def test_seeded_twirl_outputs_are_pinned(tmp_path, capsys):
         ("CNOT", (1,), (2,)), ("CNOT", (0,), (2,)), ("T", (1,), ()), ("T", (1,), ()),
         ("CNOT", (1,), (0,)), ("CNOT", (2,), (0,)), ("T", (2,), ()), ("T", (0,), ()),
     ]
+
+
+# --- the loops the stacked Paulis and the shared exact chain replaced, as oracles
+
+def loop_pauli_twirl(ch, d=2):
+    n = round(math.log(ch.dim, d))
+    weights = np.zeros((d * d) ** n)
+    for v, label in enumerate(all_labels(d, n)):
+        p = pauli_matrix(label)
+        weights[v] = sum(abs(np.trace(dagger(p) @ a)) ** 2 for a in ch.kraus) / ch.dim**2
+    return weights
+
+
+def matrix_power_approx_twirl(ch, n, k):
+    """Exact-mode weights and bound with P^k from matrix_power, column by column."""
+    weights_in = loop_pauli_twirl(ch)
+    dim = 2**n
+    tr_hat = sum(abs(np.trace(a)) ** 2 for a in ch.kraus)
+    tr_on_id = float(np.real(np.trace(sum(a @ dagger(a) for a in ch.kraus))))
+    pk = np.linalg.matrix_power(markov_transition_matrix(n), k)
+    eps_k = 0.0
+    for v in range(1, 4**n):
+        eps_k = max(eps_k, l1_to_uniform(pk[:, v]) - epsilon0(n))
+    return pk @ weights_in, (dim * tr_on_id - tr_hat) / dim**4 * (epsilon0(n) + eps_k)
+
+
+def loop_exact_csv(n, k):
+    """The twirl --exact rows, one matrix product and one column scan per round."""
+    p = markov_transition_matrix(n)
+    size = 4**n
+    dists = np.zeros((size, size - 1))
+    for v in range(1, size):
+        dists[v, v - 1] = 1
+    rows = ["k,l1,bound"]
+    for r in range(1, k + 1):
+        dists = p @ dists
+        d_r = max(l1_to_uniform(dists[:, j]) for j in range(size - 1))
+        rows.append(f"{r},{d_r!r},{twirl_bound(n, r)!r}")
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("d,n,dim", [(2, 1, 2), (2, 2, 4), (3, 1, 3), (2, 3, 8), (2, 4, 16)])
+def test_stacked_pauli_twirl_matches_trace_loop(d, n, dim):
+    rng = np.random.default_rng(60 + dim)
+    for ch in (random_channel(rng, dim, k=3), depolarizing(dim, 0.7)):
+        assert np.abs(pauli_twirl(ch, d=d).weights - loop_pauli_twirl(ch, d=d)).max() <= 1e-13
+
+
+def test_pauli_to_kraus_matches_label_loop():
+    rng = np.random.default_rng(61)
+    weights = rng.random(16) * (rng.random(16) < 0.6)
+    weights /= weights.sum()
+    got = PauliChannel(2, 2, weights).to_kraus().kraus
+    want = [math.sqrt(w) * pauli_matrix(PauliLabel.from_int(2, 2, v))
+            for v, w in enumerate(weights) if w > 1e-14]
+    assert np.abs(got - np.array(want)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (2, 8), (3, 5)])
+def test_approx_twirl_exact_mode_matches_matrix_power_oracle(n, k):
+    rng = np.random.default_rng(62 + n)
+    for ch in (random_channel(rng, 2**n, k=3), depolarizing(2**n, 0.6), unitary_channel(np.eye(2**n))):
+        out, bound = approx_twirl_channel(ch, n=n, k=k)
+        want_weights, want_bound = matrix_power_approx_twirl(ch, n, k)
+        assert np.abs(out.weights - want_weights).max() <= 1e-14
+        assert abs(bound - want_bound) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_twirl_exact_csv_is_the_round_by_round_loop(tmp_path, capsys, n):
+    from qdesigns.cli import main
+
+    out = tmp_path / "exact.csv"
+    main(["twirl", "--n", str(n), "--k", "6", "--exact", "--out", str(out)])
+    assert out.read_text() == loop_exact_csv(n, 6)
