@@ -54,16 +54,17 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((d, d), order="F")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Completely positive map rho -> sum_k A_k rho A_k^dagger, its operators
-    held as one complex (K, d, d) array (a stack given that way is not copied)."""
+    held as one complex (K, d, d) array (a stack given that way is not copied).
+    Channels compare and hash by identity: == on the arrays has no truth value."""
 
     dim: int
     kraus: np.ndarray
     trace_preserving: bool = field(init=False)
     # max |sum_k A_k^dagger A_k - I|, the deviation from trace preservation
-    _completeness_error: float = field(init=False, repr=False, compare=False)
+    _completeness_error: float = field(init=False, repr=False)
 
     def __post_init__(self):
         kraus = np.ascontiguousarray(self.kraus, dtype=complex)

@@ -175,10 +175,10 @@ def cmd_channel(args) -> int:
 
 
 def cmd_twirl(args) -> int:
+    twirl._check_rounds(args.n, args.k)
     eps0 = twirl.epsilon0(args.n)
     rows = ["k,l1,bound"]
     ok = True
-    final_l1 = 0.0
     if args.exact:
         for k, d_k in enumerate(twirl._exact_chain(args.n, args.k)[0][1:], start=1):
             bound = twirl.twirl_bound(args.n, k)

@@ -48,10 +48,11 @@ PROTOCOLS = ("mub_mc", "mub_exact", "projected", "ancilla")
 _BRANCH_CHUNK = 256  # Kraus branches per simulate call in the ancilla protocol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """One estimation experiment: the channel as implemented, the unitary it
-    was meant to realize (identity for a plain channel), and sampling knobs."""
+    was meant to realize (identity for a plain channel), and sampling knobs.
+    Compared by identity, as KrausChannel is."""
 
     channel: KrausChannel
     protocol: str = "mub_mc"

@@ -10,9 +10,12 @@ Clifford moves act on the packed form of a qubit label, the symplectic
 tableau of Aaronson-Gottesman (quant-ph/0406196): two integer masks xa, xb
 whose bit q is the X and the Z part on qubit q.  An H, S, T or CNOT is then a
 few bit operations, so one function (_move) moves a single label or a whole
-array of Monte-Carlo samples.  The table _ROUND is the single description of
-a randomized twirl round; the gate sampler, the exact Markov chain and the
-Monte-Carlo round are three short loops over it.
+array of labels.  The table _ROUND is the single description of a randomized
+twirl round.  The gate sampler reads it directly; the exact Markov chain and
+the Monte-Carlo round read one set of permutation tables built from it and
+_move (_round_tables), which pushes a distribution or gathers a sample array.
+The tables stop at n = EXACT_CHAIN_CAP (about 3 MB there); above it the
+Monte-Carlo round moves packed masks with _move, one step at a time.
 
 Twirling always means averaging V Lambda(V^dag X V) V^dag over the set; every
 set used here (Pauli group, Clifford group) is closed under inverses, so this
@@ -25,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -439,10 +443,52 @@ def sample_twirl_circuit(n: int, rounds: int, rng: np.random.Generator) -> Twirl
 EXACT_CHAIN_CAP = 5  # largest n for the exact chain: P is 4^n x 4^n
 
 
-@lru_cache(maxsize=None)
 def _perm_table(n: int, kind: str, qubits: tuple[int, ...]) -> np.ndarray:
     xa, xb = _from_label_int(np.arange(4**n, dtype=np.int64), n)
     return _to_label_int(*_move(kind, xa, xb, qubits), n)
+
+
+class _RoundTables(NamedTuple):
+    fan_in: np.ndarray  # (2^n, 4^n): the composed parity fan-in of each subset mask
+    control: np.ndarray  # (2^n,): the control, the low bit, of each subset mask
+    steps: tuple  # per _ROUND step, one (control, times, 4^n) stack per qubit
+
+
+@lru_cache(maxsize=None)
+def _round_tables(n: int) -> _RoundTables:
+    """One twirl round as permutation tables over base-4 label ints, built from
+    _ROUND and _move; the exact chain and the Monte-Carlo round both read them.
+
+    steps[i] holds one stack per qubit q for an "o" step (q ascending) and a
+    single stack for a "c" step; stack[c, e] is the step's permutation applied
+    e times with control c, the identity where q is c.  The tables take
+    O(n^2 4^n) ints, about 3 MB at n = EXACT_CHAIN_CAP, so they stop there.
+    """
+    if n > EXACT_CHAIN_CAP:
+        raise ValueError(f"round tables capped at n <= {EXACT_CHAIN_CAP}")
+    ident = np.arange(4**n)
+    # the low bit of a subset mask is its control; mask 0 is never drawn
+    control = np.array([max((m & -m).bit_length() - 1, 0) for m in range(2**n)])
+    fan_in = np.empty((2**n, 4**n), dtype=ident.dtype)
+    for mask, c in enumerate(control):
+        perm = ident
+        for q in range(n):
+            if (mask >> q) & 1 and q != c:
+                perm = _perm_table(n, "CNOT", (q, c))[perm]
+        fan_in[mask] = perm
+    steps = []
+    for kind, roles, law in _ROUND:
+        stacks = []
+        for q in range(n) if "o" in roles else [None]:
+            stack = np.empty((n, 3 if law == _THIRDS else 2, 4**n), dtype=ident.dtype)
+            for c in range(n):
+                perm = ident if q == c else _perm_table(n, kind, _place(roles, c, q))
+                stack[c, 0] = ident
+                for e in range(1, stack.shape[1]):
+                    stack[c, e] = perm[stack[c, e - 1]]
+            stacks.append(stack)
+        steps.append(tuple(stacks))
+    return _RoundTables(fan_in, control, tuple(steps))
 
 
 def _push(dist: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -454,28 +500,24 @@ def _push(dist: np.ndarray, perm: np.ndarray) -> np.ndarray:
 def _step2_push(dist: np.ndarray, n: int, control: int) -> np.ndarray:
     """Exact image of label distributions (along axis 0) under the _ROUND
     steps for a fixed control."""
-    others = [q for q in range(n) if q != control]
-    for kind, roles, law in _ROUND:
-        for q in others if "o" in roles else [control]:
-            perm = _perm_table(n, kind, _place(roles, control, q))
+    for (_, roles, law), stacks in zip(_ROUND, _round_tables(n).steps):
+        for q, stack in enumerate(stacks):
+            if "o" in roles and q == control:
+                continue  # the identity: the "o" qubit is the control
+            powers = stack[control]
             if law == _THIRDS:
-                once = _push(dist, perm)
-                dist = (dist + once + _push(once, perm)) / 3
+                dist = (dist + _push(dist, powers[1]) + _push(dist, powers[2])) / 3
             else:
-                dist = (1 - law) * dist + law * _push(dist, perm)
+                dist = (1 - law) * dist + law * _push(dist, powers[1])
     return dist
 
 
 def _chain_step(dist: np.ndarray, n: int) -> np.ndarray:
     """One round pushed through every column of dist at once."""
+    tables = _round_tables(n)
     out = np.zeros_like(dist)
     for mask in range(1, 2**n):
-        control = (mask & -mask).bit_length() - 1
-        d_b = dist
-        for q in range(n):
-            if (mask >> q) & 1 and q != control:
-                d_b = _push(d_b, _perm_table(n, "CNOT", (q, control)))
-        out += _step2_push(d_b, n, control)
+        out += _step2_push(_push(dist, tables.fan_in[mask]), n, tables.control[mask])
     return out / (2**n - 1)
 
 
@@ -567,15 +609,37 @@ def step1_success_probability(label: PauliLabel) -> float:
 
 # --- vectorized Monte-Carlo convergence --------------------------------------
 
-def _mc_round(xa: np.ndarray, xb: np.ndarray, n: int, rng: np.random.Generator):
-    """Apply one sampled round to every packed label in (xa, xb), drawing
-    fresh randomness per sample.
+def _mc_round(v: np.ndarray, n: int, rng: np.random.Generator):
+    """Apply one sampled round to every base-4 label int in v, drawing fresh
+    randomness per sample.
 
-    Returns the moved (xa, xb) and the empirical step-1 success rate: the
+    Returns the moved labels and the empirical step-1 success rate: the
     fraction of samples whose control qubit carries X or Y after the fan-in.
     The analysis only uses 1/2 as a lower bound for it; it is reported, never
-    asserted tighter.
+    asserted tighter.  Each step is one gather through _round_tables; above
+    EXACT_CHAIN_CAP, where those are not built, _mc_round_packed moves the
+    labels with the same draws.
     """
+    if n > EXACT_CHAIN_CAP:
+        return _mc_round_packed(v, n, rng)
+    tables = _round_tables(n)
+    size = 4**n
+    m = v.shape[0]
+    mask = rng.integers(1, 2**n, size=m)
+    control = tables.control[mask]
+    v = tables.fan_in.ravel()[mask * size + v]
+    success_rate = float(((v >> 2 * control) & 1).mean())
+
+    for (_, _, law), stacks in zip(_ROUND, tables.steps):
+        for stack in stacks:  # an "o" step draws on the control too: that row is the identity
+            times = _draw(law, m, rng)
+            v = stack.ravel()[(control * stack.shape[1] + times) * size + v]
+    return v, success_rate
+
+
+def _mc_round_packed(v: np.ndarray, n: int, rng: np.random.Generator):
+    """_mc_round on packed (xa, xb) masks, one _move per step and qubit."""
+    xa, xb = _from_label_int(v, n)
     m = xa.shape[0]
     mask = rng.integers(1, 2**n, size=m)
     control = np.round(np.log2(mask & -mask)).astype(np.int64)
@@ -593,7 +657,15 @@ def _mc_round(xa: np.ndarray, xb: np.ndarray, n: int, rng: np.random.Generator):
             qubits = _place(roles, control, q)
             for rep in range(1, 3 if law == _THIRDS else 2):
                 xa, xb = _move(kind, xa, xb, qubits, times >= rep)
-    return xa, xb, success_rate
+    return _to_label_int(xa, xb, n), success_rate
+
+
+def _check_rounds(n: int, k: int) -> None:
+    """Reject a twirl run on fewer than two qubits or with no rounds."""
+    if n < 2:
+        raise ValueError(f"the randomized twirl needs n >= 2 qubits, got n = {n}")
+    if k < 1:
+        raise ValueError(f"the twirl needs k >= 1 rounds, got k = {k}")
 
 
 def mc_convergence_curve(
@@ -609,18 +681,22 @@ def mc_convergence_curve(
     (rising with the label count; it dwarfs small true distances), so the same
     statistic is computed for one exact-uniform multinomial draw of the same
     size and subtracted, clamped at zero.  Each entry carries the raw value,
-    the calibration floor, and the corrected estimate.
+    the calibration floor, and the corrected estimate.  Needs n >= 2, k >= 1
+    and samples >= 1 (ValueError otherwise).
     """
+    _check_rounds(n, k)
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     if start is None:
         start = PauliLabel(2, n, (1,) + (0,) * (n - 1), (0,) * n)
-    xa, xb = (np.full(samples, m, dtype=np.int64) for m in _from_label_int(start.to_int(), n))
+    v = np.full(samples, start.to_int(), dtype=np.int64)
     u = np.full(4**n - 1, 1.0 / (4**n - 1))
     null_draw = rng.multinomial(samples, u) / samples
     floor = l1_to_uniform(np.concatenate(([0.0], null_draw)))
     curve = []
     for step in range(1, k + 1):
-        xa, xb, success = _mc_round(xa, xb, n, rng)
-        empirical = np.bincount(_to_label_int(xa, xb, n), minlength=4**n) / samples
+        v, success = _mc_round(v, n, rng)
+        empirical = np.bincount(v, minlength=4**n) / samples
         raw = l1_to_uniform(empirical)
         curve.append(
             {
@@ -684,11 +760,9 @@ def approx_twirl_channel(
         rest = 1 - pauli_ch.weights[0]
         if rest > 1e-12:
             cond = pauli_ch.weights[1:] / rest
-            picks = rng.choice(np.arange(1, 4**n), size=trials, p=cond)
-            xa, xb = _from_label_int(picks, n)
+            values = rng.choice(np.arange(1, 4**n), size=trials, p=cond)
             for _ in range(k):
-                xa, xb, _ = _mc_round(xa, xb, n, rng)
-            values = _to_label_int(xa, xb, n)
+                values, _ = _mc_round(values, n, rng)
             weights[1:] += np.bincount(values, minlength=4**n)[1:] / trials * rest
             est = mc_convergence(n, k, trials, rng)
             eps_k = max(0.0, est["l1"] - epsilon0(n))

@@ -55,6 +55,18 @@ def test_vec_convention_pins_column_stacking():
     assert np.allclose(unvec(vec(a)), a)
 
 
+def test_channel_and_config_equality_is_identity_and_never_raises():
+    from qdesigns.estimate import ExperimentConfig
+
+    ch = depolarizing(2, 0.9)
+    assert ch == ch
+    assert (ch == depolarizing(2, 0.9)) is False
+    assert len({ch, ch}) == 1
+    cfg = ExperimentConfig(ch, target_unitary=np.eye(2, dtype=complex))
+    assert cfg == cfg
+    assert (cfg == ExperimentConfig(ch, target_unitary=np.eye(2, dtype=complex))) is False
+
+
 def test_identity_channel_apply():
     rng = np.random.default_rng(0)
     rho = random_density(rng, 3)

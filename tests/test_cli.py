@@ -241,6 +241,22 @@ def test_twirl_mc_smoke(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 7
 
 
+@pytest.mark.parametrize("flags", [
+    "--n 2 --k 0 --samples 100",
+    "--n 2 --k -1 --samples 100",
+    "--n 2 --k 3 --samples 0",
+    "--n 1 --k 3 --samples 100",
+    "--n 0 --k 3 --samples 100",
+    "--n 2 --k 0 --exact",
+    "--n 1 --k 3 --exact",
+])
+def test_twirl_usage_errors_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "c.csv"
+    code, stdout, err = run(capsys, ["twirl", *flags.split(), "--json", "--out", str(out)])
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_estimate_json_and_determinism(capsys):
     argv = ["estimate", "--protocol", "mub_mc", "--depolarizing", "0.9", "--d", "4",
             "--trials", "20000", "--seed", "11"]

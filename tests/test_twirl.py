@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from qdesigns.channels import KrausChannel, depolarizing, kraus_to_supermatrix, unitary_channel
+from qdesigns.channels import _kraus_traces
 from qdesigns.circuits import Gate, circuit_unitary
 from qdesigns.linalg import dagger, random_complex_matrix, random_density, random_kraus_channel_ops
 from qdesigns.twirl import (
+    EXACT_CHAIN_CAP,
     PauliChannel,
     PauliLabel,
     all_labels,
@@ -24,6 +26,7 @@ from qdesigns.twirl import (
     l1_to_uniform,
     markov_transition_matrix,
     mc_convergence,
+    mc_convergence_curve,
     pauli_matrix,
     pauli_twirl,
     pauli_twirl_brute,
@@ -31,6 +34,9 @@ from qdesigns.twirl import (
     symplectic_inner,
     twirl_bound,
     twirl_markov_step,
+)
+from qdesigns.twirl import (
+    _ROUND, _THIRDS, _draw, _from_label_int, _move, _perm_table, _place, _push, _to_label_int,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -252,8 +258,6 @@ def test_step1_success_probability():
         z_only = PauliLabel(2, n, (0,) * n, (1,) * n)
         assert step1_success_probability(z_only) == 0.0
     # empirical first-round rate from the Monte-Carlo sampler agrees
-    from qdesigns.twirl import mc_convergence_curve
-
     rng = np.random.default_rng(61)
     curve = mc_convergence_curve(3, 1, 100_000, rng)
     want = step1_success_probability(PauliLabel(2, 3, (1, 0, 0), (0, 0, 0)))
@@ -495,6 +499,44 @@ def test_seeded_twirl_outputs_are_pinned(tmp_path, capsys):
     ]
 
 
+def test_benchmark_sized_twirl_stream_is_pinned(tmp_path, capsys):
+    # 1e5 samples through 15 rounds at n = 3, as the twirl_convergence benchmark runs it
+    from qdesigns.cli import main
+
+    out = tmp_path / "c3.csv"
+    code = main(["twirl", "--n", "3", "--k", "15", "--samples", "100000", "--seed", "1",
+                 "--json", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{"bound": 0.12705291263640872, "epsilon0": 0.12698412698412698, "k": 15, '
+        '"l1": 0.000473968253968237, "n": 3}\n'
+    )
+    assert out.read_text() == (
+        "k,l1,bound\n"
+        "1,0.4281622222222221,1.253968253968254\n"
+        "2,0.08759619047619042,0.6904761904761905\n"
+        "3,0.01564793650793648,0.4087301587301587\n"
+        "4,0.0029619047619047593,0.26785714285714285\n"
+        "5,0.0010939682539682326,0.1974206349206349\n"
+        "6,0.0015339682539682424,0.16220238095238093\n"
+        "7,8.38095238095346e-05,0.14459325396825395\n"
+        "8,0.0009060317460317449,0.13578869047619047\n"
+        "9,0.0033419047619047577,0.13138640873015872\n"
+        "10,0.004447936507936515,0.12918526785714285\n"
+        "11,0.0,0.1280846974206349\n"
+        "12,0.0016377777777777762,0.12753441220238096\n"
+        "13,0.002881904761904759,0.12725926959325395\n"
+        "14,0.0,0.12712169828869047\n"
+        "15,0.000473968253968237,0.12705291263640872\n"
+    )
+
+
+@pytest.mark.parametrize("n,k,samples", [(2, 0, 100), (2, -1, 100), (2, 3, 0), (1, 3, 100), (0, 3, 100)])
+def test_mc_convergence_curve_rejects_degenerate_runs(n, k, samples):
+    with pytest.raises(ValueError):
+        mc_convergence_curve(n, k, samples, np.random.default_rng(0))
+
+
 # --- the loops the stacked Paulis and the shared exact chain replaced, as oracles
 
 def loop_pauli_twirl(ch, d=2):
@@ -568,3 +610,111 @@ def test_twirl_exact_csv_is_the_round_by_round_loop(tmp_path, capsys, n):
     out = tmp_path / "exact.csv"
     main(["twirl", "--n", str(n), "--k", "6", "--exact", "--out", str(out)])
     assert out.read_text() == loop_exact_csv(n, 6)
+
+
+# --- the packed-mask Monte-Carlo round and the per-mask fan-in chain step that
+# the round tables replaced, as oracles
+
+def packed_mc_round(xa, xb, n, rng):
+    """One sampled round on packed (xa, xb) masks, one _move per step and qubit."""
+    m = xa.shape[0]
+    mask = rng.integers(1, 2**n, size=m)
+    control = np.round(np.log2(mask & -mask)).astype(np.int64)
+    for q in range(n):
+        member = ((mask >> q) & 1).astype(bool) & (control != q)
+        xa, xb = _move("CNOT", xa, xb, (q, control), member)
+    success_rate = float(((xa >> control) & 1).mean())
+    for kind, roles, law in _ROUND:
+        for q in range(n) if "o" in roles else [None]:
+            times = _draw(law, m, rng)
+            if q is not None:
+                times = times * (control != q)
+            qubits = _place(roles, control, q)
+            for rep in range(1, 3 if law == _THIRDS else 2):
+                xa, xb = _move(kind, xa, xb, qubits, times >= rep)
+    return xa, xb, success_rate
+
+
+def packed_mc_curve(n, k, samples, rng, start=None):
+    if start is None:
+        start = PauliLabel(2, n, (1,) + (0,) * (n - 1), (0,) * n)
+    xa, xb = (np.full(samples, m, dtype=np.int64) for m in _from_label_int(start.to_int(), n))
+    null_draw = rng.multinomial(samples, np.full(4**n - 1, 1.0 / (4**n - 1))) / samples
+    floor = l1_to_uniform(np.concatenate(([0.0], null_draw)))
+    curve = []
+    for step in range(1, k + 1):
+        xa, xb, success = packed_mc_round(xa, xb, n, rng)
+        raw = l1_to_uniform(np.bincount(_to_label_int(xa, xb, n), minlength=4**n) / samples)
+        curve.append({"k": step, "l1_raw": raw, "noise_floor": floor,
+                      "l1": max(0.0, raw - floor), "step1_success": success})
+    return curve
+
+
+def packed_approx_twirl_mc(ch, n, k, trials, rng):
+    """approx_twirl_channel(trials > 0) with the packed-mask round."""
+    beta = pauli_twirl(ch).weights
+    tr_hat, tr_on_id = _kraus_traces(ch)
+    weights = np.zeros(4**n)
+    weights[0] = beta[0]
+    rest = 1 - beta[0]
+    picks = rng.choice(np.arange(1, 4**n), size=trials, p=beta[1:] / rest)
+    xa, xb = _from_label_int(picks, n)
+    for _ in range(k):
+        xa, xb, _ = packed_mc_round(xa, xb, n, rng)
+    weights[1:] += np.bincount(_to_label_int(xa, xb, n), minlength=4**n)[1:] / trials * rest
+    eps_k = max(0.0, packed_mc_curve(n, k, trials, rng)[-1]["l1"] - epsilon0(n))
+    return weights, (2**n * tr_on_id - tr_hat) / 2 ** (4 * n) * (epsilon0(n) + eps_k)
+
+
+def pushed_step2(dist, n, control):
+    others = [q for q in range(n) if q != control]
+    for kind, roles, law in _ROUND:
+        for q in others if "o" in roles else [control]:
+            perm = _perm_table(n, kind, _place(roles, control, q))
+            if law == _THIRDS:
+                once = _push(dist, perm)
+                dist = (dist + once + _push(once, perm)) / 3
+            else:
+                dist = (1 - law) * dist + law * _push(dist, perm)
+    return dist
+
+
+def pushed_chain_step(dist, n):
+    """One exact round: each subset's fan-in as one CNOT push per member."""
+    out = np.zeros_like(dist)
+    for mask in range(1, 2**n):
+        control = (mask & -mask).bit_length() - 1
+        d_b = dist
+        for q in range(n):
+            if (mask >> q) & 1 and q != control:
+                d_b = _push(d_b, _perm_table(n, "CNOT", (q, control)))
+        out += pushed_step2(d_b, n, control)
+    return out / (2**n - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_mc_curve_matches_packed_mask_oracle(n):
+    assert (n > EXACT_CHAIN_CAP) == (n == 6)  # n = 6 runs the packed path in the library too
+    pure_z = PauliLabel(2, n, (0,) * n, (1,) + (0,) * (n - 1))
+    for seed in (0, 1, 2):
+        for start in (None, pure_z):
+            got = mc_convergence_curve(n, 4, 3000, np.random.default_rng(seed), start)
+            assert got == packed_mc_curve(n, 4, 3000, np.random.default_rng(seed), start)
+    assert got[0]["step1_success"] == 0.0  # a pure-Z start puts no X on the control
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_approx_twirl_mc_mode_matches_packed_mask_oracle(n):
+    rng = np.random.default_rng(80 + n)
+    for ch in (random_channel(rng, 2**n, k=3), depolarizing(2**n, 0.6)):
+        out, bound = approx_twirl_channel(ch, n=n, k=3, trials=4000, rng=np.random.default_rng(n))
+        want_weights, want_bound = packed_approx_twirl_mc(ch, n, 3, 4000, np.random.default_rng(n))
+        assert np.array_equal(out.weights, want_weights)
+        assert bound == want_bound
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_markov_transition_matrix_matches_pushed_chain_oracle(n):
+    p = markov_transition_matrix(n)
+    cols = np.arange(0, 4**n, 16) if n == 5 else np.arange(4**n)  # columns push independently
+    assert np.array_equal(p[:, cols], pushed_chain_step(np.eye(4**n)[:, cols], n))
