@@ -92,7 +92,7 @@ class KrausChannel:
         return KrausChannel(self.dim, self.kraus @ dagger(u))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Supermatrix:
     """d^2 x d^2 matrix acting on column-stacked operators."""
 
@@ -103,7 +103,7 @@ class Supermatrix:
         return unvec(self.mat @ vec(rho))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     dim: int
     mat: np.ndarray

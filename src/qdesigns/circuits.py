@@ -1,22 +1,27 @@
 """Gate-level circuits, statevector simulation, and the MUB preparation circuits.
 
 Registers are n qudits of equal local dimension d; qudit j carries the base-d
-digit of weight d^j of the computational-basis index (little-endian).  Each
-circuit is compiled once, on first simulation, into a plan: every maximal run
-of diagonal gates becomes one phase vector (the product of the gates' phases),
-and every other gate is applied by local tensor contraction or an index
-permutation.  Appending a gate discards the plan.  The full unitary is never
-materialized during simulation.
+digit of weight d^j of the computational-basis index (little-endian).  Every
+gate kind is in one of three classes, and simulation has one rule per class:
 
-Supported gate kinds:
-    H, X, Z, S, T_pi8              single-qubit (d = 2); T_pi8 is diag(1, e^{i pi/4})
-    T                              the Clifford cycler H*S (d = 2)
+diagonal: a phase vector over the basis states
+    Z, S, T_pi8                    qubit phases -1, i and e^{i pi/4} on |1>
     PhaseExp(num, den)             diag(1, exp(2 pi i num/den)) on a qubit
-    Xd(num), Zd(num)               level shift / level phase on a qudit
-    Fp                             discrete Fourier gate on one qudit (Fpinv: inverse)
+    Zd(num)                        diag(exp(2 pi i num j/d)) on a qudit
     PhaseVec(phases, den)          diag(exp(2 pi i phases[j]/den))
     CPhase(num, den)               |u,v> -> exp(2 pi i num u v / den)|u,v>
-    CNOT, CADD(num)                controlled add: target += num * control (mod d)
+shift: the index permutation "target digit += num * control (mod d)"; X and
+CNOT have num = 1, and X and Xd have no control, which reads as 1
+    X, Xd(num)                     level shift on a qubit / on a qudit
+    CNOT, CADD(num)                controlled add on qubits / on qudits
+dense: the local matrix of gate_matrix, applied by tensor contraction
+    H, T                           Hadamard and the Clifford cycler H*S (d = 2)
+    Fp, Fpinv                      discrete Fourier gate on one qudit and its inverse
+
+Each circuit is compiled once, on first simulation, into a plan: every maximal
+run of diagonal gates becomes one phase vector (the product of the gates'
+phases), and every other gate is a step of its own.  Appending a gate discards
+the plan.  The full unitary is never materialized during simulation.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ UNITARY_DIM_CAP = 256
 
 _QUBIT_ONLY = {"H", "X", "Z", "S", "T_pi8", "T", "PhaseExp", "CNOT"}
 _DIAGONAL = {"Z", "S", "T_pi8", "PhaseExp", "Zd", "PhaseVec", "CPhase"}
+_SHIFT = {"X", "Xd", "CNOT", "CADD"}  # the rest (H, T, Fp, Fpinv) are dense
 # kind -> (number of targets, number of controls)
 _ARITY = {
     **dict.fromkeys(_QUBIT_ONLY - {"CNOT"} | {"Xd", "Zd", "Fp", "Fpinv", "PhaseVec"}, (1, 0)),
@@ -159,39 +165,30 @@ class Circuit:
         return len(self.gates)
 
 
+_FIXED_PHASE = {"Z": (1, 2), "S": (1, 4), "T_pi8": (1, 8)}  # (num, den) of the phase on |1>
+_SELF_INVERSE = {"H", "X", "Z", "CNOT"}
+_MOD_D = {"Xd", "Zd", "CADD"}  # num is taken mod d; for the other phase gates, mod den
+
+
 def _invert_gate(g: Gate, d: int) -> list[Gate]:
     k = g.kind
-    if k in ("H", "X", "Z", "CNOT"):
+    if k in _SELF_INVERSE:
         return [g]
-    if k == "S":
-        return [Gate("PhaseExp", g.targets, num=3, den=4)]
-    if k == "T_pi8":
-        return [Gate("PhaseExp", g.targets, num=7, den=8)]
+    if k in ("Fp", "Fpinv"):
+        return [Gate("Fpinv" if k == "Fp" else "Fp", g.targets)]
     if k == "T":  # T = H*S, so T^dagger applies H first, then S^dagger
-        return [Gate("H", g.targets), Gate("PhaseExp", g.targets, num=3, den=4)]
-    if k == "PhaseExp":
-        return [Gate("PhaseExp", g.targets, num=(-g.num) % g.den, den=g.den)]
-    if k == "PhaseVec":
-        return [Gate("PhaseVec", g.targets, den=g.den, phases=tuple((-x) % g.den for x in g.phases))]
-    if k == "CPhase":
-        return [Gate("CPhase", g.targets, num=(-g.num) % g.den, den=g.den)]
-    if k == "Xd":
-        return [Gate("Xd", g.targets, num=(-g.num) % d)]
-    if k == "Zd":
-        return [Gate("Zd", g.targets, num=(-g.num) % d)]
-    if k == "Fp":
-        return [Gate("Fpinv", g.targets)]
-    if k == "Fpinv":
-        return [Gate("Fp", g.targets)]
-    if k == "CADD":
-        return [Gate("CADD", g.targets, g.controls, num=(-g.num) % d)]
-    raise ValueError(f"cannot invert gate kind {k!r}")  # pragma: no cover
+        return [Gate("H", g.targets), *_invert_gate(Gate("S", g.targets), d)]
+    if k in _FIXED_PHASE:
+        num, den = _FIXED_PHASE[k]
+        return [Gate("PhaseExp", g.targets, num=(-num) % den, den=den)]
+    # every other gate is inverted by negating its numerators
+    mod = d if k in _MOD_D else g.den
+    phases = tuple((-x) % mod for x in g.phases) if g.phases else ()
+    return [Gate(k, g.targets, g.controls, (-g.num) % mod, g.den, phases)]
 
 
 _H2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_X2 = np.array([[0, 1], [1, 0]], dtype=complex)
-_S2 = np.diag([1, 1j]).astype(complex)
-_T_CYCLE = _H2 @ _S2
+_T_CYCLE = _H2 @ np.diag([1, 1j])
 
 
 def _fourier(d: int) -> np.ndarray:
@@ -200,46 +197,17 @@ def _fourier(d: int) -> np.ndarray:
 
 
 def gate_matrix(g: Gate, d: int) -> np.ndarray:
-    """Local matrix of a gate on its own qudits (controls major)."""
+    """Local matrix of a dense gate (H, T, Fp or Fpinv) on its qudit."""
     k = g.kind
     if k == "H":
         return _H2
-    if k == "X":
-        return _X2
-    if k == "Z":
-        return np.diag([1, -1]).astype(complex)
-    if k == "S":
-        return _S2
-    if k == "T_pi8":
-        return np.diag([1, cmath.exp(1j * np.pi / 4)])
     if k == "T":
         return _T_CYCLE
-    if k == "PhaseExp":
-        return np.diag([1, cmath.exp(2j * np.pi * g.num / g.den)])
-    if k == "Xd":
-        m = np.zeros((d, d), dtype=complex)
-        for j in range(d):
-            m[(j + g.num) % d, j] = 1
-        return m
-    if k == "Zd":
-        return np.diag([cmath.exp(2j * np.pi * g.num * j / d) for j in range(d)])
     if k == "Fp":
         return _fourier(d)
     if k == "Fpinv":
         return _fourier(d).conj().T
-    if k == "PhaseVec":
-        return np.diag([cmath.exp(2j * np.pi * x / g.den) for x in g.phases])
-    if k == "CPhase":
-        u = np.arange(d)
-        return np.diag(np.exp(2j * np.pi * g.num * np.outer(u, u).ravel() / g.den))
-    if k in ("CNOT", "CADD"):
-        num = 1 if k == "CNOT" else g.num
-        m = np.zeros((d * d, d * d), dtype=complex)
-        for u in range(d):
-            for v in range(d):
-                m[u * d + ((v + num * u) % d), u * d + v] = 1
-        return m
-    raise ValueError(f"unknown gate kind {k!r}")  # pragma: no cover
+    raise ValueError(f"gate kind {k!r} is not a dense gate")
 
 
 def apply_local(state: np.ndarray, mat: np.ndarray, qudits: tuple[int, ...], n: int, d: int) -> np.ndarray:
@@ -278,23 +246,22 @@ def _diagonal_phases(g: Gate, digits: np.ndarray, d: int) -> np.ndarray:
         return np.exp(2j * np.pi * np.asarray(g.phases)[t] / g.den)
     if k == "Zd":
         return np.exp(2j * np.pi * g.num * t / d)
-    num, den = {"Z": (1, 2), "S": (1, 4), "T_pi8": (1, 8)}.get(k, (g.num, g.den))
+    num, den = _FIXED_PHASE.get(k, (g.num, g.den))
     return np.where(t == 1, cmath.exp(2j * np.pi * num / den), 1.0)
 
 
 def _apply_gate(state: np.ndarray, g: Gate, n: int, d: int) -> np.ndarray:
-    dim = state.shape[-1]
+    """Apply one gate by the rule of its class: diagonal, shift or dense."""
     k = g.kind
     if k in _DIAGONAL:
         return state * _diagonal_phases(g, _register_digits(n, d), d)
-    if k in ("CNOT", "CADD"):
-        num = 1 if k == "CNOT" else g.num
-        idx = np.arange(dim)
-        c = _digit(idx, g.controls[0], d)
+    if k in _SHIFT:
+        idx = np.arange(state.shape[-1])
         v = _digit(idx, g.targets[0], d)
-        new_idx = idx + ((v + num * c) % d - v) * d ** g.targets[0]
+        c = _digit(idx, g.controls[0], d) if g.controls else 1
+        num = g.num if k in ("Xd", "CADD") else 1
         out = np.empty_like(state)
-        out[..., new_idx] = state
+        out[..., idx + ((v + num * c) % d - v) * d ** g.targets[0]] = state
         return out
     return apply_local(state, gate_matrix(g, d), g.targets, n, d)
 
@@ -393,10 +360,8 @@ def build_mub_circuit_prime(p: int, n_qubits: int, a: int, b: int) -> Circuit:
     return c
 
 
-def _as_label(x, size: int) -> int:
-    if isinstance(x, GfElement):
-        return x.int_label
-    return int(x)
+def _as_label(x) -> int:
+    return x.int_label if isinstance(x, GfElement) else int(x)
 
 
 def build_mub_circuit_prime_power(p: int, n_qudits: int, a, b) -> Circuit:
@@ -412,23 +377,21 @@ def build_mub_circuit_prime_power(p: int, n_qudits: int, a, b) -> Circuit:
         raise ValueError(f"p = {p} must be an odd prime")
     ctx = GfContext(p, n_qudits)
     d = ctx.order
-    a_lab, b_lab = _as_label(a, d), _as_label(b, d)
+    a_lab, b_lab = _as_label(a), _as_label(b)
     if not 0 <= a_lab <= d:
         raise ValueError(f"basis label {a_lab} outside 0..{d}")
     if not 0 <= b_lab < d:
         raise ValueError(f"state label {b_lab} outside 0..{d - 1}")
     c = Circuit(n=n_qudits, d=p)
-    if a_lab == d:
-        for i, coeff in enumerate(ctx.element_from_int(b_lab).coeffs):
-            if coeff:
-                c.append(Gate("Xd", (i,), num=coeff))
-        return c
     t = ctx.trace_vector
-    t_a = (t @ ctx.mul_matrix(ctx.element_from_int(a_lab))) % p
-    t_b = (t @ ctx.mul_matrix(ctx.element_from_int(b_lab))) % p
-    for i, coeff in enumerate(t_b):
+    b_el = ctx.element_from_int(b_lab)
+    # level shifts prepare |b> itself on the computational branch, |t_b> otherwise
+    for i, coeff in enumerate(b_el.coeffs if a_lab == d else (t @ ctx.mul_matrix(b_el)) % p):
         if coeff:
             c.append(Gate("Xd", (i,), num=int(coeff)))
+    if a_lab == d:
+        return c
+    t_a = (t @ ctx.mul_matrix(ctx.element_from_int(a_lab))) % p
     for i in range(n_qudits):
         c.append(Gate("Fp", (i,)))
     ta_of = lambda i, j: int(np.dot(t_a, ctx.monomial_vector(i + j)) % p)
@@ -441,7 +404,7 @@ def build_mub_circuit_prime_power(p: int, n_qudits: int, a, b) -> Circuit:
     return c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmplitudeSplit:
     """One state's decomposition against a good-subspace projector."""
 

@@ -1,12 +1,17 @@
 """Arithmetic in prime fields, extension fields GF(p^k), and Galois rings GR(4^m).
 
-Elements are immutable coefficient vectors over the base ring Z_p (or Z_4),
-least-significant coefficient first.  A context object holds the defining
-polynomial together with precomputed multiplication matrices and trace data;
-contexts are immutable after construction and every operation is pure.
+Both are Z_q[X]/(h) for a monic h, with q = p for GF(p^k) and q = 4 for
+GR(4^m).  Elements are immutable coefficient vectors over Z_q, least-significant
+coefficient first.  One shared core says every rule that needs only q and h:
+sums, negation, scalar and element products, non-negative powers, the integer
+label, zero, one, the root of h, element construction and the context check.
+GF(p^k) adds the inverse and negative powers, its trace vector and its
+multiplication matrices; GR(4^m) adds the Teichmuller set, the 2-adic split and
+its generalized trace, and rejects negative powers.  Contexts are immutable
+after construction and every operation is pure.
 
-The computational-basis label of an element is the base-p (base-4) integer of
-its coefficient vector, least-significant coefficient first.
+The computational-basis label of an element is the base-q integer of its
+coefficient vector, least-significant coefficient first.
 """
 
 from __future__ import annotations
@@ -54,6 +59,15 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _digits(value: int, base: int, k: int) -> tuple[int, ...]:
+    """The k base-`base` digits of value, least significant first."""
+    out = []
+    for _ in range(k):
+        out.append(value % base)
+        value //= base
+    return tuple(out)
+
+
 def _poly_mul_mod(x: tuple[int, ...], y: tuple[int, ...], h: tuple[int, ...], base: int) -> tuple[int, ...]:
     """Multiply two degree-<k polynomials modulo a monic degree-k polynomial.
 
@@ -76,6 +90,7 @@ def _poly_mul_mod(x: tuple[int, ...], y: tuple[int, ...], h: tuple[int, ...], ba
 
 
 def _poly_pow_mod(x: tuple[int, ...], e: int, h: tuple[int, ...], base: int) -> tuple[int, ...]:
+    """x^e mod h for e >= 0 (square and multiply)."""
     k = len(h)
     acc = tuple([1] + [0] * (k - 1))
     sq = x
@@ -87,67 +102,120 @@ def _poly_pow_mod(x: tuple[int, ...], e: int, h: tuple[int, ...], base: int) -> 
     return acc
 
 
+def _root_coeffs(h: tuple[int, ...], base: int) -> tuple[int, ...]:
+    """The root of h, reduced: X for degree >= 2, the constant -h_0 for degree 1."""
+    if len(h) == 1:
+        return ((-h[0]) % base,)
+    return tuple([0, 1] + [0] * (len(h) - 2))
+
+
 def _root_has_order(h: tuple[int, ...], base: int, order: int) -> bool:
     """Check that X mod h(X) has multiplicative order exactly `order`."""
-    k = len(h)
-    one = tuple([1] + [0] * (k - 1))
-    if k == 1:
-        root = ((-h[0]) % base,)
-    else:
-        root = tuple([0, 1] + [0] * (k - 2))
+    one = tuple([1] + [0] * (len(h) - 1))
+    root = _root_coeffs(h, base)
     if _poly_pow_mod(root, order, h, base) != one:
         return False
     return all(_poly_pow_mod(root, order // q, h, base) != one for q in _prime_factors(order))
 
 
 @dataclass(frozen=True)
-class GfElement:
-    """Element of GF(p^k) as a coefficient tuple over Z_p (constant term first)."""
+class _PolyElement:
+    """Element of Z_q[X]/(h) as a coefficient tuple over Z_q (constant term
+    first); q and h come from the context."""
 
-    ctx: "GfContext"
+    ctx: "_PolyContext"
     coeffs: tuple[int, ...]
 
-    def __add__(self, other: "GfElement") -> "GfElement":
-        self._check(other)
-        return GfElement(self.ctx, tuple((a + b) % self.ctx.p for a, b in zip(self.coeffs, other.coeffs)))
+    def __add__(self, other):
+        self.ctx._own(other)
+        q = self.ctx._q
+        return type(self)(self.ctx, tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "GfElement") -> "GfElement":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "GfElement":
-        return GfElement(self.ctx, tuple((-a) % self.ctx.p for a in self.coeffs))
+    def __neg__(self):
+        return type(self)(self.ctx, tuple((-a) % self.ctx._q for a in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return GfElement(self.ctx, tuple((other * a) % self.ctx.p for a in self.coeffs))
-        self._check(other)
-        return GfElement(self.ctx, _poly_mul_mod(self.coeffs, other.coeffs, self.ctx.h, self.ctx.p))
+            return type(self)(self.ctx, tuple((other * a) % self.ctx._q for a in self.coeffs))
+        self.ctx._own(other)
+        return type(self)(self.ctx, _poly_mul_mod(self.coeffs, other.coeffs, self.ctx.h, self.ctx._q))
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "GfElement":
+    def __pow__(self, e: int):
         if e < 0:
-            return self.inverse() ** (-e)
-        return GfElement(self.ctx, _poly_pow_mod(self.coeffs, e, self.ctx.h, self.ctx.p))
-
-    def inverse(self) -> "GfElement":
-        if not any(self.coeffs):
-            raise ZeroDivisionError("inverse of zero in GF(p^k)")
-        return self ** (self.ctx.order - 2)
+            raise ValueError(f"negative powers are not supported in {self.ctx._name}, got {e}")
+        return type(self)(self.ctx, _poly_pow_mod(self.coeffs, e, self.ctx.h, self.ctx._q))
 
     def trace(self) -> int:
         return self.ctx.trace(self)
 
     @property
     def int_label(self) -> int:
-        return sum(c * self.ctx.p**i for i, c in enumerate(self.coeffs))
-
-    def _check(self, other: "GfElement") -> None:
-        if other.ctx is not self.ctx:
-            raise ValueError("elements belong to different field contexts")
+        return sum(c * self.ctx._q**i for i, c in enumerate(self.coeffs))
 
 
-class GfContext:
+class _PolyContext:
+    """Z_q[X]/(h) for a monic h of degree n, given by its low coefficients."""
+
+    _element: type[_PolyElement]
+
+    def __init__(self, q: int, n: int, h: tuple[int, ...], name: str):
+        self._q, self._n, self.h, self._name = q, n, h, name
+
+    @property
+    def zero(self):
+        return self._element(self, (0,) * self._n)
+
+    @property
+    def one(self):
+        return self._element(self, tuple([1] + [0] * (self._n - 1)))
+
+    def element_from_coeffs(self, coeffs):
+        c = tuple(int(x) % self._q for x in coeffs)
+        if len(c) != self._n:
+            raise ValueError(f"expected {self._n} coefficients, got {len(c)}")
+        return self._element(self, c)
+
+    def element_from_int(self, label: int):
+        if not 0 <= label < self._q**self._n:
+            raise ValueError(f"label {label} out of range for {self._name}")
+        return self._element(self, _digits(label, self._q, self._n))
+
+    def elements(self):
+        """All q^n elements in integer-label order."""
+        return [self.element_from_int(v) for v in range(self._q**self._n)]
+
+    def _powers(self, x: _PolyElement, count: int) -> list[_PolyElement]:
+        """x^0, x^1, ..., x^(count-1)."""
+        out = [self.one]
+        for _ in range(count - 1):
+            out.append(out[-1] * x)
+        return out
+
+    def _own(self, x: _PolyElement) -> None:
+        if x.ctx is not self:
+            raise ValueError(f"element belongs to a different {self._name} context")
+
+
+class GfElement(_PolyElement):
+    """Element of GF(p^k) as a coefficient tuple over Z_p (constant term first)."""
+
+    def __pow__(self, e: int) -> "GfElement":
+        if e < 0:
+            return self.inverse() ** (-e)
+        return super().__pow__(e)
+
+    def inverse(self) -> "GfElement":
+        if not any(self.coeffs):
+            raise ZeroDivisionError("inverse of zero in GF(p^k)")
+        return self ** (self.ctx.order - 2)
+
+
+class GfContext(_PolyContext):
     """GF(p^k) built as F_p[X]/(h) for the lexicographically smallest monic
     primitive h, found by brute-force order testing of the root X.
 
@@ -157,6 +225,8 @@ class GfContext:
         mul_matrices: k x k multiplication matrix over F_p per basis monomial
         trace_vector: t with tr(x) = (t, coeffs(x)) mod p
     """
+
+    _element = GfElement
 
     def __init__(self, p: int, k: int):
         if not is_prime(p):
@@ -168,8 +238,8 @@ class GfContext:
         self.p = p
         self.k = k
         self.order = p**k
-        self.h = self._find_primitive(p, k)
-        self._xi_powers = self._monomial_powers()
+        super().__init__(p, k, self._find_primitive(p, k), f"GF({p}^{k})")
+        self._xi_powers = [e.coeffs for e in self._powers(self.xi, 2 * k - 1)]  # X^t mod h, t <= 2k-2
         self.mul_matrices = self._build_mul_matrices()
         self.trace_vector = self._build_trace_vector()
 
@@ -177,25 +247,10 @@ class GfContext:
     def _find_primitive(p: int, k: int) -> tuple[int, ...]:
         # candidates ordered by the base-p integer of (h_0, ..., h_{k-1})
         for value in range(p**k):
-            coeffs, v = [], value
-            for _ in range(k):
-                coeffs.append(v % p)
-                v //= p
-            h = tuple(coeffs)
+            h = _digits(value, p, k)
             if _root_has_order(h, p, p**k - 1):
                 return h
         raise RuntimeError(f"no primitive polynomial of degree {k} over F_{p}")  # pragma: no cover
-
-    def _monomial_powers(self) -> list[tuple[int, ...]]:
-        """Coefficient vectors of X^t mod h for t = 0 .. 2k-2."""
-        one = self.one
-        out = [one.coeffs]
-        xi = self.xi
-        cur = one
-        for _ in range(2 * self.k - 2):
-            cur = cur * xi
-            out.append(cur.coeffs)
-        return out
 
     def _build_mul_matrices(self) -> list[np.ndarray]:
         mats = []
@@ -219,42 +274,12 @@ class GfContext:
         return t
 
     @property
-    def zero(self) -> GfElement:
-        return GfElement(self, (0,) * self.k)
-
-    @property
-    def one(self) -> GfElement:
-        return GfElement(self, tuple([1] + [0] * (self.k - 1)))
-
-    @property
     def xi(self) -> GfElement:
         """The root of h, reduced (equals X for k >= 2, -h_0 for k = 1)."""
-        if self.k == 1:
-            return GfElement(self, ((-self.h[0]) % self.p,))
-        return GfElement(self, tuple([0, 1] + [0] * (self.k - 2)))
-
-    def element_from_coeffs(self, coeffs) -> GfElement:
-        c = tuple(int(x) % self.p for x in coeffs)
-        if len(c) != self.k:
-            raise ValueError(f"expected {self.k} coefficients, got {len(c)}")
-        return GfElement(self, c)
-
-    def element_from_int(self, label: int) -> GfElement:
-        if not 0 <= label < self.order:
-            raise ValueError(f"label {label} out of range for GF({self.p}^{self.k})")
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(label % self.p)
-            label //= self.p
-        return GfElement(self, tuple(coeffs))
-
-    def elements(self):
-        """All p^k elements in integer-label order."""
-        return [self.element_from_int(v) for v in range(self.order)]
+        return GfElement(self, _root_coeffs(self.h, self.p))
 
     def trace(self, x: GfElement) -> int:
-        if x.ctx is not self:
-            raise ValueError("element belongs to a different field context")
+        self._own(x)
         return int(np.dot(self.trace_vector, np.asarray(x.coeffs, dtype=np.int64)) % self.p)
 
     def monomial_vector(self, t: int) -> tuple[int, ...]:
@@ -275,47 +300,11 @@ def gf_gauss_sum(ctx: GfContext, a: GfElement) -> complex:
     return total
 
 
-@dataclass(frozen=True)
-class GrElement:
+class GrElement(_PolyElement):
     """Element of GR(4^m) as a coefficient tuple over Z_4 (constant term first)."""
 
-    ctx: "GrContext"
-    coeffs: tuple[int, ...]
 
-    def __add__(self, other: "GrElement") -> "GrElement":
-        self._check(other)
-        return GrElement(self.ctx, tuple((a + b) % 4 for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "GrElement") -> "GrElement":
-        return self + (-other)
-
-    def __neg__(self) -> "GrElement":
-        return GrElement(self.ctx, tuple((-a) % 4 for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GrElement(self.ctx, tuple((other * a) % 4 for a in self.coeffs))
-        self._check(other)
-        return GrElement(self.ctx, _poly_mul_mod(self.coeffs, other.coeffs, self.ctx.h, 4))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "GrElement":
-        return GrElement(self.ctx, _poly_pow_mod(self.coeffs, e, self.ctx.h, 4))
-
-    def trace(self) -> int:
-        return self.ctx.trace(self)
-
-    @property
-    def int_label(self) -> int:
-        return sum(c * 4**i for i, c in enumerate(self.coeffs))
-
-    def _check(self, other: "GrElement") -> None:
-        if other.ctx is not self.ctx:
-            raise ValueError("elements belong to different ring contexts")
-
-
-class GrContext:
+class GrContext(_PolyContext):
     """GR(4^m) built as Z_4[X]/(h) for a monic basic primitive h of degree m.
 
     h is chosen as the smallest lift (by base-4 integer of its coefficient
@@ -324,13 +313,15 @@ class GrContext:
     {0, 1, X, ..., X^(2^m - 2)}.
     """
 
+    _element = GrElement
+
     def __init__(self, m: int):
         if m < 1:
             raise ValueError("degree m must be >= 1")
         if 4**m > _SIZE_CAP:
             raise ValueError(f"4^m = {4**m} exceeds the 2^16 size cap")
         self.m = m
-        self.h = self._find_basic_primitive(m)
+        super().__init__(4, m, self._find_basic_primitive(m), f"GR(4^{m})")
         self.teichmuller = self._build_teichmuller()
         self._teich_index = {t.coeffs: i for i, t in enumerate(self.teichmuller)}
         self._adic: dict[tuple[int, ...], tuple[GrElement, GrElement]] | None = None
@@ -350,25 +341,11 @@ class GrContext:
         raise RuntimeError(f"no basic primitive lift found for m = {m}")  # pragma: no cover
 
     @property
-    def zero(self) -> GrElement:
-        return GrElement(self, (0,) * self.m)
-
-    @property
-    def one(self) -> GrElement:
-        return GrElement(self, tuple([1] + [0] * (self.m - 1)))
-
-    @property
     def x(self) -> GrElement:
-        if self.m == 1:
-            return GrElement(self, ((-self.h[0]) % 4,))
-        return GrElement(self, tuple([0, 1] + [0] * (self.m - 2)))
+        return GrElement(self, _root_coeffs(self.h, 4))
 
     def _build_teichmuller(self) -> list[GrElement]:
-        out = [self.zero, self.one]
-        cur = self.one
-        for _ in range(2**self.m - 2):
-            cur = cur * self.x
-            out.append(cur)
+        out = [self.zero] + self._powers(self.x, 2**self.m - 1)
         if len({e.coeffs for e in out}) != 2**self.m:
             raise RuntimeError("Teichmuller set has repeated elements")  # pragma: no cover
         return out
@@ -385,24 +362,6 @@ class GrContext:
             raise RuntimeError("2-adic decomposition does not cover the ring")  # pragma: no cover
         return table
 
-    def element_from_coeffs(self, coeffs) -> GrElement:
-        c = tuple(int(x) % 4 for x in coeffs)
-        if len(c) != self.m:
-            raise ValueError(f"expected {self.m} coefficients, got {len(c)}")
-        return GrElement(self, c)
-
-    def element_from_int(self, label: int) -> GrElement:
-        if not 0 <= label < 4**self.m:
-            raise ValueError(f"label {label} out of range for GR(4^{self.m})")
-        coeffs = []
-        for _ in range(self.m):
-            coeffs.append(label % 4)
-            label //= 4
-        return GrElement(self, tuple(coeffs))
-
-    def elements(self):
-        return [self.element_from_int(v) for v in range(4**self.m)]
-
     def teich_mul_index(self, i: int, j: int) -> int:
         """Index of teichmuller[i] * teichmuller[j]: the nonzero part of the
         Teichmuller set is cyclic of order 2^m - 1 under multiplication."""
@@ -411,8 +370,7 @@ class GrContext:
         return 1 + (i - 1 + j - 1) % (2**self.m - 1)
 
     def two_adic(self, c: GrElement) -> tuple[GrElement, GrElement]:
-        if c.ctx is not self:
-            raise ValueError("element belongs to a different ring context")
+        self._own(c)
         if c.coeffs in self._teich_index:  # c = c + 2*0
             return c, self.zero
         if self._adic is None:
@@ -421,8 +379,7 @@ class GrContext:
 
     def trace(self, c: GrElement) -> int:
         """Generalized trace: with c = a + 2b, sum_i (a^(2^i) + 2 b^(2^i)) mod 4."""
-        if c.ctx is not self:
-            raise ValueError("element belongs to a different ring context")
+        self._own(c)
         cached = self._trace_cache.get(c.coeffs)
         if cached is not None:
             return cached

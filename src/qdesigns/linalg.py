@@ -26,7 +26,6 @@ __all__ = [
     "random_kraus_channel_ops",
 ]
 
-OPERATOR_DIM_CAP = 256
 SUPERMATRIX_DIM_CAP = 4096
 
 

@@ -42,7 +42,7 @@ QUBIT_CAP = 7
 _GRAM_ROWS = 256  # rows of the angle-check Gram matrix held at once
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MubFamily:
     """d+1 orthonormal bases of dimension d; states[a, b] is the b-th state
     of basis a, and basis a = d is computational."""

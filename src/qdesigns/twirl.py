@@ -176,7 +176,7 @@ def char_sum(j: PauliLabel) -> complex:
     return complex(sum(om ** symplectic_inner(x, j) for x in all_labels(j.d, j.n)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliChannel:
     """Pauli superoperator rho -> sum_r beta_r P_r rho P_r^dagger, with the
     weights stored over integer labels."""
@@ -668,6 +668,9 @@ def _check_rounds(n: int, k: int) -> None:
         raise ValueError(f"the twirl needs k >= 1 rounds, got k = {k}")
 
 
+_MC_QUBIT_CAP = 11  # the 4^n-long label histograms grow x4 per qubit: about 0.2 GB peak at n = 11
+
+
 def mc_convergence_curve(
     n: int,
     k: int,
@@ -681,10 +684,12 @@ def mc_convergence_curve(
     (rising with the label count; it dwarfs small true distances), so the same
     statistic is computed for one exact-uniform multinomial draw of the same
     size and subtracted, clamped at zero.  Each entry carries the raw value,
-    the calibration floor, and the corrected estimate.  Needs n >= 2, k >= 1
-    and samples >= 1 (ValueError otherwise).
+    the calibration floor, and the corrected estimate.  Needs 2 <= n <= 11,
+    k >= 1 and samples >= 1 (ValueError otherwise, before anything is allocated).
     """
     _check_rounds(n, k)
+    if n > _MC_QUBIT_CAP:
+        raise ValueError(f"the Monte-Carlo twirl is capped at n <= {_MC_QUBIT_CAP} qubits, got n = {n}")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     if start is None:

@@ -66,6 +66,24 @@ def test_channel_and_config_equality_is_identity_and_never_raises():
     assert cfg == cfg
     assert (cfg == ExperimentConfig(ch, target_unitary=np.eye(2, dtype=complex))) is False
 
+    from qdesigns.circuits import AmplitudeSplit
+    from qdesigns.mub import MubFamily
+    from qdesigns.twirl import PauliChannel
+
+    # every frozen dataclass that holds an array compares by identity
+    makers = [
+        lambda: Supermatrix(2, np.eye(4, dtype=complex)),
+        lambda: ChoiMatrix(2, np.eye(4, dtype=complex)),
+        lambda: PauliChannel(2, 1, np.full(4, 0.25)),
+        lambda: MubFamily(2, "prime", np.zeros((3, 2, 2), dtype=complex)),
+        lambda: AmplitudeSplit(0.5, np.eye(2)),
+    ]
+    for make in makers:
+        obj = make()
+        assert obj == obj
+        assert (obj == make()) is False
+        assert len({obj, obj}) == 1
+
 
 def test_identity_channel_apply():
     rng = np.random.default_rng(0)

@@ -249,6 +249,7 @@ def test_twirl_mc_smoke(tmp_path, capsys):
     "--n 0 --k 3 --samples 100",
     "--n 2 --k 0 --exact",
     "--n 1 --k 3 --exact",
+    "--n 12 --k 1 --samples 10",
 ])
 def test_twirl_usage_errors_exit_2(tmp_path, capsys, flags):
     out = tmp_path / "c.csv"

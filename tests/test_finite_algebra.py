@@ -205,9 +205,24 @@ def test_context_mismatch_raises():
     b = GfContext(3, 1).one  # distinct context object
     with pytest.raises(ValueError):
         a + b
+    c, e = GrContext(2).one, GrContext(2).one  # the ring shares the check
+    with pytest.raises(ValueError):
+        c * e
+    with pytest.raises(ValueError):
+        GrContext(2).trace(c)
 
 
 def test_inverse_of_zero_raises():
     ctx = GfContext(3, 2)
     with pytest.raises(ZeroDivisionError):
         ctx.zero.inverse()
+
+
+def test_negative_powers_invert_in_gf_and_are_rejected_in_gr():
+    gf = GfContext(3, 2)
+    assert gf.xi ** -1 == gf.xi.inverse()
+    assert gf.xi ** -3 * gf.xi**3 == gf.one
+    gr = GrContext(2)
+    with pytest.raises(ValueError):
+        gr.x ** -1
+    assert gr.x**0 == gr.one

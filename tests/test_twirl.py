@@ -531,7 +531,8 @@ def test_benchmark_sized_twirl_stream_is_pinned(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("n,k,samples", [(2, 0, 100), (2, -1, 100), (2, 3, 0), (1, 3, 100), (0, 3, 100)])
+@pytest.mark.parametrize("n,k,samples", [(2, 0, 100), (2, -1, 100), (2, 3, 0), (1, 3, 100), (0, 3, 100),
+                                           (12, 1, 10)])
 def test_mc_convergence_curve_rejects_degenerate_runs(n, k, samples):
     with pytest.raises(ValueError):
         mc_convergence_curve(n, k, samples, np.random.default_rng(0))
