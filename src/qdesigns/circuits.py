@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .finite_algebra import GfContext, GfElement, is_prime
+from .linalg import basis_state
 
 __all__ = [
     "Gate",
@@ -46,6 +47,7 @@ __all__ = [
     "amplitude_amplify",
     "amplitude_split",
     "projected_mub_prepare",
+    "projected_mub_states",
     "embedding_prime",
     "parallel_prefix_parity",
     "classical_parity_map",
@@ -270,11 +272,11 @@ def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Run the circuit's plan on a statevector of shape (dim,), or on each row
     of a stack of shape (m, dim); returns a fresh array of the same shape."""
     dim = circuit.d**circuit.n
+    if dim > SIMULATE_DIM_CAP:
+        raise ValueError(f"register dimension {dim} exceeds the simulation cap {SIMULATE_DIM_CAP}")
     state = np.asarray(state, dtype=complex)
     if state.ndim not in (1, 2) or state.shape[-1] != dim:
         raise ValueError(f"input shape {state.shape} is not (dim,) or (m, dim) for register size {dim}")
-    if dim > SIMULATE_DIM_CAP:
-        raise ValueError(f"register dimension {dim} exceeds the simulation cap {SIMULATE_DIM_CAP}")
     out = state.copy()
     for step in circuit._compiled():
         if isinstance(step, Gate):
@@ -453,68 +455,109 @@ def embedding_prime(n_qubits: int) -> int:
     return p
 
 
-def projected_mub_prepare(n_qubits: int, a: int, b: int, ancilla_tol: float = 1e-6) -> np.ndarray:
-    """Prepare the renormalized projection onto 2^n_qubits levels of a
-    prime-dimension MUB state, via one exact amplitude-amplification round.
+PROJECTED_STACK_QUBIT_CAP = 6  # p^2 rows of 2^(n+2) amplitudes: 18 MB per stack at n = 6 (d = 64)
+_AMPLIFIED_GOOD = math.cos(math.pi / 3)  # good amplitude after the ancilla rotation
+
+
+def _amplified_projections(n_qubits: int, a: np.ndarray, b: np.ndarray, ancilla_tol: float) -> np.ndarray:
+    """Row i: projected_mub_states' row for label (a[i], b[i]), a[i] < p.
+
+    build_mub_circuit_prime(p, n_qubits, a, b) is one H layer followed only by
+    diagonal gates, which multiply |x> by w_p^(a x^2 + b x): the preparation
+    is the shared layer, then a phase row; the inverse is the conjugate row,
+    then the layer.  The layer is applied through its dense unitary, so the
+    register is capped at UNITARY_DIM_CAP.  The ancilla is axis 1 of each
+    (rows, 2, 2^(n_qubits+1)) stack.
+    """
+    p = embedding_prime(n_qubits)
+    d = 2**n_qubits
+    layer = circuit_unitary(Circuit(n_qubits + 1, 2, [Gate("H", (q,)) for q in range(n_qubits + 1)])).T
+    x = np.arange(2 * d)
+    phase = np.exp(2j * np.pi * np.arange(p) / p)[(a[:, None] * x * x + b[:, None] * x) % p]
+
+    def prep(v: np.ndarray) -> np.ndarray:
+        return phase[:, None] * (v @ layer)
+
+    def unprep(v: np.ndarray) -> np.ndarray:
+        return (phase.conj()[:, None] * v) @ layer
+
+    def first(failed: np.ndarray) -> str:
+        i = int(np.flatnonzero(failed)[0])
+        return f"(a, b) = ({a[i]}, {b[i]})"
+
+    psi = phase * layer[0]  # every prep|0>
+    alpha = _AMPLIFIED_GOOD / np.linalg.norm(psi[:, :d], axis=1)
+    failed = alpha > 1
+    if failed.any():
+        raise ValueError(f"{first(failed)}: projection weight below 1/4: single-round amplification impossible")
+    beta = np.sqrt(1 - alpha * alpha)
+    rot = np.stack([np.stack([alpha, -beta], axis=1), np.stack([beta, alpha], axis=1)], axis=1)
+
+    # the ancilla rotation after prep on |0>|0>
+    state = np.stack([alpha[:, None] * psi, beta[:, None] * psi], axis=1)
+    # reflection about the bad axis: negate the good subspace, both ancillas |0>
+    state[:, 0, :d] *= -1
+    # reflection about |0>|0>: keep its amplitude, negate the rest
+    w = -unprep(rot.transpose(0, 2, 1) @ state)
+    w[:, 0, 0] *= -1
+    good = (rot @ prep(w))[:, 0, :d]
+
+    norms = np.linalg.norm(good, axis=1)
+    residual = np.sqrt(np.maximum(0.0, 1 - norms**2))
+    failed = residual > ancilla_tol
+    if failed.any():
+        raise RuntimeError(f"{first(failed)}: ancillas failed to return to |00>: "
+                           f"residual {residual[failed][0]:.2e}")
+    return good / norms[:, None]
+
+
+def projected_mub_states(n_qubits: int, ancilla_tol: float = 1e-6) -> np.ndarray:
+    """The renormalized projections onto 2^n_qubits levels of every
+    prime-dimension MUB state, p = embedding_prime(n_qubits), prepared by one
+    exact amplitude-amplification round: row a*p + b holds label (a, b).
 
     Register: n_qubits data qubits, one embedding qubit (the MUB state lives
     on the first p of 2^(n_qubits+1) levels), one rotated ancilla.  The
     ancilla rotation scales the good amplitude to exactly cos(pi/3) = 1/2, so
-    a single round lands the register on ancillas |00> up to rounding; a
-    residual above `ancilla_tol` raises.
+    a single round lands the register on ancillas |00> up to rounding; a row
+    whose residual exceeds `ancilla_tol` raises, naming its (a, b).
 
-    The initial good amplitude is measured from the prepared state itself.
+    The initial good amplitude is measured from each prepared state itself.
     For every non-computational (a, b) it equals sqrt(1/2): the efficient
     preparation leaves a flat superposition over the whole embedding register,
     and the levels at or above p carry the same per-level weight as the rest.
     The kept amplitudes are proportional to the closed-form state's, so the
-    renormalized output is its exact projection either way.
+    renormalized output is its exact projection either way.  The computational
+    rows a = p are |b> for b < 2^n_qubits; the rows b >= 2^n_qubits project
+    to zero and are left zero.
     """
+    if not 1 <= n_qubits <= PROJECTED_STACK_QUBIT_CAP:
+        raise ValueError(f"projected stack needs 1 <= n_qubits <= {PROJECTED_STACK_QUBIT_CAP}, got {n_qubits}")
+    p = embedding_prime(n_qubits)
+    d = 2**n_qubits
+    a, b = np.divmod(np.arange(p * p), p)
+    out = np.zeros((p * (p + 1), d), dtype=complex)
+    out[:p * p] = _amplified_projections(n_qubits, a, b, ancilla_tol)
+    out[p * p + np.arange(d), np.arange(d)] = 1
+    return out
+
+
+def projected_mub_prepare(n_qubits: int, a: int, b: int, ancilla_tol: float = 1e-6) -> np.ndarray:
+    """Row a*p + b of projected_mub_states(n_qubits, ancilla_tol), run for
+    that one label; a computational state that projects to zero raises."""
+    if n_qubits < 1:
+        raise ValueError(f"need n_qubits >= 1, got {n_qubits}")
     p = embedding_prime(n_qubits)
     d = 2**n_qubits
     if not 0 <= a <= p:
         raise ValueError(f"basis label a = {a} outside 0..{p}")
     if not 0 <= b < p:
         raise ValueError(f"state label b = {b} outside 0..{p - 1}")
-    prep = build_mub_circuit_prime(p, n_qubits, a, b)
-    reg_dim = 2 ** (n_qubits + 1)
-    e0 = np.zeros(reg_dim, dtype=complex)
-    e0[0] = 1
-    psi = simulate(prep, e0)  # on the n_qubits+1 register
     if a == p:
         if b >= d:
             raise ValueError(f"computational state {b} projects to zero on {n_qubits} qubits")
-        return psi[:d].copy()
-
-    cos_theta = float(np.linalg.norm(psi[:d]))
-    alpha = math.cos(math.pi / 3) / cos_theta
-    if alpha > 1:
-        raise ValueError("projection weight below 1/4: single-round amplification impossible")
-    rot = np.array([[alpha, -math.sqrt(1 - alpha * alpha)], [math.sqrt(1 - alpha * alpha), alpha]])
-
-    inv = prep.inverse()
-
-    # the rotated ancilla is the major qubit: one row of the register per ancilla level
-    def apply_a(v: np.ndarray) -> np.ndarray:
-        return (rot @ simulate(prep, v.reshape(2, reg_dim))).reshape(-1)
-
-    def apply_a_dag(v: np.ndarray) -> np.ndarray:
-        return simulate(inv, rot.T @ v.reshape(2, reg_dim)).reshape(-1)
-
-    full0 = np.zeros(2 * reg_dim, dtype=complex)
-    full0[0] = 1
-    state = apply_a(full0)
-    # good subspace: both ancillas |0>, i.e. index < 2^n_qubits
-    state[:d] *= -1
-    w = apply_a_dag(state)
-    w = 2 * w[0] * full0 - w
-    state = apply_a(w)
-
-    good = state[:d]
-    residual = math.sqrt(max(0.0, 1 - float(np.linalg.norm(good)) ** 2))
-    if residual > ancilla_tol:
-        raise RuntimeError(f"ancillas failed to return to |00>: residual {residual:.2e}")
-    return good / np.linalg.norm(good)
+        return basis_state(d, b)
+    return _amplified_projections(n_qubits, np.array([a]), np.array([b]), ancilla_tol)[0]
 
 
 def parallel_prefix_parity(n: int, controls, target: int) -> Circuit:

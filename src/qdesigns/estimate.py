@@ -29,9 +29,9 @@ from .channels import (
     avg_from_entanglement,
     entanglement_fidelity,
 )
-from .circuits import Circuit, Gate, embedding_prime, projected_mub_prepare, simulate
+from .circuits import Circuit, Gate, embedding_prime, projected_mub_states, simulate
 from .linalg import hermitian_eig
-from .mub import MubFamily, mub_prime
+from .mub import MubFamily
 from .twirl import PauliLabel, pauli_matrix
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
 
 PROTOCOLS = ("mub_mc", "mub_exact", "projected", "ancilla")
 _BRANCH_CHUNK = 256  # Kraus branches per simulate call in the ancilla protocol
+_STATE_CHUNK = 512  # states per outcome-probability product; every d <= 16 run is one chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,11 +106,17 @@ class EstimateResult:
 
 def _pure_outcome_probs(states: np.ndarray, kraus) -> np.ndarray:
     """<psi|E(|psi><psi|)|psi> = sum_k |<psi|A_k|psi>|^2 for stacked states:
-    <psi|A|psi> is the inner product of vec(A) with vec(conj(psi) psi^T)."""
-    s, d = states.shape
-    outer = (states.conj()[:, :, None] * states[:, None, :]).reshape(s, d * d)
-    amps = np.reshape(kraus, (-1, d * d)) @ outer.T  # (K, S)
-    return (np.abs(amps) ** 2).sum(axis=0)
+    <psi|A|psi> is the inner product of vec(A) with vec(conj(psi) psi^T).
+    The states go _STATE_CHUNK at a time, so the (S, d^2) outer products and
+    the (K, S) amplitudes stay small for d(d+1) states at large d."""
+    d = states.shape[1]
+    flat = np.reshape(kraus, (-1, d * d))
+    probs = np.empty(len(states))
+    for lo in range(0, len(states), _STATE_CHUNK):
+        part = states[lo:lo + _STATE_CHUNK]
+        outer = (part.conj()[:, :, None] * part[:, None, :]).reshape(len(part), d * d)
+        probs[lo:lo + len(part)] = (np.abs(flat @ outer.T) ** 2).sum(axis=0)  # amplitudes (K, chunk)
+    return probs
 
 
 def _bernoulli_mean(
@@ -160,19 +167,9 @@ def projected_estimate(cfg: ExperimentConfig) -> EstimateResult:
     if 2**n_qubits != d:
         raise ValueError(f"projected protocol needs a power-of-two dimension, got {d}")
     p = embedding_prime(n_qubits)
-    family = mub_prime(p)
-    states, weights = [], []
-    for a in range(p + 1):
-        for b in range(p):
-            w = float(np.linalg.norm(family.states[a, b][:d]) ** 2)
-            if w < 1e-12:
-                states.append(np.zeros(d, dtype=complex))
-                weights.append(0.0)
-            else:
-                states.append(projected_mub_prepare(n_qubits, a, b))
-                weights.append(w)
-    states = np.array(states)
-    weights = np.array(weights)
+    states = projected_mub_states(n_qubits)
+    # squared projection norms: d/p for a < p, 1 for |b> with b < d, 0 beyond
+    weights = np.concatenate([np.full(p * p, d / p), (np.arange(p) < d).astype(float)])
     probs = _pure_outcome_probs(states, noise.kraus)
     probs[weights == 0] = 1.0  # zero-projection states count as correct, with weight zero
     rescale = p * (p + 1) / (d * (d + 1))

@@ -596,15 +596,10 @@ def step1_success_probability(label: PauliLabel) -> float:
     the X-part is nonzero and 0 for pure I/Z labels.  The convergence analysis
     only uses 1/2 as a lower bound; nothing tighter is asserted anywhere.
     """
+    if label.d != 2:
+        raise ValueError(f"step-1 success is defined for qubit labels, got d = {label.d}")
     n = label.n
-    good = 0
-    for mask in range(1, 2**n):
-        parity = 0
-        for q in range(n):
-            if (mask >> q) & 1:
-                parity ^= label.xa[q]
-        good += parity
-    return good / (2**n - 1)
+    return (2 ** (n - 1) if any(label.xa) else 0) / (2**n - 1)
 
 
 # --- vectorized Monte-Carlo convergence --------------------------------------

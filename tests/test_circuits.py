@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qdesigns.circuits
 from qdesigns.circuits import (
+    PROJECTED_STACK_QUBIT_CAP,
+    SIMULATE_DIM_CAP,
+    UNITARY_DIM_CAP,
     Circuit,
     CircuitParseError,
     Gate,
@@ -24,6 +28,7 @@ from qdesigns.circuits import (
     parallel_prefix_parity,
     parse_circuit,
     projected_mub_prepare,
+    projected_mub_states,
     simulate,
     _ARITY,
     _DIAGONAL,
@@ -305,6 +310,112 @@ def test_projected_prepare_computational_branch():
         assert np.abs(out - basis_state(4, b)).max() < 1e-12
     with pytest.raises(ValueError):
         projected_mub_prepare(2, 5, 4)  # projects to zero
+
+
+def per_circuit_projected_prepare(n_qubits, a, b, ancilla_tol=1e-6):
+    """Oracle: one label at a time through its own preparation circuit, run by
+    simulate, with the amplification round spelled out gate by gate."""
+    p = embedding_prime(n_qubits)
+    d = 2**n_qubits
+    prep = build_mub_circuit_prime(p, n_qubits, a, b)
+    reg_dim = 2 ** (n_qubits + 1)
+    psi = simulate(prep, basis_state(reg_dim, 0))
+    if a == p:
+        if b >= d:
+            raise ValueError(f"computational state {b} projects to zero on {n_qubits} qubits")
+        return psi[:d].copy()
+    alpha = math.cos(math.pi / 3) / float(np.linalg.norm(psi[:d]))
+    if alpha > 1:
+        raise ValueError("projection weight below 1/4: single-round amplification impossible")
+    rot = np.array([[alpha, -math.sqrt(1 - alpha * alpha)], [math.sqrt(1 - alpha * alpha), alpha]])
+    inv = prep.inverse()
+
+    def apply_a(v):  # the rotated ancilla is the major qubit
+        return (rot @ simulate(prep, v.reshape(2, reg_dim))).reshape(-1)
+
+    def apply_a_dag(v):
+        return simulate(inv, rot.T @ v.reshape(2, reg_dim)).reshape(-1)
+
+    full0 = basis_state(2 * reg_dim, 0)
+    state = apply_a(full0)
+    state[:d] *= -1
+    w = apply_a_dag(state)
+    w = 2 * w[0] * full0 - w
+    state = apply_a(w)
+    good = state[:d]
+    residual = math.sqrt(max(0.0, 1 - float(np.linalg.norm(good)) ** 2))
+    if residual > ancilla_tol:
+        raise RuntimeError(f"ancillas failed to return to |00>: residual {residual:.2e}")
+    return good / np.linalg.norm(good)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_projected_stack_matches_per_circuit_oracle(n):
+    p, d = embedding_prime(n), 2**n
+    stack = projected_mub_states(n)
+    assert stack.shape == (p * (p + 1), d)
+    for a in range(p + 1):
+        for b in range(p):
+            row = stack[a * p + b]
+            if a == p and b >= d:
+                assert not row.any()  # projects to zero
+                continue
+            assert np.abs(row - per_circuit_projected_prepare(n, a, b)).max() <= 1e-14
+            assert np.array_equal(projected_mub_prepare(n, a, b), row)
+    # the computational rows are the basis states themselves, bit for bit
+    assert np.array_equal(stack[p * p:p * p + d], np.eye(d))
+
+
+def test_mub_circuit_plans_are_the_h_layer_and_the_exponent_table():
+    # the stack applies exactly this: H on every qubit, then w_p^(a x^2 + b x)
+    for p in (3, 5, 7, 11, 13, 17):
+        for n in range(max((p - 1).bit_length() - 1, 1), 5):
+            m = n + 1
+            x = np.arange(2**m)
+            for a in range(p):
+                for b in range(p):
+                    plan = build_mub_circuit_prime(p, n, a, b)._compiled()
+                    assert plan[:m] == [Gate("H", (q,)) for q in range(m)] and len(plan) == m + 1
+                    want = np.exp(2j * np.pi * ((a * x * x + b * x) % p) / p)
+                    assert np.abs(plan[m] - want).max() <= 1e-14, (p, n, a, b)
+
+
+def test_projected_residual_check_names_the_failing_label(monkeypatch):
+    # a wrong rotation angle leaves amplitude on the ancillas: the real per-row
+    # residual check fires, for the whole stack and for one label alike
+    monkeypatch.setattr(qdesigns.circuits, "_AMPLIFIED_GOOD", 0.45)
+    with pytest.raises(RuntimeError, match=r"^\(a, b\) = \(0, 0\): ancillas failed to return to \|00>: residual"):
+        projected_mub_states(2)
+    with pytest.raises(RuntimeError, match=r"^\(a, b\) = \(3, 1\): ancillas failed"):
+        projected_mub_prepare(2, 3, 1)
+    assert np.abs(projected_mub_prepare(2, 3, 1, ancilla_tol=1.0)).max() > 0  # loose tolerance passes
+    monkeypatch.setattr(qdesigns.circuits, "_AMPLIFIED_GOOD", 0.75)  # above cos(theta) = sqrt(1/2)
+    with pytest.raises(ValueError, match=r"^\(a, b\) = \(4, 2\): projection weight below 1/4"):
+        projected_mub_prepare(2, 4, 2)
+
+
+def test_projected_stack_cap_fails_before_allocating(no_numpy):
+    no_numpy(qdesigns.circuits)
+    for n in (0, PROJECTED_STACK_QUBIT_CAP + 1):
+        with pytest.raises(ValueError, match=f"projected stack needs 1 <= n_qubits <= {PROJECTED_STACK_QUBIT_CAP}"):
+            projected_mub_states(n)
+
+
+def test_simulate_cap_fails_before_allocating(no_numpy):
+    n = SIMULATE_DIM_CAP.bit_length()  # 2^n = 2 * SIMULATE_DIM_CAP
+    c = Circuit(n, 2, [Gate("H", (0,))])
+    state = np.zeros(2**n)
+    no_numpy(qdesigns.circuits)
+    with pytest.raises(ValueError, match=f"register dimension {2**n} exceeds the simulation cap {SIMULATE_DIM_CAP}"):
+        simulate(c, state)
+
+
+def test_unitary_cap_fails_before_allocating(no_numpy):
+    n = UNITARY_DIM_CAP.bit_length()
+    c = Circuit(n, 2, [Gate("H", (0,))])
+    no_numpy(qdesigns.circuits)
+    with pytest.raises(ValueError, match=f"dimension {2**n} exceeds the dense-unitary cap {UNITARY_DIM_CAP}"):
+        circuit_unitary(c)
 
 
 def test_parallel_prefix_single_control():

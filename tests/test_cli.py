@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import qdesigns.channels
+import qdesigns.mub
+import qdesigns.twirl
 from qdesigns.channels import channel_to_json, depolarizing
 from qdesigns.cli import main
 from qdesigns.circuits import parse_circuit, simulate
@@ -181,6 +183,36 @@ def test_depolarizing_outputs_are_pinned(tmp_path, capsys):
     )
 
 
+# the stacked preparation moved the last digits of the deterministic values;
+# in Monte-Carlo mode an ulp-level change of one outcome probability can change
+# how many uniforms a binomial draw consumes, so the later draws differ too
+@pytest.mark.parametrize("flags,line", [
+    ("--d 2",
+     '{"d": 2, "exact": 0.9500000000000001, "fidelity": 0.9500000000000003, "p_hat": 0.47500000000000014, "protocol": "projected", "seed": 0, "std_err": 0.0, "trials": 0}'),
+    ("--d 2 --trials 100000 --seed 3",
+     '{"d": 2, "exact": 0.9500000000000001, "fidelity": 0.9506711111111109, "p_hat": 0.47533555555555546, "protocol": "projected", "seed": 3, "std_err": 0.0008528040082538473, "trials": 100000}'),
+    ("--d 4",
+     '{"d": 4, "exact": 0.925, "fidelity": 0.9250000000000004, "p_hat": 0.6166666666666669, "protocol": "projected", "seed": 0, "std_err": 0.0, "trials": 0}'),
+    ("--d 4 --trials 100000 --seed 3",
+     '{"d": 4, "exact": 0.925, "fidelity": 0.9244338000000001, "p_hat": 0.6162892000000001, "protocol": "projected", "seed": 3, "std_err": 0.0007643841309404582, "trials": 100000}'),
+    ("--d 8",
+     '{"d": 8, "exact": 0.9125000000000001, "fidelity": 0.9125000000000002, "p_hat": 0.49772727272727285, "protocol": "projected", "seed": 0, "std_err": 0.0, "trials": 0}'),
+    ("--d 8 --trials 100000 --seed 3",
+     '{"d": 8, "exact": 0.9125000000000001, "fidelity": 0.9114166666666667, "p_hat": 0.49713636363636365, "protocol": "projected", "seed": 3, "std_err": 0.000647383482782125, "trials": 100000}'),
+    ("--d 16",
+     '{"d": 16, "exact": 0.9062499999999997, "fidelity": 0.9062499999999998, "p_hat": 0.8055555555555554, "protocol": "projected", "seed": 0, "std_err": 0.0, "trials": 0}'),
+    ("--d 16 --trials 100000 --seed 3",
+     '{"d": 16, "exact": 0.9062499999999997, "fidelity": 0.9051730925605536, "p_hat": 0.8045983044982699, "protocol": "projected", "seed": 3, "std_err": 0.0008406808333866954, "trials": 100000}'),
+    ("--d 32",
+     '{"d": 32, "exact": 0.9031250000000006, "fidelity": 0.9031250000000005, "p_hat": 0.6783072546230444, "protocol": "projected", "seed": 0, "std_err": 0.0, "trials": 0}'),
+    ("--d 32 --trials 100000 --seed 3",
+     '{"d": 32, "exact": 0.9031250000000006, "fidelity": 0.9010543622031123, "p_hat": 0.6767520672023375, "protocol": "projected", "seed": 3, "std_err": 0.000730253597454277, "trials": 100000}'),
+])
+def test_projected_outputs_are_pinned(capsys, flags, line):
+    argv = ["estimate", "--protocol", "projected", "--depolarizing", "0.9", *flags.split()]
+    assert run(capsys, argv) == (0, line + "\n", "")
+
+
 @pytest.mark.parametrize("text,message", [
     ('{"dim": 1, "kraus": [[[1, 0]], [[1, "x"]]]}', "Kraus entry 1 is not 1 pairs [re, im] of finite numbers"),
     ('{"dim": 2, "kraus": [[[1, 0], [0, 0], [0, 0]]]}', "Kraus entry 0 is not 4 pairs [re, im] of finite numbers"),
@@ -206,6 +238,26 @@ def test_channel_dimension_cap_exits_2(capsys, monkeypatch, d):
     code, stdout, err = run(capsys, ["channel", "--depolarizing", "0.9", "--d", d])
     assert (code, stdout) == (2, "")
     assert err == f"error: channel dimension {d} outside 1..64 (d^2 is capped at 4096)\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("mub --prime 131", "p = 131 exceeds the supported cap 127"),
+    ("design state --d 131", "p = 131 exceeds the supported cap 127"),
+    ("mub --prime-power 3 5", "p^k = 243 outside the supported range (k >= 1, p^k <= 128)"),
+    ("design state --d 243", "p^k = 243 outside the supported range (k >= 1, p^k <= 128)"),
+    ("mub --qubits 8", "qubit count n = 8 outside 1..7"),
+    ("design state --d 256", "qubit count n = 8 outside 1..7"),
+])
+def test_family_caps_exit_2(capsys, no_numpy, argv, message):
+    no_numpy(qdesigns.mub)
+    code, stdout, err = run(capsys, argv.split())
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
+def test_exact_chain_cap_exits_2(capsys, no_numpy):
+    no_numpy(qdesigns.twirl)
+    code, stdout, err = run(capsys, ["twirl", "--n", "6", "--k", "2", "--exact"])
+    assert (code, stdout, err) == (2, "", "error: exact chain capped at n <= 5\n")
 
 
 def test_channel_json_round_trip_through_the_cli(tmp_path, capsys):
@@ -382,7 +434,7 @@ def test_check_failure_exit_code(monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise RuntimeError("ancillas failed to return to |00>: residual 1.00e+00")
 
-    monkeypatch.setattr(qdesigns.estimate, "projected_mub_prepare", fail)
+    monkeypatch.setattr(qdesigns.estimate, "projected_mub_states", fail)
     code, _, err = run(capsys, ["estimate", "--protocol", "projected", "--depolarizing", "0.9",
                                 "--d", "2", "--trials", "0"])
     assert code == 1

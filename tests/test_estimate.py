@@ -195,6 +195,19 @@ def test_stacked_kraus_probs_match_einsum_oracle(d):
         assert np.abs(got - einsum_outcome_probs(states, kraus)).max() < 1e-14
 
 
+def test_outcome_prob_chunks_do_not_change_probs(monkeypatch):
+    # every state stack of a d <= 16 run (at most 17 * 18 projected states) is one chunk
+    assert 17 * 18 <= qdesigns.estimate._STATE_CHUNK
+    rng = np.random.default_rng(41)
+    states = family_for_dimension(32).all_states()
+    kraus = random_channel(rng, 32, 3).kraus
+    whole = _pure_outcome_probs(states, kraus)
+    assert np.abs(whole - einsum_outcome_probs(states, kraus)).max() < 1e-14
+    for chunk in (1, 7, 100, 10**6):  # a chunk of one row takes a matrix-vector kernel: not bit for bit
+        monkeypatch.setattr(qdesigns.estimate, "_STATE_CHUNK", chunk)
+        assert np.abs(_pure_outcome_probs(states, kraus) - whole).max() < 1e-15
+
+
 @pytest.mark.parametrize("d", [2, 4, 8, 16])
 def test_batched_ancilla_matches_per_branch_oracle(d):
     rng = np.random.default_rng(200 + d)

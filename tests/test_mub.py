@@ -10,9 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import qdesigns.mub
 from qdesigns.finite_algebra import I_POWERS, GfContext, GrContext
 from qdesigns.linalg import random_complex_matrix
 from qdesigns.mub import (
+    PRIME_CAP,
+    PRIME_POWER_CAP,
+    QUBIT_CAP,
     MubFamily,
     export_family,
     haar_moment,
@@ -38,6 +42,21 @@ def test_mub_prime_rejects_two_and_composites():
         mub_prime(2)
     with pytest.raises(ValueError):
         mub_prime(4)
+
+
+def test_family_caps_fail_before_allocating(monkeypatch, no_numpy):
+    def no_context(*args):
+        raise AssertionError("built a field or ring context past the cap")
+
+    monkeypatch.setattr(qdesigns.mub, "GfContext", no_context)
+    monkeypatch.setattr(qdesigns.mub, "GrContext", no_context)
+    no_numpy(qdesigns.mub)
+    with pytest.raises(ValueError, match=f"p = 131 exceeds the supported cap {PRIME_CAP}"):
+        mub_prime(131)
+    with pytest.raises(ValueError, match=rf"p\^k = 243 outside the supported range \(k >= 1, p\^k <= {PRIME_POWER_CAP}\)"):
+        mub_prime_power(3, 5)
+    with pytest.raises(ValueError, match=f"qubit count n = {QUBIT_CAP + 1} outside 1..{QUBIT_CAP}"):
+        mub_galois_ring(QUBIT_CAP + 1)
 
 
 def test_qutrit_family_matches_worked_example():

@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
+import qdesigns.twirl
 from qdesigns.channels import KrausChannel, depolarizing, kraus_to_supermatrix, unitary_channel
 from qdesigns.channels import _kraus_traces
 from qdesigns.circuits import Gate, circuit_unitary
 from qdesigns.linalg import dagger, random_complex_matrix, random_density, random_kraus_channel_ops
 from qdesigns.twirl import (
     EXACT_CHAIN_CAP,
+    MATRIX_DIM_CAP,
     PauliChannel,
     PauliLabel,
     all_labels,
@@ -31,6 +33,7 @@ from qdesigns.twirl import (
     pauli_twirl,
     pauli_twirl_brute,
     sample_twirl_circuit,
+    step1_success_probability,
     symplectic_inner,
     twirl_bound,
     twirl_markov_step,
@@ -249,9 +252,29 @@ def test_paulis_are_a_1_design_but_not_a_2_design():
         assert unitary_1design_check(big, rho) < 1e-10
 
 
-def test_step1_success_probability():
-    from qdesigns.twirl import step1_success_probability
+def step1_success_by_masks(label):
+    """Oracle: the fraction of the 2^n - 1 non-empty subsets B whose X-bits
+    have odd parity, counted one mask at a time."""
+    n = label.n
+    good = 0
+    for mask in range(1, 2**n):
+        parity = 0
+        for q in range(n):
+            if (mask >> q) & 1:
+                parity ^= label.xa[q]
+        good += parity
+    return good / (2**n - 1)
 
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_step1_closed_form_matches_the_mask_count(n):
+    for label in all_labels(2, n):
+        assert step1_success_probability(label) == step1_success_by_masks(label)
+    with pytest.raises(ValueError, match="defined for qubit labels, got d = 3"):
+        step1_success_probability(PauliLabel(3, n, (1,) * n, (0,) * n))
+
+
+def test_step1_success_probability():
     for n in (2, 3):
         x_start = PauliLabel(2, n, (1,) + (0,) * (n - 1), (0,) * n)
         assert abs(step1_success_probability(x_start) - 2 ** (n - 1) / (2**n - 1)) < 1e-15
@@ -262,6 +285,24 @@ def test_step1_success_probability():
     curve = mc_convergence_curve(3, 1, 100_000, rng)
     want = step1_success_probability(PauliLabel(2, 3, (1, 0, 0), (0, 0, 0)))
     assert abs(curve[0]["step1_success"] - want) < 0.01
+
+
+def test_pauli_matrix_cap_fails_before_allocating(monkeypatch, no_numpy):
+    def no_paulis(d):
+        raise AssertionError("built the Pauli factors past the cap")
+
+    n = MATRIX_DIM_CAP.bit_length()  # 2^n = 2 * MATRIX_DIM_CAP
+    label = PauliLabel(2, n, (1,) * n, (0,) * n)
+    monkeypatch.setattr(qdesigns.twirl, "generalized_paulis", no_paulis)
+    no_numpy(qdesigns.twirl)
+    with pytest.raises(ValueError, match="matrix dimension exceeds the cap"):
+        pauli_matrix(label)
+
+
+def test_exact_chain_cap_fails_before_allocating(no_numpy):
+    no_numpy(qdesigns.twirl)
+    with pytest.raises(ValueError, match=f"exact chain capped at n <= {EXACT_CHAIN_CAP}"):
+        markov_transition_matrix(EXACT_CHAIN_CAP + 1)
 
 
 def test_conjugate_label_t_cycle_and_cnot():
