@@ -457,6 +457,7 @@ def embedding_prime(n_qubits: int) -> int:
 
 PROJECTED_STACK_QUBIT_CAP = 6  # p^2 rows of 2^(n+2) amplitudes: 18 MB per stack at n = 6 (d = 64)
 _AMPLIFIED_GOOD = math.cos(math.pi / 3)  # good amplitude after the ancilla rotation
+_ANCILLA_TOL = 1e-6  # largest ancilla residual a prepared state may keep
 
 
 def _amplified_projections(n_qubits: int, a: np.ndarray, b: np.ndarray, ancilla_tol: float) -> np.ndarray:
@@ -465,27 +466,33 @@ def _amplified_projections(n_qubits: int, a: np.ndarray, b: np.ndarray, ancilla_
     build_mub_circuit_prime(p, n_qubits, a, b) is one H layer followed only by
     diagonal gates, which multiply |x> by w_p^(a x^2 + b x): the preparation
     is the shared layer, then a phase row; the inverse is the conjugate row,
-    then the layer.  The layer is applied through its dense unitary, so the
-    register is capped at UNITARY_DIM_CAP.  The ancilla is axis 1 of each
+    then the layer.  Up to UNITARY_DIM_CAP levels (every stack) the layer is
+    one product with its symmetric matrix; past it, a single label runs it
+    through simulate, up to n_qubits = 11.  The ancilla is axis 1 of each
     (rows, 2, 2^(n_qubits+1)) stack.
     """
     p = embedding_prime(n_qubits)
     d = 2**n_qubits
-    layer = circuit_unitary(Circuit(n_qubits + 1, 2, [Gate("H", (q,)) for q in range(n_qubits + 1)])).T
+    h_layer = Circuit(n_qubits + 1, 2, [Gate("H", (q,)) for q in range(n_qubits + 1)])
     x = np.arange(2 * d)
     phase = np.exp(2j * np.pi * np.arange(p) / p)[(a[:, None] * x * x + b[:, None] * x) % p]
+    if 2 * d <= UNITARY_DIM_CAP:
+        h = simulate(h_layer, np.eye(2 * d))
+        layer = lambda v: v @ h
+    else:
+        layer = lambda v: simulate(h_layer, v.reshape(-1, 2 * d)).reshape(v.shape)
 
     def prep(v: np.ndarray) -> np.ndarray:
-        return phase[:, None] * (v @ layer)
+        return phase[:, None] * layer(v)
 
     def unprep(v: np.ndarray) -> np.ndarray:
-        return (phase.conj()[:, None] * v) @ layer
+        return layer(phase.conj()[:, None] * v)
 
     def first(failed: np.ndarray) -> str:
         i = int(np.flatnonzero(failed)[0])
         return f"(a, b) = ({a[i]}, {b[i]})"
 
-    psi = phase * layer[0]  # every prep|0>
+    psi = phase * layer(basis_state(2 * d, 0))  # every prep|0>
     alpha = _AMPLIFIED_GOOD / np.linalg.norm(psi[:, :d], axis=1)
     failed = alpha > 1
     if failed.any():
@@ -511,7 +518,7 @@ def _amplified_projections(n_qubits: int, a: np.ndarray, b: np.ndarray, ancilla_
     return good / norms[:, None]
 
 
-def projected_mub_states(n_qubits: int, ancilla_tol: float = 1e-6) -> np.ndarray:
+def projected_mub_states(n_qubits: int) -> np.ndarray:
     """The renormalized projections onto 2^n_qubits levels of every
     prime-dimension MUB state, p = embedding_prime(n_qubits), prepared by one
     exact amplitude-amplification round: row a*p + b holds label (a, b).
@@ -520,7 +527,7 @@ def projected_mub_states(n_qubits: int, ancilla_tol: float = 1e-6) -> np.ndarray
     on the first p of 2^(n_qubits+1) levels), one rotated ancilla.  The
     ancilla rotation scales the good amplitude to exactly cos(pi/3) = 1/2, so
     a single round lands the register on ancillas |00> up to rounding; a row
-    whose residual exceeds `ancilla_tol` raises, naming its (a, b).
+    whose residual exceeds 1e-6 raises, naming its (a, b).
 
     The initial good amplitude is measured from each prepared state itself.
     For every non-computational (a, b) it equals sqrt(1/2): the efficient
@@ -537,14 +544,15 @@ def projected_mub_states(n_qubits: int, ancilla_tol: float = 1e-6) -> np.ndarray
     d = 2**n_qubits
     a, b = np.divmod(np.arange(p * p), p)
     out = np.zeros((p * (p + 1), d), dtype=complex)
-    out[:p * p] = _amplified_projections(n_qubits, a, b, ancilla_tol)
+    out[:p * p] = _amplified_projections(n_qubits, a, b, _ANCILLA_TOL)
     out[p * p + np.arange(d), np.arange(d)] = 1
     return out
 
 
-def projected_mub_prepare(n_qubits: int, a: int, b: int, ancilla_tol: float = 1e-6) -> np.ndarray:
-    """Row a*p + b of projected_mub_states(n_qubits, ancilla_tol), run for
-    that one label; a computational state that projects to zero raises."""
+def projected_mub_prepare(n_qubits: int, a: int, b: int, ancilla_tol: float = _ANCILLA_TOL) -> np.ndarray:
+    """Row a*p + b of projected_mub_states(n_qubits), run for that one label
+    (up to n_qubits = 11, past the stack's cap); a computational state that
+    projects to zero raises."""
     if n_qubits < 1:
         raise ValueError(f"need n_qubits >= 1, got {n_qubits}")
     p = embedding_prime(n_qubits)

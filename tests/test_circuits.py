@@ -366,6 +366,20 @@ def test_projected_stack_matches_per_circuit_oracle(n):
     assert np.array_equal(stack[p * p:p * p + d], np.eye(d))
 
 
+@pytest.mark.parametrize("n", [7, 8, 11])
+def test_projected_prepare_runs_one_label_past_the_stack_cap(n):
+    # n = 7 still applies the layer as one product, n >= 8 runs it through
+    # simulate; both agree with the per-circuit oracle up to SIMULATE_DIM_CAP
+    p, d = embedding_prime(n), 2**n
+    for a, b in [(0, 0), (1, p - 1), (p - 1, d // 3)]:
+        out = projected_mub_prepare(n, a, b)
+        assert np.abs(out - per_circuit_projected_prepare(n, a, b)).max() <= 1e-13
+        # the projection of a flat MUB state: every kept amplitude is 1/sqrt(d)
+        assert np.abs(np.abs(out) - d**-0.5).max() <= 1e-13
+    with pytest.raises(ValueError, match=f"exceeds the simulation cap {SIMULATE_DIM_CAP}"):
+        projected_mub_prepare(12, 0, 0)
+
+
 def test_mub_circuit_plans_are_the_h_layer_and_the_exponent_table():
     # the stack applies exactly this: H on every qubit, then w_p^(a x^2 + b x)
     for p in (3, 5, 7, 11, 13, 17):

@@ -33,7 +33,6 @@ from qdesigns.twirl import (
     pauli_twirl,
     pauli_twirl_brute,
     sample_twirl_circuit,
-    step1_success_probability,
     symplectic_inner,
     twirl_bound,
     twirl_markov_step,
@@ -268,6 +267,8 @@ def step1_success_by_masks(label):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_step1_closed_form_matches_the_mask_count(n):
+    from qdesigns.twirl import step1_success_probability
+
     for label in all_labels(2, n):
         assert step1_success_probability(label) == step1_success_by_masks(label)
     with pytest.raises(ValueError, match="defined for qubit labels, got d = 3"):
@@ -275,6 +276,8 @@ def test_step1_closed_form_matches_the_mask_count(n):
 
 
 def test_step1_success_probability():
+    from qdesigns.twirl import step1_success_probability
+
     for n in (2, 3):
         x_start = PauliLabel(2, n, (1,) + (0,) * (n - 1), (0,) * n)
         assert abs(step1_success_probability(x_start) - 2 ** (n - 1) / (2**n - 1)) < 1e-15
