@@ -255,9 +255,14 @@ def invariant_decompose(s) -> tuple[complex, complex]:
     else:
         tr_hat = complex(np.trace(s.mat))
         tr_on_id = complex(np.trace(s.apply(np.eye(d, dtype=complex))))
+    return _invariant_pq(tr_hat, tr_on_id, d)
+
+
+def _invariant_pq(tr_hat, tr_on_id, d: int):
+    """(p, q) of the twirl-invariant form p X + q tr(X) I/d of a map with
+    supermatrix trace tr_hat and tr Lambda(I) = tr_on_id."""
     p = (tr_hat - tr_on_id / d) / (d**2 - 1)
-    q = tr_on_id / d - p
-    return p, q
+    return p, tr_on_id / d - p
 
 
 def channel_to_json(ch: KrausChannel) -> str:

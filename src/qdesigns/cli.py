@@ -80,6 +80,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_design(args) -> int:
+    if args.rounds < 1:
+        raise ValueError(f"--rounds must be >= 1, got {args.rounds}")
     rng = np.random.default_rng(args.seed)
     results = {}
     if args.which == "state":
@@ -203,7 +205,7 @@ _CONFIG_KEYS = {
     "protocol": str,
     "trials": int,
     "seed": int,
-    "workers": int,  # accepted and ignored: results depend only on (seed, trials)
+    "workers": int,  # accepted for old config files and ignored
     "d": int,
     "depolarizing": float,
     "noise": str,
@@ -230,42 +232,27 @@ def _load_config(path: str) -> dict:
 
 
 def cmd_estimate(args) -> int:
-    settings = {"protocol": "mub_mc", "trials": 0, "seed": 0,
-                "d": None, "depolarizing": None, "noise": None, "p": None,
-                "channel_json": None}
-    if args.config:
-        settings.update(_load_config(args.config))
-    for key in settings:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            settings[key] = flag_val
-    chan_args = argparse.Namespace(**settings)
-
-    sweep = [None]
+    if args.config:  # a flag overrides the file; ExperimentConfig holds the defaults
+        for key, value in _load_config(args.config).items():
+            if getattr(args, key) is None:
+                setattr(args, key, value)
+    sweep = None
     if args.sweep:
-        if settings["d"] is None:
+        if args.d is None:
             raise ValueError("--sweep needs --d")
         sweep = [float(tok) for tok in args.sweep.split(",")]
+    sampling = {key: getattr(args, key) for key in ("protocol", "trials", "seed")
+                if getattr(args, key) is not None}
 
-    outputs = []
-    for value in sweep:
-        chan_args.sweep = value  # a depolarizing source of its own
-        ch = _make_channel(chan_args)
-        cfg = estimate.ExperimentConfig(
-            ch,
-            protocol=settings["protocol"],
-            trials=settings["trials"],
-            seed=settings["seed"],
-        )
-        outputs.append((value, estimate.run_protocol(cfg)))
-
-    if args.sweep:
-        rows = ["depolarizing_p,p_hat,std_err,exact,fidelity"]
-        for value, res in outputs:
-            rows.append(f"{value!r},{res.p_hat!r},{res.std_err!r},{res.exact!r},{res.fidelity!r}")
-        _write("\n".join(rows) + "\n", args.out)
+    results = []
+    for value in sweep or [None]:
+        args.sweep = value  # each point is a depolarizing source of its own
+        results.append(estimate.run_protocol(estimate.ExperimentConfig(_make_channel(args), **sampling)))
+    if sweep:
+        rows = [f"{v!r},{r.p_hat!r},{r.std_err!r},{r.exact!r},{r.fidelity!r}" for v, r in zip(sweep, results)]
+        _write("\n".join(["depolarizing_p,p_hat,std_err,exact,fidelity", *rows]) + "\n", args.out)
     else:
-        _write(outputs[0][1].to_json(), args.out)
+        _write(results[0].to_json(), args.out)
     return 0
 
 

@@ -11,15 +11,17 @@ states, not on `trials`.  trials = 0 selects the deterministic average over
 every state.
 
 The counts and successes are drawn from one random stream seeded from the
-experiment seed, so results depend only on (seed, trials); the points of a
-sweep share the seed, and so share its per-state counts.
+experiment seed, so on a fixed build results depend only on (seed, trials);
+the points of a sweep share the seed's per-state counts.  The binomial sampler
+takes a variable number of uniforms per draw, so a last-ulp change in any
+outcome probability can change every later draw, not just the last digit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .channels import (
 )
 from .circuits import Circuit, Gate, embedding_prime, projected_mub_states, simulate
 from .linalg import hermitian_eig
-from .mub import MubFamily
+from .mub import MubFamily, family_for_dimension
 from .twirl import PauliLabel, pauli_matrix
 
 __all__ = [
@@ -89,19 +91,9 @@ class EstimateResult:
     fidelity: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "protocol": self.protocol,
-                "d": self.d,
-                "trials": self.trials_used,
-                "seed": self.seed,
-                "p_hat": self.p_hat,
-                "std_err": self.std_err,
-                "exact": self.exact,
-                "fidelity": self.fidelity,
-            },
-            sort_keys=True,
-        )
+        fields = asdict(self)
+        fields["trials"] = fields.pop("trials_used")
+        return json.dumps(fields, sort_keys=True)
 
 
 def _pure_outcome_probs(states: np.ndarray, kraus) -> np.ndarray:
@@ -134,6 +126,20 @@ def _bernoulli_mean(
     return mean, math.sqrt(var / trials)
 
 
+def _result(cfg: ExperimentConfig, d: int, probs: np.ndarray, weights: np.ndarray | None,
+            exact: float, to_fidelity) -> EstimateResult:
+    """Every protocol's last step: the weighted mean of the per-state outcome
+    probabilities, exact when trials = 0 or for mub_exact and sampled
+    otherwise; to_fidelity maps that mean to F_avg."""
+    if cfg.trials == 0 or cfg.protocol == "mub_exact":
+        trials, err = 0, 0.0
+        p_hat = float(probs.mean() if weights is None else (weights * probs).mean())
+    else:
+        trials = cfg.trials
+        p_hat, err = _bernoulli_mean(probs, weights, trials, cfg.seed)
+    return EstimateResult(cfg.protocol, d, trials, cfg.seed, p_hat, err, exact, to_fidelity(p_hat))
+
+
 def mub_mc_estimate(cfg: ExperimentConfig, family: MubFamily) -> EstimateResult:
     """Motion-reversal estimate over a complete MUB family.
 
@@ -145,14 +151,8 @@ def mub_mc_estimate(cfg: ExperimentConfig, family: MubFamily) -> EstimateResult:
     d = noise.dim
     if family.d != d:
         raise ValueError(f"family dimension {family.d} != channel dimension {d}")
-    states = family.all_states()
-    probs = _pure_outcome_probs(states, noise.kraus)
-    exact = avg_fidelity_exact(np.eye(d), noise)
-    if cfg.trials == 0 or cfg.protocol == "mub_exact":
-        p_hat = float(probs.mean())
-        return EstimateResult(cfg.protocol, d, 0, cfg.seed, p_hat, 0.0, exact, p_hat)
-    p_hat, std_err = _bernoulli_mean(probs, None, cfg.trials, cfg.seed)
-    return EstimateResult(cfg.protocol, d, cfg.trials, cfg.seed, p_hat, std_err, exact, p_hat)
+    probs = _pure_outcome_probs(family.all_states(), noise.kraus)
+    return _result(cfg, d, probs, None, avg_fidelity_exact(np.eye(d), noise), lambda p: p)
 
 
 def projected_estimate(cfg: ExperimentConfig) -> EstimateResult:
@@ -174,13 +174,7 @@ def projected_estimate(cfg: ExperimentConfig) -> EstimateResult:
     probs[weights == 0] = 1.0  # zero-projection states count as correct, with weight zero
     rescale = p * (p + 1) / (d * (d + 1))
     exact = avg_fidelity_exact(np.eye(d), noise)
-    if cfg.trials == 0:
-        p_tilde = float((weights**2 * probs).mean())
-        return EstimateResult(cfg.protocol, d, 0, cfg.seed, p_tilde, 0.0, exact, p_tilde * rescale)
-    p_tilde, err = _bernoulli_mean(probs, weights**2, cfg.trials, cfg.seed)
-    return EstimateResult(
-        cfg.protocol, d, cfg.trials, cfg.seed, p_tilde, err, exact, p_tilde * rescale
-    )
+    return _result(cfg, d, probs, weights**2, exact, lambda p_tilde: p_tilde * rescale)
 
 
 def _bell_prep(n: int) -> Circuit:
@@ -215,20 +209,12 @@ def ancilla_entanglement_estimate(cfg: ExperimentConfig) -> EstimateResult:
         zero_amps.append(simulate(inv, branches)[:, 0])
     p_zero = float((np.abs(np.concatenate(zero_amps)) ** 2).sum())
     exact = entanglement_fidelity(noise)
-    f_avg = avg_from_entanglement(d, p_zero)
-    if cfg.trials == 0:
-        return EstimateResult(cfg.protocol, d, 0, cfg.seed, p_zero, 0.0, exact, f_avg)
-    p_hat, err = _bernoulli_mean(np.array([p_zero]), None, cfg.trials, cfg.seed)
-    return EstimateResult(
-        cfg.protocol, d, cfg.trials, cfg.seed, p_hat, err, exact, avg_from_entanglement(d, p_hat)
-    )
+    return _result(cfg, d, np.array([p_zero]), None, exact, lambda p: avg_from_entanglement(d, p))
 
 
 def run_protocol(cfg: ExperimentConfig, family: MubFamily | None = None) -> EstimateResult:
     if cfg.protocol in ("mub_mc", "mub_exact"):
         if family is None:
-            from .mub import family_for_dimension
-
             family = family_for_dimension(cfg.channel.dim)
         return mub_mc_estimate(cfg, family)
     if cfg.protocol == "projected":

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import KrausChannel, Supermatrix, generalized_paulis, kraus_to_supermatrix, vec
-from .channels import _check_kraus_dim, _kraus_traces
+from .channels import _check_kraus_dim, _invariant_pq, _kraus_traces
 from .circuits import Circuit, Gate, parallel_prefix_parity
 from .linalg import dagger
 
@@ -139,6 +139,8 @@ def all_labels(d: int, n: int) -> list[PauliLabel]:
 def _pauli_stack(d: int, n: int) -> np.ndarray:
     """pauli_matrix of every phase-free label, stacked in label-integer order
     as one (d^(2n), d^n, d^n) array; capped like a channel's d^2 operators."""
+    if n < 1:
+        raise ValueError(f"Pauli stack needs n >= 1 qudits, got {n}")
     _check_kraus_dim(d**n)
     # index a + d b of a factor holds X^a Z^b, as a label digit does; the kron
     # of two stacks pairs every label with every label, high digit first
@@ -277,7 +279,7 @@ def clifford_twirl_exact(ch: KrausChannel) -> tuple[float, float]:
     s = kraus_to_supermatrix(ch)
     twirled = _twirl_supermatrix(clifford_group_1q(), s)
     d = ch.dim
-    p = float(np.real((np.trace(s.mat) - 1) / (d**2 - 1)))
+    p = float(np.real(_invariant_pq(np.trace(s.mat), d, d)[0]))  # tr Lambda(I) = d
     vi = vec(np.eye(d, dtype=complex))
     target = p * np.eye(d**2) + ((1 - p) / d) * np.outer(vi, vi.conj())
     residual = float(np.abs(twirled.mat - target).max())
@@ -294,10 +296,7 @@ def unitary_design_check(unitaries, m: np.ndarray, n: np.ndarray, o: np.ndarray)
     for u in unitaries:
         avg += dagger(u) @ m @ u @ n @ dagger(u) @ o @ u
     avg /= len(unitaries)
-    tr_hat = np.trace(m) * np.trace(o)
-    tr_on_id = np.trace(m @ o)
-    p = (tr_hat - tr_on_id / d) / (d**2 - 1)
-    q = tr_on_id / d - p
+    p, q = _invariant_pq(np.trace(m) * np.trace(o), np.trace(m @ o), d)
     haar = p * n + q * np.trace(n) * np.eye(d) / d
     return float(np.abs(avg - haar).max())
 

@@ -1,15 +1,22 @@
 """CLI subcommands: exit codes, determinism, and output formats."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdesigns.channels
+import qdesigns.cli
 import qdesigns.mub
 import qdesigns.twirl
 from qdesigns.channels import channel_to_json, depolarizing
-from qdesigns.cli import main
+from qdesigns.cli import _CONFIG_KEYS, _load_config, main
 from qdesigns.circuits import parse_circuit, simulate
 from qdesigns.linalg import basis_state
 from qdesigns.mub import load_family
@@ -139,6 +146,20 @@ def test_design_unitary_failed_clifford_closure_exits_1(monkeypatch, capsys):
     assert err == "error: closure of {H, S} gave 2 classes, expected 24\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("unitary --paulis --n 0", "Pauli stack needs n >= 1 qudits, got 0"),
+    ("unitary --cliffords1q --rounds 0", "--rounds must be >= 1, got 0"),
+    ("state --d 5 --rounds 0", "--rounds must be >= 1, got 0"),
+])
+def test_design_usage_errors_exit_2(capsys, monkeypatch, argv, message):
+    def no_draws(*args):
+        raise AssertionError("drew a random matrix before rejecting the flags")
+
+    monkeypatch.setattr(qdesigns.cli, "random_complex_matrix", no_draws)
+    code, stdout, err = run(capsys, ["design", *argv.split()])
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
 def test_channel_info_and_generation(tmp_path, capsys):
     out = tmp_path / "ch.json"
     code, stdout, _ = run(
@@ -180,6 +201,25 @@ def test_depolarizing_outputs_are_pinned(tmp_path, capsys):
     assert run(capsys, argv)[1] == (
         '{"d": 16, "exact": 0.9062499999999997, "fidelity": 0.90625, "p_hat": 0.90625, '
         '"protocol": "mub_exact", "seed": 0, "std_err": 0.0, "trials": 0}\n'
+    )
+    argv = ["estimate", "--protocol", "ancilla", "--depolarizing", "0.9", "--d", "4"]
+    assert run(capsys, argv) == (0, (
+        '{"d": 4, "exact": 0.9062500000000001, "fidelity": 0.9249999999999996, "p_hat": 0.9062499999999994, '
+        '"protocol": "ancilla", "seed": 0, "std_err": 0.0, "trials": 0}\n'
+    ), "")
+    assert run(capsys, [*argv, "--trials", "20000", "--seed", "11"]) == (0, (
+        '{"d": 4, "exact": 0.9062500000000001, "fidelity": 0.9226800000000001, "p_hat": 0.90335, '
+        '"protocol": "ancilla", "seed": 11, "std_err": 0.002089363270233302, "trials": 20000}\n'
+    ), "")
+    out = tmp_path / "sweep.csv"
+    argv = ["estimate", "--d", "2", "--protocol", "mub_mc", "--sweep", "0.5,0.7,0.9", "--trials", "3000",
+            "--seed", "2", "--out", str(out)]
+    assert run(capsys, argv) == (0, "", "")
+    assert out.read_text() == (
+        "depolarizing_p,p_hat,std_err,exact,fidelity\n"
+        "0.5,0.7546666666666667,0.007855887153145912,0.75,0.7546666666666667\n"
+        "0.7,0.8493333333333334,0.006531110733053559,0.85,0.8493333333333334\n"
+        "0.9,0.9543333333333334,0.0038114398951149754,0.9500000000000001,0.9543333333333334\n"
     )
 
 
@@ -351,6 +391,11 @@ def test_estimate_config_file_and_flag_override(tmp_path, capsys):
     code, out, _ = run(capsys, ["estimate", "--config", str(cfg), "--protocol", "mub_exact"])
     payload = json.loads(out)
     assert payload["protocol"] == "mub_exact"
+    # the file with two flags over it is the same run as its settings given as flags only
+    merged = run(capsys, ["estimate", "--config", str(cfg), "--trials", "20000", "--d", "2"])
+    flags = ["--protocol", "ancilla", "--depolarizing", "0.9", "--d", "2", "--trials", "20000", "--seed", "3"]
+    assert merged == run(capsys, ["estimate", *flags])
+    assert merged[0] == 0 and json.loads(merged[1])["trials"] == 20000
 
 
 def test_estimate_sweep_csv(tmp_path, capsys):
@@ -399,6 +444,78 @@ def test_estimate_malformed_config(tmp_path, capsys):
     code, _, err = run(capsys, ["estimate", "--config", str(cfg)])
     assert code == 2
     assert "error" in err
+
+
+_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126))  # printable ASCII, no line breaks
+_CONFIG_VALUES = {
+    str: _TEXT.filter(lambda v: v == v.strip()),
+    int: st.integers(-(2**70), 2**70),
+    float: st.floats(allow_nan=False),
+}
+
+
+@st.composite
+def config_files(draw):
+    """(settings dict, file text): every key once, in any order, as `key = value`
+    with optional dashes and spacing, between comment and blank lines."""
+    keys = draw(st.lists(st.sampled_from(sorted(_CONFIG_KEYS)), unique=True))
+    values = {key: draw(_CONFIG_VALUES[_CONFIG_KEYS[key]]) for key in keys}
+    lines = []
+    for key, value in values.items():
+        lines += draw(st.lists(st.sampled_from(["", "   ", "# a comment", "  #x = 1", "\t"]), max_size=2))
+        name = key.replace("_", "-") if draw(st.booleans()) else key
+        pad = draw(st.sampled_from(["", " ", "  ", "\t"]))
+        lines.append(f"{pad}{name}{pad}={pad}{value}{pad}")  # str of a float is its repr
+    return values, "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _untypable(key_type):
+    def fails(text):
+        try:
+            key_type(text.strip())
+        except ValueError:
+            return True
+        return False
+
+    return _TEXT.filter(fails)
+
+
+_NO_EQUALS = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="="))
+_BAD_LINES = st.one_of(
+    _NO_EQUALS.filter(lambda line: line.strip() and not line.strip().startswith("#")),
+    st.tuples(_NO_EQUALS.filter(lambda k: not k.strip().startswith("#")), _TEXT)
+    .filter(lambda kv: kv[0].strip().replace("-", "_") not in _CONFIG_KEYS)
+    .map(lambda kv: f"{kv[0]}={kv[1]}"),
+    st.sampled_from(sorted(k for k, t in _CONFIG_KEYS.items() if t is not str))
+    .flatmap(lambda key: _untypable(_CONFIG_KEYS[key]).map(lambda v: f"{key} = {v}")),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(config_files())
+def test_config_round_trip(case):
+    values, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exp.cfg")
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert _load_config(path) == values
+
+
+@settings(max_examples=80, deadline=None)
+@given(config_files(), _BAD_LINES, st.integers(0, 20))
+def test_malformed_config_line_exits_2(case, bad_line, at):
+    lines = case[1].splitlines()
+    lines.insert(min(at, len(lines)), bad_line)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exp.cfg")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+            code = main(["estimate", "--config", path])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_emit_mub_circuit(tmp_path, capsys):
