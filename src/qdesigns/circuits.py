@@ -18,10 +18,7 @@ dense: the local matrix of gate_matrix, applied by tensor contraction
     H, T                           Hadamard and the Clifford cycler H*S (d = 2)
     Fp, Fpinv                      discrete Fourier gate on one qudit and its inverse
 
-Each circuit is compiled once, on first simulation, into a plan: every maximal
-run of diagonal gates becomes one phase vector (the product of the gates'
-phases), and every other gate is a step of its own.  Appending a gate discards
-the plan.  The full unitary is never materialized during simulation.
+The full unitary is never materialized during simulation.
 """
 
 from __future__ import annotations
@@ -86,8 +83,7 @@ class Circuit:
     """Ordered gate list on n qudits of dimension d, immutable once built up.
 
     depth is the greedy-layered schedule depth: each gate occupies the
-    earliest layer after the last use of any qudit it touches.  The plan that
-    simulate runs is compiled on first use and discarded by append.
+    earliest layer after the last use of any qudit it touches.
     """
 
     def __init__(self, n: int, d: int = 2, gates: list[Gate] | None = None):
@@ -96,7 +92,6 @@ class Circuit:
         self.n = n
         self.d = d
         self.gates: list[Gate] = []
-        self._plan: list[Gate | np.ndarray] | None = None
         for g in gates or []:
             self.append(g)
 
@@ -121,23 +116,6 @@ class Circuit:
         if gate.den <= 0:
             raise ValueError("phase denominator must be positive")
         self.gates.append(gate)
-        self._plan = None
-
-    def _compiled(self) -> list[Gate | np.ndarray]:
-        """The gates in order, with each maximal run of diagonal gates
-        replaced by one phase vector over the register's basis states."""
-        if self._plan is None:
-            digits = _register_digits(self.n, self.d)
-            plan: list[Gate | np.ndarray] = []
-            for g in self.gates:
-                if g.kind not in _DIAGONAL:
-                    plan.append(g)
-                elif plan and isinstance(plan[-1], np.ndarray):
-                    plan[-1] = plan[-1] * _diagonal_phases(g, digits, self.d)
-                else:
-                    plan.append(_diagonal_phases(g, digits, self.d))
-            self._plan = plan
-        return self._plan
 
     @property
     def gate_count(self) -> int:
@@ -269,8 +247,8 @@ def _apply_gate(state: np.ndarray, g: Gate, n: int, d: int) -> np.ndarray:
 
 
 def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
-    """Run the circuit's plan on a statevector of shape (dim,), or on each row
-    of a stack of shape (m, dim); returns a fresh array of the same shape."""
+    """Apply the circuit's gates in order to a statevector of shape (dim,), or
+    to each row of a stack of shape (m, dim); returns a fresh array of the same shape."""
     dim = circuit.d**circuit.n
     if dim > SIMULATE_DIM_CAP:
         raise ValueError(f"register dimension {dim} exceeds the simulation cap {SIMULATE_DIM_CAP}")
@@ -278,11 +256,8 @@ def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     if state.ndim not in (1, 2) or state.shape[-1] != dim:
         raise ValueError(f"input shape {state.shape} is not (dim,) or (m, dim) for register size {dim}")
     out = state.copy()
-    for step in circuit._compiled():
-        if isinstance(step, Gate):
-            out = _apply_gate(out, step, circuit.n, circuit.d)
-        else:
-            out = out * step
+    for g in circuit.gates:
+        out = _apply_gate(out, g, circuit.n, circuit.d)
     return out
 
 

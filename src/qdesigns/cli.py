@@ -227,7 +227,11 @@ def _load_config(path: str) -> dict:
             key = key.replace("-", "_")
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"config line {line_no}: unknown key {key!r}")
-            out[key] = _CONFIG_KEYS[key](value)
+            try:
+                out[key] = _CONFIG_KEYS[key](value)
+            except ValueError:
+                raise ValueError(f"config line {line_no}: {key} needs {_CONFIG_KEYS[key].__name__}, "
+                                 f"got {value!r}") from None
     return out
 
 
@@ -240,7 +244,10 @@ def cmd_estimate(args) -> int:
     if args.sweep:
         if args.d is None:
             raise ValueError("--sweep needs --d")
-        sweep = [float(tok) for tok in args.sweep.split(",")]
+        try:
+            sweep = [float(tok) for tok in args.sweep.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"--sweep takes comma-separated numbers: {exc}") from None
     sampling = {key: getattr(args, key) for key in ("protocol", "trials", "seed")
                 if getattr(args, key) is not None}
 

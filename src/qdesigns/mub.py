@@ -39,7 +39,6 @@ __all__ = [
 PRIME_CAP = 127
 PRIME_POWER_CAP = 128
 QUBIT_CAP = 7
-_GRAM_ROWS = 256  # rows of the angle-check Gram matrix held at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,36 +139,32 @@ class VerifyReport:
     worst_unbiasedness_pair: tuple[tuple[int, int], tuple[int, int]]
 
 
+def _gram_rows(family: MubFamily):
+    """Yield (a1, g) per basis a1 with g[a2 - a1, i, j] = |<psi_{a1,i}|psi_{a2,j}>|
+    for every a2 >= a1: each unordered pair of bases once, g[0] within a1."""
+    for a1 in range(family.d + 1):
+        # a batch of d x d products, the ones a per-pair loop makes: one wide product
+        # can round some columns differently (OpenBLAS, odd d) and move the printed errors
+        yield a1, np.abs(family.states[a1].conj() @ family.states[a1:].transpose(0, 2, 1))
+
+
 def verify_unbiased(family: MubFamily, tol: float = 1e-9) -> VerifyReport:
     """Check every pairwise overlap: delta within a basis, modulus 1/sqrt(d)
     across bases.  Reports the worst offending (a, b) pairs."""
     d = family.d
-    target = 1 / math.sqrt(d)
-    max_orth, max_cross = 0.0, 0.0
-    worst_orth = worst_cross = ((0, 0), (0, 0))
-    for a1 in range(d + 1):
-        b1 = family.states[a1]
-        for a2 in range(a1, d + 1):
-            g = np.abs(b1 @ family.states[a2].conj().T)
-            if a1 == a2:
-                err = np.abs(g - np.eye(d))
-            else:
-                err = np.abs(g - target)
-            i, j = np.unravel_index(np.argmax(err), err.shape)  # argmax lands on a NaN if there is one
-            e = math.inf if math.isnan(err[i, j]) else float(err[i, j])
-            if a1 == a2:
-                if e > max_orth:
-                    max_orth, worst_orth = e, ((a1, int(i)), (a2, int(j)))
-            else:
-                if e > max_cross:
-                    max_cross, worst_cross = e, ((a1, int(i)), (a2, int(j)))
-    return VerifyReport(
-        ok=max_orth <= tol and max_cross <= tol,
-        max_orthonormality_error=max_orth,
-        max_unbiasedness_error=max_cross,
-        worst_orthonormality_pair=worst_orth,
-        worst_unbiasedness_pair=worst_cross,
-    )
+    worst = [(0.0, ((0, 0), (0, 0)))] * 2  # (error, pair) within bases, then across
+    for a1, g in _gram_rows(family):
+        g[0] -= np.eye(d)
+        g[1:] -= 1 / math.sqrt(d)
+        np.abs(g, out=g)  # g now holds the errors, within bases then across
+        for c, err in enumerate((g[:1], g[1:])):
+            if err.size:
+                k, i, j = np.unravel_index(np.argmax(err), err.shape)  # argmax lands on a NaN if there is one
+                e = math.inf if math.isnan(err[k, i, j]) else float(err[k, i, j])
+                if e > worst[c][0]:
+                    worst[c] = (e, ((a1, int(i)), (a1 + c + int(k), int(j))))
+    (max_orth, worst_orth), (max_cross, worst_cross) = worst
+    return VerifyReport(max_orth <= tol and max_cross <= tol, max_orth, max_cross, worst_orth, worst_cross)
 
 
 def state_design_sum(family: MubFamily, m: np.ndarray, n: np.ndarray) -> complex:
@@ -213,14 +208,15 @@ def haar_moment_mc(
 
 
 def t_design_angle_check(family: MubFamily, k: int) -> float:
-    """(1/|X|^2) sum over state pairs of |<psi|phi>|^(2k); equals
-    1/binom(d+k-1, k) when the family is a k-design.  Sums the Gram matrix by row blocks."""
+    """(1/|X|^2) sum over state pairs of |<psi|phi>|^(2k); equals 1/binom(d+k-1, k)
+    when the family is a k-design.  Each pair of distinct bases is summed once, counted twice."""
     if k not in (0, 1, 2):
         raise ValueError("k must be 0, 1, or 2")
-    s = family.all_states()
-    sh = s.conj().T
-    g2_blocks = (np.abs(s[i:i + _GRAM_ROWS] @ sh) ** 2 for i in range(0, len(s), _GRAM_ROWS))
-    return float(sum(np.sum(g2**k) for g2 in g2_blocks) / len(s) ** 2)
+    total = 0.0
+    for _, g in _gram_rows(family):
+        sums = np.sum((g**2) ** k, axis=(1, 2))
+        total += sums[0] + 2 * np.sum(sums[1:])
+    return float(total / len(family.all_states()) ** 2)
 
 
 def export_family(family: MubFamily, path: str) -> None:

@@ -33,9 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import KrausChannel, Supermatrix, generalized_paulis, kraus_to_supermatrix, vec
-from .channels import _check_kraus_dim, _invariant_pq, _kraus_traces
+from .channels import _invariant_pq, _kraus_traces
 from .circuits import Circuit, Gate, parallel_prefix_parity
-from .linalg import dagger
+from .linalg import SUPERMATRIX_DIM_CAP, dagger
 
 __all__ = [
     "PauliLabel",
@@ -141,7 +141,10 @@ def _pauli_stack(d: int, n: int) -> np.ndarray:
     as one (d^(2n), d^n, d^n) array; capped like a channel's d^2 operators."""
     if n < 1:
         raise ValueError(f"Pauli stack needs n >= 1 qudits, got {n}")
-    _check_kraus_dim(d**n)
+    if d ** (2 * n) > SUPERMATRIX_DIM_CAP:
+        n_max = int(math.log(SUPERMATRIX_DIM_CAP, d * d) + 1e-9)
+        raise ValueError(f"Pauli stack needs n <= {n_max} qudits of dimension {d} "
+                         f"(d^(2n) is capped at {SUPERMATRIX_DIM_CAP}), got {n}")
     # index a + d b of a factor holds X^a Z^b, as a label digit does; the kron
     # of two stacks pairs every label with every label, high digit first
     one = generalized_paulis(d).reshape(d, d, d, d).swapaxes(0, 1).reshape(d * d, d, d)

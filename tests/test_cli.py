@@ -116,6 +116,23 @@ def test_design_state_pass(capsys):
     assert stdout.startswith("PASS")
 
 
+@pytest.mark.parametrize("flags,line", [
+    # the angle sums walk each unordered pair of bases once; these digits moved then
+    ("--d 49 --rounds 5 --seed 7",
+     "PASS max_relative_deviation=1.284e-15 angle_sum_error_k1=3.469e-18 angle_sum_error_k2=3.253e-19"),
+    ("--d 9", "PASS max_relative_deviation=7.186e-15 angle_sum_error_k1=2.776e-17 angle_sum_error_k2=2.082e-17"),
+    ("--d 5", "PASS max_relative_deviation=1.262e-15 angle_sum_error_k1=5.551e-17 angle_sum_error_k2=4.163e-17"),
+    ("--d 2 --json", '{"angle_sum_error_k1": 2.220446049250313e-16, "angle_sum_error_k2": 1.6653345369377348e-16, '
+                     '"max_relative_deviation": 7.850462293418876e-16, "ok": true}'),
+    ("--d 27 --rounds 2 --json", '{"angle_sum_error_k1": 0.0, "angle_sum_error_k2": 4.336808689942018e-19, '
+                                 '"max_relative_deviation": 7.534519590607032e-15, "ok": true}'),
+    ("--d 61 --rounds 3 --json", '{"angle_sum_error_k1": 4.85722573273506e-17, "angle_sum_error_k2": 4.228388472693467e-18, '
+                                 '"max_relative_deviation": 4.182872955364099e-15, "ok": true}'),
+])
+def test_design_state_outputs_are_pinned(capsys, flags, line):
+    assert run(capsys, ["design", "state", *flags.split()]) == (0, line + "\n", "")
+
+
 def test_design_unitary_cliffords_pass(capsys):
     code, stdout, _ = run(capsys, ["design", "unitary", "--cliffords1q", "--tol", "1e-10"])
     assert code == 0
@@ -148,6 +165,7 @@ def test_design_unitary_failed_clifford_closure_exits_1(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv,message", [
     ("unitary --paulis --n 0", "Pauli stack needs n >= 1 qudits, got 0"),
+    ("unitary --paulis --n 7", "Pauli stack needs n <= 6 qudits of dimension 2 (d^(2n) is capped at 4096), got 7"),
     ("unitary --cliffords1q --rounds 0", "--rounds must be >= 1, got 0"),
     ("state --d 5 --rounds 0", "--rounds must be >= 1, got 0"),
 ])
@@ -444,6 +462,14 @@ def test_estimate_malformed_config(tmp_path, capsys):
     code, _, err = run(capsys, ["estimate", "--config", str(cfg)])
     assert code == 2
     assert "error" in err
+    cfg.write_text("d = 2\ntrials = many\n")
+    assert run(capsys, ["estimate", "--config", str(cfg)]) == (2, "", "error: config line 2: trials needs int, got 'many'\n")
+
+
+def test_estimate_sweep_token_that_is_not_a_number_exits_2(capsys):
+    code, stdout, err = run(capsys, ["estimate", "--sweep", "0.5,x", "--d", "2"])
+    assert (code, stdout) == (2, "")
+    assert err == "error: --sweep takes comma-separated numbers: could not convert string to float: 'x'\n"
 
 
 _TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126))  # printable ASCII, no line breaks
@@ -506,7 +532,8 @@ def test_config_round_trip(case):
 @given(config_files(), _BAD_LINES, st.integers(0, 20))
 def test_malformed_config_line_exits_2(case, bad_line, at):
     lines = case[1].splitlines()
-    lines.insert(min(at, len(lines)), bad_line)
+    at = min(at, len(lines))
+    lines.insert(at, bad_line)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "exp.cfg")
@@ -515,7 +542,7 @@ def test_malformed_config_line_exits_2(case, bad_line, at):
         with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
             code = main(["estimate", "--config", path])
     assert (code, out.getvalue()) == (2, "")
-    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert err.getvalue().startswith(f"error: config line {at + 1}: ") and err.getvalue().count("\n") == 1
 
 
 def test_emit_mub_circuit(tmp_path, capsys):

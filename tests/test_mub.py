@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qdesigns.mub
-from qdesigns.finite_algebra import I_POWERS, GfContext, GrContext
+from qdesigns.finite_algebra import I_POWERS, GfContext, GrContext, is_prime
 from qdesigns.linalg import random_complex_matrix
 from qdesigns.mub import (
     PRIME_CAP,
@@ -323,8 +323,62 @@ def test_galois_ring_builder_is_bit_identical_to_reference(n):
 @pytest.mark.parametrize("fam", [mub_prime(17), mub_galois_ring(4)], ids=["p17", "q4"])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_blocked_angle_check_matches_full_gram(fam, k):
-    assert fam.all_states().shape[0] > 256  # more than one row block
     assert abs(t_design_angle_check(fam, k) - reference_angle_sum(fam, k)) <= 1e-15
+
+
+def per_pair_verify_unbiased(family, tol=1e-9):
+    """verify_unbiased as one d x d Gram block per pair of bases a1 <= a2:
+    the oracle for the Gram walk."""
+    d = family.d
+    target = 1 / math.sqrt(d)
+    max_orth, max_cross = 0.0, 0.0
+    worst_orth = worst_cross = ((0, 0), (0, 0))
+    for a1 in range(d + 1):
+        b1 = family.states[a1]
+        for a2 in range(a1, d + 1):
+            g = np.abs(b1 @ family.states[a2].conj().T)
+            if a1 == a2:
+                err = np.abs(g - np.eye(d))
+            else:
+                err = np.abs(g - target)
+            i, j = np.unravel_index(np.argmax(err), err.shape)  # argmax lands on a NaN if there is one
+            e = math.inf if math.isnan(err[i, j]) else float(err[i, j])
+            if a1 == a2:
+                if e > max_orth:
+                    max_orth, worst_orth = e, ((a1, int(i)), (a2, int(j)))
+            else:
+                if e > max_cross:
+                    max_cross, worst_cross = e, ((a1, int(i)), (a2, int(j)))
+    return qdesigns.mub.VerifyReport(
+        ok=max_orth <= tol and max_cross <= tol,
+        max_orthonormality_error=max_orth,
+        max_unbiasedness_error=max_cross,
+        worst_orthonormality_pair=worst_orth,
+        worst_unbiasedness_pair=worst_cross,
+    )
+
+
+def _perturbed(family, a, b, x, factor):
+    states = family.states.copy()
+    states[a, b, x] *= factor
+    return MubFamily(d=family.d, kind=family.kind, states=states)
+
+
+_ORACLE_FAMILIES = {
+    **{f"p{p}": (mub_prime, p) for p in range(3, 62, 2) if is_prime(p)},
+    # k = 1 builds the prime families' states bit for bit
+    **{f"pp{p}^{k}": (mub_prime_power, p, k) for p in (3, 5, 7, 11) for k in (2, 3, 4) if p**k <= PRIME_POWER_CAP},
+    **{f"q{n}": (mub_galois_ring, n) for n in range(1, 7)},
+    "p7_one_amplitude_perturbed": (lambda: _perturbed(mub_prime(7), 3, 2, 4, 1.001),),
+    "pp9_all_nan": (lambda: MubFamily(d=9, kind="prime_power", states=np.full((10, 9, 9), np.nan, dtype=complex)),),
+    "q3_one_nan": (lambda: _perturbed(mub_galois_ring(3), 5, 6, 2, np.nan),),
+}
+
+
+@pytest.mark.parametrize("build", _ORACLE_FAMILIES.values(), ids=_ORACLE_FAMILIES.keys())
+def test_verify_unbiased_matches_per_pair_oracle(build):
+    family = build[0](*build[1:])
+    assert verify_unbiased(family) == per_pair_verify_unbiased(family)
 
 
 @pytest.mark.parametrize("fam", [

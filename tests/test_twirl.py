@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdesigns.twirl
 from qdesigns.channels import KrausChannel, depolarizing, kraus_to_supermatrix, unitary_channel
 from qdesigns.channels import _kraus_traces
-from qdesigns.circuits import Gate, circuit_unitary
+from qdesigns.circuits import Circuit, Gate, circuit_unitary
 from qdesigns.linalg import dagger, random_complex_matrix, random_density, random_kraus_channel_ops
 from qdesigns.twirl import (
     EXACT_CHAIN_CAP,
@@ -77,6 +79,26 @@ def test_label_int_round_trip():
     for v in range(81):
         lab = PauliLabel.from_int(3, 2, v)
         assert lab.to_int() == v
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.data())
+def test_label_int_round_trip_property(d, n, data):
+    value = data.draw(st.integers(0, d ** (2 * n) - 1))
+    label = PauliLabel.from_int(d, n, value)
+    assert label.to_int() == value
+    assert PauliLabel.from_int(d, n, label.to_int()) == label
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.data())
+def test_label_multiplication_is_associative_property(d, n, data):
+    labels = []
+    for _ in range(3):  # each with a phase of its own
+        lab = PauliLabel.from_int(d, n, data.draw(st.integers(0, d ** (2 * n) - 1)))
+        labels.append(PauliLabel(d, n, lab.xa, lab.xb, data.draw(st.integers(0, d - 1))))
+    a, b, c = labels
+    assert (a * b) * c == a * (b * c)
 
 
 def test_label_multiplication_matches_matrices():
@@ -335,8 +357,6 @@ def _phase_free_equal(a: np.ndarray, b: np.ndarray) -> bool:
     Gate("CNOT", (1,), (0,)), Gate("CNOT", (0,), (1,)),
 ])
 def test_conjugate_label_matches_matrix_conjugation(gate):
-    from qdesigns.circuits import Circuit
-
     c = Circuit(2)
     c.append(gate)
     u = circuit_unitary(c)
@@ -344,6 +364,30 @@ def test_conjugate_label_matches_matrix_conjugation(gate):
         got = pauli_matrix(conjugate_label(gate, label))
         want = u @ pauli_matrix(label) @ dagger(u)
         assert _phase_free_equal(want, got)
+
+
+@st.composite
+def clifford_words(draw):
+    """(n, gates, label): a word of H, S, T and CNOT gates on n <= 3 qubits
+    and a qubit Pauli label on the same register."""
+    n = draw(st.integers(1, 3))
+    kinds = ["H", "S", "T"] + (["CNOT"] if n > 1 else [])
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=10)):
+        qubits = draw(st.permutations(range(n)))
+        gates.append(Gate(kind, (qubits[0],), (qubits[1],)) if kind == "CNOT" else Gate(kind, (qubits[0],)))
+    return n, gates, PauliLabel.from_int(2, n, draw(st.integers(0, 4**n - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(clifford_words())
+def test_conjugate_label_matches_matrix_conjugation_property(case):
+    n, gates, label = case
+    u = circuit_unitary(Circuit(n, 2, gates))  # the S gates run through simulate's diagonal rule
+    out = label
+    for g in gates:
+        out = conjugate_label(g, out)
+    assert _phase_free_equal(u @ pauli_matrix(label) @ dagger(u), pauli_matrix(out))
 
 
 def test_conjugation_is_a_group_action():
@@ -486,6 +530,18 @@ def test_approx_twirl_channel_mc_mode():
     rest = out.weights[1:] / 0.3
     assert np.abs(rest - 1 / 15).sum() < 0.05
     assert bound >= 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 11), st.integers(1, 50), st.floats(allow_nan=False), st.floats(allow_nan=False))
+def test_twirl_result_json_round_trip_property(n, k, l1, bound):
+    import json
+
+    from qdesigns.twirl import twirl_result_json
+
+    text = twirl_result_json(n, k, l1, bound)
+    assert json.loads(text) == {"n": n, "k": k, "l1": l1, "epsilon0": epsilon0(n), "bound": bound}
+    assert twirl_result_json(**{key: value for key, value in json.loads(text).items() if key != "epsilon0"}) == text
 
 
 def test_distribution_csv_and_result_json():
