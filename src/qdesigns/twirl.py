@@ -14,8 +14,9 @@ array of labels.  The table _ROUND is the single description of a randomized
 twirl round.  The gate sampler reads it directly; the exact Markov chain and
 the Monte-Carlo round read one set of permutation tables built from it and
 _move (_round_tables), which pushes a distribution or gathers a sample array.
-The tables stop at n = EXACT_CHAIN_CAP (about 3 MB there); above it the
-Monte-Carlo round moves packed masks with _move, one step at a time.
+The tables stop at n = EXACT_CHAIN_CAP (about 0.6 MB of int16 there); above
+it the Monte-Carlo round moves packed int16 masks with _move, one step at a
+time.
 
 Twirling always means averaging V Lambda(V^dag X V) V^dag over the set; every
 set used here (Pauli group, Clifford group) is closed under inverses, so this
@@ -450,10 +451,21 @@ def _perm_table(n: int, kind: str, qubits: tuple[int, ...]) -> np.ndarray:
     return _to_label_int(*_move(kind, xa, xb, qubits), n)
 
 
+def _label_dtype(n: int):
+    """The narrowest integer type that holds every label int below 4^n."""
+    return np.int16 if 4**n <= 2**15 else np.int32
+
+
+def _controls(n: int) -> np.ndarray:
+    """The control of each subset mask, its low bit, as int8; mask 0 is never
+    drawn and maps to 0."""
+    return np.array([max((m & -m).bit_length() - 1, 0) for m in range(2**n)], dtype=np.int8)
+
+
 class _RoundTables(NamedTuple):
-    fan_in: np.ndarray  # (2^n, 4^n): the composed parity fan-in of each subset mask
-    control: np.ndarray  # (2^n,): the control, the low bit, of each subset mask
-    steps: tuple  # per _ROUND step, one (control, times, 4^n) stack per qubit
+    fan_in: np.ndarray  # (2^n, 4^n) int16: the composed parity fan-in of each subset mask
+    control: np.ndarray  # (2^n,) int8: _controls(n)
+    steps: tuple  # per _ROUND step, one (control, times, 4^n) int16 stack per qubit
 
 
 @lru_cache(maxsize=None)
@@ -464,13 +476,13 @@ def _round_tables(n: int) -> _RoundTables:
     steps[i] holds one stack per qubit q for an "o" step (q ascending) and a
     single stack for a "c" step; stack[c, e] is the step's permutation applied
     e times with control c, the identity where q is c.  The tables take
-    O(n^2 4^n) ints, about 3 MB at n = EXACT_CHAIN_CAP, so they stop there.
+    O(n^2 4^n) int16 entries, about 0.6 MB at n = EXACT_CHAIN_CAP, so they
+    stop there.
     """
     if n > EXACT_CHAIN_CAP:
         raise ValueError(f"round tables capped at n <= {EXACT_CHAIN_CAP}")
-    ident = np.arange(4**n)
-    # the low bit of a subset mask is its control; mask 0 is never drawn
-    control = np.array([max((m & -m).bit_length() - 1, 0) for m in range(2**n)])
+    ident = np.arange(4**n, dtype=_label_dtype(n))
+    control = _controls(n)
     fan_in = np.empty((2**n, 4**n), dtype=ident.dtype)
     for mask, c in enumerate(control):
         perm = ident
@@ -575,8 +587,15 @@ def ideal_good_case_distribution(n: int) -> tuple[np.ndarray, np.ndarray]:
 def l1_to_uniform(dist: np.ndarray) -> float:
     """l1 distance to the uniform distribution over non-identity labels."""
     dist = np.asarray(dist, dtype=float)
-    u = 1.0 / (dist.size - 1)
-    return float(abs(dist[0]) + np.abs(dist[1:] - u).sum())
+    return _l1_split(dist[0], dist[1:].copy())
+
+
+def _l1_split(identity: float, rest: np.ndarray) -> float:
+    """l1_to_uniform of the distribution (identity, *rest), computed in the
+    float array rest, which it overwrites."""
+    rest -= 1.0 / rest.size
+    np.abs(rest, out=rest)
+    return float(abs(identity) + rest.sum())
 
 
 def epsilon0(n: int) -> float:
@@ -606,16 +625,16 @@ def step1_success_probability(label: PauliLabel) -> float:
 
 # --- vectorized Monte-Carlo convergence --------------------------------------
 
-def _mc_round(v: np.ndarray, n: int, rng: np.random.Generator):
-    """Apply one sampled round to every base-4 label int in v, drawing fresh
-    randomness per sample.
+def _mc_round(v: np.ndarray, n: int, rng: np.random.Generator, idx: np.ndarray) -> float:
+    """Apply one sampled round in place to every base-4 label int in v
+    (dtype _label_dtype(n)), drawing fresh randomness per sample.
 
-    Returns the moved labels and the empirical step-1 success rate: the
-    fraction of samples whose control qubit carries X or Y after the fan-in.
-    The analysis only uses 1/2 as a lower bound for it; it is reported, never
-    asserted tighter.  Each step is one gather through _round_tables; above
-    EXACT_CHAIN_CAP, where those are not built, _mc_round_packed moves the
-    labels with the same draws.
+    Returns the empirical step-1 success rate: the fraction of samples whose
+    control qubit carries X or Y after the fan-in.  The analysis only uses 1/2
+    as a lower bound for it; it is reported, never asserted tighter.  Each
+    step is one gather through _round_tables, its flat table index formed in
+    idx, an intp scratch array as long as v; above EXACT_CHAIN_CAP, where the
+    tables are not built, _mc_round_packed moves the labels with the same draws.
     """
     if n > EXACT_CHAIN_CAP:
         return _mc_round_packed(v, n, rng)
@@ -624,25 +643,34 @@ def _mc_round(v: np.ndarray, n: int, rng: np.random.Generator):
     m = v.shape[0]
     mask = rng.integers(1, 2**n, size=m)
     control = tables.control[mask]
-    v = tables.fan_in.ravel()[mask * size + v]
+    np.multiply(mask, size, out=idx)
+    del mask
+    idx += v
+    # mode="clip" writes straight into v ("raise" would buffer a copy); every index is in range
+    tables.fan_in.take(idx, out=v, mode="clip")
     success_rate = float(((v >> 2 * control) & 1).mean())
 
     for (_, _, law), stacks in zip(_ROUND, tables.steps):
         for stack in stacks:  # an "o" step draws on the control too: that row is the identity
-            times = _draw(law, m, rng)
-            v = stack.ravel()[(control * stack.shape[1] + times) * size + v]
-    return v, success_rate
+            np.multiply(control, stack.shape[1], out=idx, dtype=np.intp)
+            idx += _draw(law, m, rng)  # the draw is freed before the next one
+            idx *= size
+            idx += v
+            stack.take(idx, out=v, mode="clip")
+    return success_rate
 
 
-def _mc_round_packed(v: np.ndarray, n: int, rng: np.random.Generator):
-    """_mc_round on packed (xa, xb) masks, one _move per step and qubit."""
+def _mc_round_packed(v: np.ndarray, n: int, rng: np.random.Generator) -> float:
+    """_mc_round on packed (xa, xb) int16 masks, one _move per step and qubit."""
     xa, xb = _from_label_int(v, n)
+    xa, xb = xa.astype(np.int16, copy=False), xb.astype(np.int16, copy=False)
     m = xa.shape[0]
-    mask = rng.integers(1, 2**n, size=m)
-    control = np.round(np.log2(mask & -mask)).astype(np.int64)
+    mask = rng.integers(1, 2**n, size=m).astype(np.int16)
+    control = _controls(n)[mask]
     for q in range(n):  # fan-in: CNOT(q -> control) for the other members of B
         member = ((mask >> q) & 1).astype(bool) & (control != q)
         xa, xb = _move("CNOT", xa, xb, (q, control), member)
+    del mask
     success_rate = float(((xa >> control) & 1).mean())
 
     for kind, roles, law in _ROUND:
@@ -650,11 +678,14 @@ def _mc_round_packed(v: np.ndarray, n: int, rng: np.random.Generator):
         for q in range(n) if "o" in roles else [None]:
             times = _draw(law, m, rng)
             if q is not None:
-                times = times * (control != q)
+                times[control == q] = 0
             qubits = _place(roles, control, q)
             for rep in range(1, 3 if law == _THIRDS else 2):
                 xa, xb = _move(kind, xa, xb, qubits, times >= rep)
-    return _to_label_int(xa, xb, n), success_rate
+            del times  # freed before the next draw
+    # widened to the label type: qubit q's digit shifts to bits 2q and 2q + 1
+    v[...] = _to_label_int(xa.astype(v.dtype), xb.astype(v.dtype), n)
+    return success_rate
 
 
 def _check_rounds(n: int, k: int) -> None:
@@ -665,7 +696,12 @@ def _check_rounds(n: int, k: int) -> None:
         raise ValueError(f"the twirl needs k >= 1 rounds, got k = {k}")
 
 
-_MC_QUBIT_CAP = 11  # the 4^n-long label histograms grow x4 per qubit: about 0.2 GB peak at n = 11
+# The histograms grow x4 per qubit: the floor and each round's l1 hold two
+# 8-byte arrays of 4^n at once, 67 MB at n = 11.  The sample arrays peak at
+# 20 B a sample on the table round and 35-42 B on the packed one, so a run at
+# the samples cap peaks near 0.4 GB of process RSS (n = 8 to 11).
+_MC_QUBIT_CAP = 11
+_MC_SAMPLES_CAP = 10_000_000
 
 
 def mc_convergence_curve(
@@ -682,24 +718,33 @@ def mc_convergence_curve(
     statistic is computed for one exact-uniform multinomial draw of the same
     size and subtracted, clamped at zero.  Each entry carries the raw value,
     the calibration floor, and the corrected estimate.  Needs 2 <= n <= 11,
-    k >= 1 and samples >= 1 (ValueError otherwise, before anything is allocated).
+    k >= 1 and 1 <= samples <= 10^7 (ValueError otherwise, before anything is
+    allocated).
+
+    The samples are held as label ints of _label_dtype(n) and moved in place.
+    The floor and each round's l1 go through l1_to_uniform's own float
+    operations (_l1_split), in place in one float array of 4^n.
     """
     _check_rounds(n, k)
     if n > _MC_QUBIT_CAP:
         raise ValueError(f"the Monte-Carlo twirl is capped at n <= {_MC_QUBIT_CAP} qubits, got n = {n}")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
+    if samples > _MC_SAMPLES_CAP:
+        raise ValueError(f"the Monte-Carlo twirl is capped at --samples <= {_MC_SAMPLES_CAP}, got {samples}")
     if start is None:
         start = PauliLabel(2, n, (1,) + (0,) * (n - 1), (0,) * n)
-    v = np.full(samples, start.to_int(), dtype=np.int64)
-    u = np.full(4**n - 1, 1.0 / (4**n - 1))
-    null_draw = rng.multinomial(samples, u) / samples
-    floor = l1_to_uniform(np.concatenate(([0.0], null_draw)))
+    v = np.full(samples, start.to_int(), dtype=_label_dtype(n))
+    idx = np.empty(samples, dtype=np.intp)
+    # the uniform weights, then the null counts, are freed as soon as they are used
+    floor = _l1_split(0.0, rng.multinomial(samples, np.full(4**n - 1, 1.0 / (4**n - 1))) / samples)
     curve = []
     for step in range(1, k + 1):
-        v, success = _mc_round(v, n, rng)
-        empirical = np.bincount(v, minlength=4**n) / samples
-        raw = l1_to_uniform(empirical)
+        success = _mc_round(v, n, rng, idx)
+        np.copyto(idx, v)  # bincount would copy v to intp itself
+        dist = np.bincount(idx, minlength=4**n) / samples
+        raw = _l1_split(dist[0], dist[1:])
+        del dist  # freed before the next round's histogram
         curve.append(
             {
                 "k": step,
@@ -762,9 +807,10 @@ def approx_twirl_channel(
         rest = 1 - pauli_ch.weights[0]
         if rest > 1e-12:
             cond = pauli_ch.weights[1:] / rest
-            values = rng.choice(np.arange(1, 4**n), size=trials, p=cond)
+            values = rng.choice(np.arange(1, 4**n), size=trials, p=cond).astype(_label_dtype(n))
+            idx = np.empty(trials, dtype=np.intp)
             for _ in range(k):
-                values, _ = _mc_round(values, n, rng)
+                _mc_round(values, n, rng, idx)
             weights[1:] += np.bincount(values, minlength=4**n)[1:] / trials * rest
             est = mc_convergence(n, k, trials, rng)
             eps_k = max(0.0, est["l1"] - epsilon0(n))

@@ -318,6 +318,13 @@ def test_exact_chain_cap_exits_2(capsys, no_numpy):
     assert (code, stdout, err) == (2, "", "error: exact chain capped at n <= 5\n")
 
 
+def test_mc_samples_cap_exits_2(capsys, no_numpy):
+    no_numpy(qdesigns.twirl)
+    code, stdout, err = run(capsys, ["twirl", "--n", "3", "--k", "1", "--samples", "100000000000"])
+    assert (code, stdout, err) == (
+        2, "", "error: the Monte-Carlo twirl is capped at --samples <= 10000000, got 100000000000\n")
+
+
 def test_channel_json_round_trip_through_the_cli(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, ["channel", "--depolarizing", "0.9", "--d", "4", "--out", str(a)])[0] == 0

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,6 +331,34 @@ def test_exact_chain_cap_fails_before_allocating(no_numpy):
         markov_transition_matrix(EXACT_CHAIN_CAP + 1)
 
 
+def test_mc_samples_cap_fails_before_allocating(no_numpy):
+    rng = np.random.default_rng(0)
+    no_numpy(qdesigns.twirl)
+    with pytest.raises(ValueError, match="capped at --samples <= 10000000, got 10000001"):
+        mc_convergence_curve(3, 1, 10_000_001, rng)
+
+
+def traced_peak_mb(fn, *args) -> float:
+    """Peak of the memory traced while fn(*args) runs, numpy arrays included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_round_memory_stays_small():
+    # int16 labels (0.2 MB), one reused intp index (0.8 MB) and one draw at a time: about 2 MB
+    mc_convergence_curve(3, 1, 10, np.random.default_rng(0))  # round tables cached untraced
+    assert traced_peak_mb(mc_convergence_curve, 3, 2, 100_000, np.random.default_rng(0)) < 4
+
+
+def test_mc_histogram_memory_at_the_qubit_cap():
+    # the floor and each round's l1 hold two 8-byte arrays of 4^11 (67 MB) at a time
+    assert traced_peak_mb(mc_convergence_curve, 11, 1, 1000, np.random.default_rng(0)) < 80
+
+
 def test_conjugate_label_t_cycle_and_cnot():
     x = PauliLabel(2, 1, (1,), (0,))
     y = PauliLabel(2, 1, (1,), (1,))
@@ -631,6 +660,27 @@ def test_benchmark_sized_twirl_stream_is_pinned(tmp_path, capsys):
     )
 
 
+def test_packed_twirl_stream_is_pinned(tmp_path, capsys):
+    # n = 7: the packed int16 masks and the widest int16 labels
+    from qdesigns.cli import main
+
+    out = tmp_path / "c7.csv"
+    code = main(["twirl", "--n", "7", "--k", "4", "--samples", "20000", "--seed", "1",
+                 "--json", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{"bound": 0.1337895989745468, "epsilon0": 0.00781297686626381, "k": 4, '
+        '"l1": 0.0036259781480803, "n": 7}\n'
+    )
+    assert out.read_text() == (
+        "k,l1,bound\n"
+        "1,0.38616970640297876,1.0156259537325276\n"
+        "2,0.07439341390465737,0.5117194652993957\n"
+        "3,0.003536354757980753,0.25976622108282976\n"
+        "4,0.0036259781480803,0.1337895989745468\n"
+    )
+
+
 @pytest.mark.parametrize("n,k,samples", [(2, 0, 100), (2, -1, 100), (2, 3, 0), (1, 3, 100), (0, 3, 100),
                                            (12, 1, 10)])
 def test_mc_convergence_curve_rejects_degenerate_runs(n, k, samples):
@@ -793,14 +843,16 @@ def pushed_chain_step(dist, n):
     return out / (2**n - 1)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 11])
 def test_mc_curve_matches_packed_mask_oracle(n):
-    assert (n > EXACT_CHAIN_CAP) == (n == 6)  # n = 6 runs the packed path in the library too
+    # n >= 6 runs the packed path in the library too; n = 8 is the first with int32 labels
+    assert (n > EXACT_CHAIN_CAP) == (n >= 6)
+    samples = 3000 if n <= 6 else 500
     pure_z = PauliLabel(2, n, (0,) * n, (1,) + (0,) * (n - 1))
     for seed in (0, 1, 2):
         for start in (None, pure_z):
-            got = mc_convergence_curve(n, 4, 3000, np.random.default_rng(seed), start)
-            assert got == packed_mc_curve(n, 4, 3000, np.random.default_rng(seed), start)
+            got = mc_convergence_curve(n, 4, samples, np.random.default_rng(seed), start)
+            assert got == packed_mc_curve(n, 4, samples, np.random.default_rng(seed), start)
     assert got[0]["step1_success"] == 0.0  # a pure-Z start puts no X on the control
 
 
