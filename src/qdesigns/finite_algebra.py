@@ -5,10 +5,12 @@ GR(4^m).  Elements are immutable coefficient vectors over Z_q, least-significant
 coefficient first.  One shared core says every rule that needs only q and h:
 sums, negation, scalar and element products, non-negative powers, the integer
 label, zero, one, the root of h, element construction and the context check.
-GF(p^k) adds the inverse and negative powers, its trace vector and its
-multiplication matrices; GR(4^m) adds the Teichmuller set, the 2-adic split and
-its generalized trace, and rejects negative powers.  Contexts are immutable
-after construction and every operation is pure.
+It also holds the multiplication matrices M_{X^i} and the trace of
+multiplication tr(x) = tr(M_x) mod q, which is Z_q-linear: the field trace of
+GF(p^k) and the generalized trace of GR(4^m).  GF(p^k) adds the inverse and
+negative powers; GR(4^m) adds the Teichmuller set and the 2-adic split, and
+rejects negative powers.  Contexts are immutable after construction and every
+operation is pure.
 
 The computational-basis label of an element is the base-q integer of its
 coefficient vector, least-significant coefficient first.
@@ -159,12 +161,23 @@ class _PolyElement:
 
 
 class _PolyContext:
-    """Z_q[X]/(h) for a monic h of degree n, given by its low coefficients."""
+    """Z_q[X]/(h) for a monic h of degree n, given by its low coefficients.
+
+    Attributes:
+        h: coefficients (h_0, ..., h_{n-1}) of the monic defining polynomial
+        mul_matrices: n x n multiplication matrix over Z_q per basis monomial
+        trace_vector: t with tr(x) = (t, coeffs(x)) mod q
+    """
 
     _element: type[_PolyElement]
 
     def __init__(self, q: int, n: int, h: tuple[int, ...], name: str):
         self._q, self._n, self.h, self._name = q, n, h, name
+        root = self._element(self, _root_coeffs(h, q))
+        self._xi_powers = [e.coeffs for e in self._powers(root, 2 * n - 1)]  # X^t mod h, t <= 2n-2
+        # column j of M_{X^i} is X^(i+j) mod h
+        self.mul_matrices = [np.array(self._xi_powers[i : i + n], dtype=np.int64).T for i in range(n)]
+        self.trace_vector = np.trace(np.array(self.mul_matrices), axis1=1, axis2=2) % q
 
     @property
     def zero(self):
@@ -200,6 +213,11 @@ class _PolyContext:
         if x.ctx is not self:
             raise ValueError(f"element belongs to a different {self._name} context")
 
+    def trace(self, x: _PolyElement) -> int:
+        """tr(x) = tr(M_x) mod q, linear in the coefficients of x."""
+        self._own(x)
+        return int(np.dot(self.trace_vector, np.asarray(x.coeffs, dtype=np.int64)) % self._q)
+
 
 class GfElement(_PolyElement):
     """Element of GF(p^k) as a coefficient tuple over Z_p (constant term first)."""
@@ -221,9 +239,6 @@ class GfContext(_PolyContext):
 
     Attributes:
         p, k: characteristic and extension degree
-        h: coefficients (h_0, ..., h_{k-1}) of the monic defining polynomial
-        mul_matrices: k x k multiplication matrix over F_p per basis monomial
-        trace_vector: t with tr(x) = (t, coeffs(x)) mod p
     """
 
     _element = GfElement
@@ -239,9 +254,6 @@ class GfContext(_PolyContext):
         self.k = k
         self.order = p**k
         super().__init__(p, k, self._find_primitive(p, k), f"GF({p}^{k})")
-        self._xi_powers = [e.coeffs for e in self._powers(self.xi, 2 * k - 1)]  # X^t mod h, t <= 2k-2
-        self.mul_matrices = self._build_mul_matrices()
-        self.trace_vector = self._build_trace_vector()
 
     @staticmethod
     def _find_primitive(p: int, k: int) -> tuple[int, ...]:
@@ -252,35 +264,10 @@ class GfContext(_PolyContext):
                 return h
         raise RuntimeError(f"no primitive polynomial of degree {k} over F_{p}")  # pragma: no cover
 
-    def _build_mul_matrices(self) -> list[np.ndarray]:
-        mats = []
-        for i in range(self.k):
-            m = np.zeros((self.k, self.k), dtype=np.int64)
-            for j in range(self.k):
-                m[:, j] = self._xi_powers[i + j]
-            mats.append(m)
-        return mats
-
-    def _build_trace_vector(self) -> np.ndarray:
-        t = np.zeros(self.k, dtype=np.int64)
-        for i in range(self.k):
-            mono = self.element_from_coeffs(self._xi_powers[i])
-            acc = self.zero
-            for j in range(self.k):
-                acc = acc + mono ** (self.p**j)
-            if any(acc.coeffs[1:]):
-                raise RuntimeError("trace of a basis monomial left the prime field")  # pragma: no cover
-            t[i] = acc.coeffs[0]
-        return t
-
     @property
     def xi(self) -> GfElement:
         """The root of h, reduced (equals X for k >= 2, -h_0 for k = 1)."""
         return GfElement(self, _root_coeffs(self.h, self.p))
-
-    def trace(self, x: GfElement) -> int:
-        self._own(x)
-        return int(np.dot(self.trace_vector, np.asarray(x.coeffs, dtype=np.int64)) % self.p)
 
     def monomial_vector(self, t: int) -> tuple[int, ...]:
         """Coefficient vector of X^t mod h, available for t = 0 .. 2k-2."""
@@ -310,7 +297,8 @@ class GrContext(_PolyContext):
     h is chosen as the smallest lift (by base-4 integer of its coefficient
     vector) of the degree-m primitive polynomial over F_2 whose root X has
     multiplicative order 2^m - 1.  The Teichmuller set is enumerated as
-    {0, 1, X, ..., X^(2^m - 2)}.
+    {0, 1, X, ..., X^(2^m - 2)}; every element is a + 2b for exactly one pair
+    (a, b) from it.
     """
 
     _element = GrElement
@@ -323,13 +311,10 @@ class GrContext(_PolyContext):
         self.m = m
         super().__init__(4, m, self._find_basic_primitive(m), f"GR(4^{m})")
         self.teichmuller = self._build_teichmuller()
-        self._teich_index = {t.coeffs: i for i, t in enumerate(self.teichmuller)}
-        self._adic: dict[tuple[int, ...], tuple[GrElement, GrElement]] | None = None
-        self._trace_cache: dict[tuple[int, ...], int] = {}
 
     @staticmethod
     def _find_basic_primitive(m: int) -> tuple[int, ...]:
-        base_h = GfContext(2, m).h
+        base_h = GfContext._find_primitive(2, m)
         # lifts of each F_2 coefficient are {b, b+2}; order candidates by base-4 value
         lifts = []
         for mask in range(2**m):
@@ -350,18 +335,6 @@ class GrContext(_PolyContext):
             raise RuntimeError("Teichmuller set has repeated elements")  # pragma: no cover
         return out
 
-    def _build_2adic_table(self) -> dict[tuple[int, ...], tuple[GrElement, GrElement]]:
-        table = {}
-        for a in self.teichmuller:
-            for b in self.teichmuller:
-                c = (a + 2 * b).coeffs
-                if c in table:
-                    raise RuntimeError("2-adic decomposition is not unique")  # pragma: no cover
-                table[c] = (a, b)
-        if len(table) != 4**self.m:
-            raise RuntimeError("2-adic decomposition does not cover the ring")  # pragma: no cover
-        return table
-
     def teich_mul_index(self, i: int, j: int) -> int:
         """Index of teichmuller[i] * teichmuller[j]: the nonzero part of the
         Teichmuller set is cyclic of order 2^m - 1 under multiplication."""
@@ -370,29 +343,13 @@ class GrContext(_PolyContext):
         return 1 + (i - 1 + j - 1) % (2**self.m - 1)
 
     def two_adic(self, c: GrElement) -> tuple[GrElement, GrElement]:
+        """(a, b) with c = a + 2b, both Teichmuller.  (a + 2b)^2 = a^2 and every
+        Teichmuller t has t^(2^m) = t, so a = c^(2^m); c - a = 2b, and any lift
+        b' of b has b'^2 = b^2, so b = ((c - a)/2)^(2^m)."""
         self._own(c)
-        if c.coeffs in self._teich_index:  # c = c + 2*0
-            return c, self.zero
-        if self._adic is None:
-            self._adic = self._build_2adic_table()
-        return self._adic[c.coeffs]
-
-    def trace(self, c: GrElement) -> int:
-        """Generalized trace: with c = a + 2b, sum_i (a^(2^i) + 2 b^(2^i)) mod 4."""
-        self._own(c)
-        cached = self._trace_cache.get(c.coeffs)
-        if cached is not None:
-            return cached
-        a, b = self.two_adic(c)
-        acc = self.zero
-        for _ in range(self.m):
-            acc = acc + a + 2 * b
-            a, b = a * a, b * b
-        if any(acc.coeffs[1:]):
-            raise RuntimeError("generalized trace left Z_4")  # pragma: no cover
-        val = acc.coeffs[0]
-        self._trace_cache[c.coeffs] = val
-        return val
+        a = c ** 2**self.m
+        half = GrElement(self, tuple(v // 2 for v in (c - a).coeffs))
+        return a, half ** 2**self.m
 
 
 def gr_2adic(ctx: GrContext, c: GrElement) -> tuple[GrElement, GrElement]:

@@ -102,10 +102,9 @@ def mub_galois_ring(n: int) -> MubFamily:
         raise ValueError(f"qubit count n = {n} outside 1..{QUBIT_CAP}")
     ctx = GrContext(n)
     d = 2**n
-    # tr((a+2b)x) = tr(ax) + 2 tr(bx) with ax, bx back in the Teichmuller set,
-    # so all phases come from the trace on T and cyclic index arithmetic
-    mul = np.array([[ctx.teich_mul_index(i, j) for j in range(d)] for i in range(d)])
-    tr_ax = np.array([ctx.trace(t) for t in ctx.teichmuller])[mul]  # tr_ax[a, x] = tr(a x)
+    # tr((a+2b)x) = tr(ax) + 2 tr(bx), and the trace is Z_4-linear
+    c = np.array([t.coeffs for t in ctx.teichmuller])  # c[a] = coefficients of Teichmuller element a
+    tr_ax = c @ (ctx.trace_vector @ np.array(ctx.mul_matrices)) @ c.T % 4  # tr_ax[a, x] = tr(a x)
     states = np.empty((d + 1, d, d), dtype=complex)
     states[:d] = np.array(I_POWERS)[(tr_ax[:, None, :] + 2 * tr_ax) % 4] * (1 / math.sqrt(d))
     states[d] = np.eye(d)

@@ -688,12 +688,12 @@ def _mc_round_packed(v: np.ndarray, n: int, rng: np.random.Generator) -> float:
     return success_rate
 
 
-def _check_rounds(n: int, k: int) -> None:
-    """Reject a twirl run on fewer than two qubits or with no rounds."""
+def _check_rounds(n: int, k: int, least_k: int = 1) -> None:
+    """Reject a twirl run on fewer than two qubits or with fewer than least_k rounds."""
     if n < 2:
         raise ValueError(f"the randomized twirl needs n >= 2 qubits, got n = {n}")
-    if k < 1:
-        raise ValueError(f"the twirl needs k >= 1 rounds, got k = {k}")
+    if k < least_k:
+        raise ValueError(f"the twirl needs k >= {least_k} rounds, got k = {k}")
 
 
 # The histograms grow x4 per qubit: the floor and each round's l1 hold two
@@ -702,6 +702,17 @@ def _check_rounds(n: int, k: int) -> None:
 # the samples cap peaks near 0.4 GB of process RSS (n = 8 to 11).
 _MC_QUBIT_CAP = 11
 _MC_SAMPLES_CAP = 10_000_000
+
+
+def _check_mc(n: int, k: int, samples: int) -> None:
+    """Reject a Monte-Carlo twirl run outside its caps, before anything is allocated."""
+    _check_rounds(n, k)
+    if n > _MC_QUBIT_CAP:
+        raise ValueError(f"the Monte-Carlo twirl is capped at n <= {_MC_QUBIT_CAP} qubits, got n = {n}")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
+    if samples > _MC_SAMPLES_CAP:
+        raise ValueError(f"the Monte-Carlo twirl is capped at --samples <= {_MC_SAMPLES_CAP}, got {samples}")
 
 
 def mc_convergence_curve(
@@ -725,13 +736,7 @@ def mc_convergence_curve(
     The floor and each round's l1 go through l1_to_uniform's own float
     operations (_l1_split), in place in one float array of 4^n.
     """
-    _check_rounds(n, k)
-    if n > _MC_QUBIT_CAP:
-        raise ValueError(f"the Monte-Carlo twirl is capped at n <= {_MC_QUBIT_CAP} qubits, got n = {n}")
-    if samples < 1:
-        raise ValueError(f"need samples >= 1, got {samples}")
-    if samples > _MC_SAMPLES_CAP:
-        raise ValueError(f"the Monte-Carlo twirl is capped at --samples <= {_MC_SAMPLES_CAP}, got {samples}")
+    _check_mc(n, k, samples)
     if start is None:
         start = PauliLabel(2, n, (1,) + (0,) * (n - 1), (0,) * n)
     v = np.full(samples, start.to_int(), dtype=_label_dtype(n))
@@ -784,8 +789,16 @@ def approx_twirl_channel(
     source label.
     Returns the twirled Pauli channel and B(Lambda) (eps0 + eps_k), where
     eps_k is the realized l1 gap beyond eps0, maximized over source labels in
-    exact mode.
+    exact mode.  Needs n >= 2, and k >= 0 in exact mode; Monte-Carlo mode
+    needs an rng and mc_convergence_curve's bounds on n, k and trials
+    (ValueError otherwise, before the channel is twirled).
     """
+    if trials == 0:
+        _check_rounds(n, k, least_k=0)
+    else:
+        _check_mc(n, k, trials)
+        if rng is None:
+            raise ValueError("Monte-Carlo mode needs an rng")
     pauli_ch = pauli_twirl(ch)
     if pauli_ch.n != n:
         raise ValueError("channel size disagrees with n")
@@ -800,8 +813,6 @@ def approx_twirl_channel(
         weights[0] += pauli_ch.weights[0]
         eps_k = max(0.0, l1[-1] - epsilon0(n))
     else:
-        if rng is None:
-            raise ValueError("Monte-Carlo mode needs an rng")
         weights = np.zeros(4**n)
         weights[0] = pauli_ch.weights[0]
         rest = 1 - pauli_ch.weights[0]

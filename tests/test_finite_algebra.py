@@ -97,7 +97,7 @@ def test_frobenius_is_additive(p, k):
         assert (a + b) ** p == a**p + b**p
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (5, 2), (3, 3), (2, 7), (3, 4), (5, 3), (7, 2), (11, 2)])
 def test_trace_vector_matches_power_sum(p, k):
     ctx = GfContext(p, k)
     for x in ctx.elements():
@@ -163,6 +163,57 @@ def test_gr_trace_additive():
     ctx = GrContext(2)
     for c, cp in itertools.product(ctx.elements(), repeat=2):
         assert gr_trace(ctx, c + cp) == (gr_trace(ctx, c) + gr_trace(ctx, cp)) % 4
+
+
+# --- oracles from the definitions: the Teichmuller set is {x : x^(2^m) = x},
+# every c is a + 2b for one Teichmuller pair, and tr(c) sums a^(2^i) + 2 b^(2^i) ---
+
+def teichmuller_by_definition(ctx):
+    teich = [x for x in ctx.elements() if x ** 2**ctx.m == x]
+    assert len(teich) == 2**ctx.m
+    return teich
+
+
+def two_adic_table(ctx):
+    teich = teichmuller_by_definition(ctx)
+    table = {(a + 2 * b).coeffs: (a, b) for a in teich for b in teich}
+    assert len(table) == 4**ctx.m
+    return table
+
+
+def frobenius_orbit_trace(ctx, c, table):
+    a, b = table[c.coeffs]
+    acc = ctx.zero
+    for _ in range(ctx.m):
+        acc = acc + a + 2 * b
+        a, b = a * a, b * b
+    assert acc.coeffs[1:] == (0,) * (ctx.m - 1)
+    return acc.coeffs[0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_gr_trace_matches_frobenius_orbit_sum(m):
+    ctx = GrContext(m)
+    table = two_adic_table(ctx)
+    for c in ctx.elements():
+        assert gr_trace(ctx, c) == frobenius_orbit_trace(ctx, c, table)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_2adic_matches_teichmuller_pair_table(m):
+    ctx = GrContext(m)
+    table = two_adic_table(ctx)
+    assert {t.coeffs for t in ctx.teichmuller} == {t.coeffs for t in teichmuller_by_definition(ctx)}
+    for c in ctx.elements():
+        assert gr_2adic(ctx, c) == table[c.coeffs]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_teich_mul_index_matches_element_product(m):
+    ctx = GrContext(m)
+    t = ctx.teichmuller
+    for i, j in itertools.product(range(2**m), repeat=2):
+        assert t[ctx.teich_mul_index(i, j)] == t[i] * t[j]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

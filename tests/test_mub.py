@@ -1,5 +1,6 @@
 """MUB constructions, unbiasedness checks, and 2-design identities."""
 
+import hashlib
 import math
 
 import tempfile
@@ -257,22 +258,28 @@ def reference_prime(p):
     return states
 
 
+def power_sum_trace(y, base, k):
+    """tr(y) = sum_j y^(base^j), read off the constant coefficient: the field
+    trace for base = p, and the GR(4^k) trace of a Teichmuller y for base = 2."""
+    acc = y.ctx.zero
+    for j in range(k):
+        acc = acc + y ** (base**j)
+    assert acc.coeffs[1:] == (0,) * (k - 1)
+    return acc.coeffs[0]
+
+
 def reference_prime_power(p, k):
     ctx = GfContext(p, k)
     d = p**k
     els = ctx.elements()
-    squares = [e * e for e in els]
+    tr = [power_sum_trace(y, p, k) for y in els]  # tr[label of y] = tr(y)
     omega = np.exp(2j * np.pi / p)
     states = np.empty((d + 1, d, d), dtype=complex)
-    t = ctx.trace_vector
     for a_lab, a in enumerate(els):
-        ta = (t @ ctx.mul_matrix(a)) % p
+        tr_ax2 = np.array([tr[(a * x * x).int_label] for x in els])
         for b_lab, b in enumerate(els):
-            tb = (t @ ctx.mul_matrix(b)) % p
-            amps = np.empty(d, dtype=complex)
-            for x_lab in range(d):
-                amps[x_lab] = omega ** ((ta @ squares[x_lab].coeffs + tb @ els[x_lab].coeffs) % p)
-            states[a_lab, b_lab] = amps * (1 / math.sqrt(d))
+            tr_bx = np.array([tr[(b * x).int_label] for x in els])
+            states[a_lab, b_lab] = omega ** ((tr_ax2 + tr_bx) % p) * (1 / math.sqrt(d))
     states[d] = np.eye(d)
     return states
 
@@ -280,12 +287,13 @@ def reference_prime_power(p, k):
 def reference_galois_ring(n):
     ctx = GrContext(n)
     d = 2**n
-    tr_t = np.array([ctx.trace(t) for t in ctx.teichmuller])
-    mul = np.array([[ctx.teich_mul_index(i, j) for j in range(d)] for i in range(d)])
+    teich = ctx.teichmuller
+    tr = {t.coeffs: power_sum_trace(t, 2, n) for t in teich}  # the Teichmuller set is closed under *
+    tr_ax = np.array([[tr[(a * x).coeffs] for x in teich] for a in teich])
     states = np.empty((d + 1, d, d), dtype=complex)
     for ai in range(d):
         for bi in range(d):
-            states[ai, bi] = np.array(I_POWERS)[(tr_t[mul[ai]] + 2 * tr_t[mul[bi]]) % 4] * (1 / math.sqrt(d))
+            states[ai, bi] = np.array(I_POWERS)[(tr_ax[ai] + 2 * tr_ax[bi]) % 4] * (1 / math.sqrt(d))
     states[d] = np.eye(d)
     return states
 
@@ -318,6 +326,28 @@ def test_prime_power_builder_is_bit_identical_to_reference(p, k):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_galois_ring_builder_is_bit_identical_to_reference(n):
     assert np.array_equal(mub_galois_ring(n).states.view(float), reference_galois_ring(n).view(float))
+
+
+# sha256 of states.tobytes() for every family the GR(4^m) and GF(p^k) traces feed
+FAMILY_STATE_SHA256 = {
+    ("galois_ring", 1): "85ca8b541f1839bc77d538b2f87dcd36661e0b8bcc53365aa326b31f10369c2b",
+    ("galois_ring", 2): "0bef70f71c5320945678cc499eb46c72cbf439095e8c22fe829d7d14a4a19e0a",
+    ("galois_ring", 3): "ac8fb4286e50d0eac662261787734c97281a77f0c8882f21f64aa47a89d640d4",
+    ("galois_ring", 4): "961b39968cc08096d9431d2adb10db6b42fdf3200f7b4a77f370270db2d9356b",
+    ("galois_ring", 5): "c9825d70165809ee324188fc599a62cf11aeb3ca115ad34a236780d91992de40",
+    ("galois_ring", 6): "81b1dba2519867a0a6ff00967cbf7b7ca41f4a526f8b211fa0266baf9daf8d48",
+    ("galois_ring", 7): "e64bd7f00c3616ed032d95cbb31948137391f3cf113f497a86e5c95b17a7b6e9",
+    ("prime_power", 3, 4): "6eaeaada8207f4de609577dfd591682ce892dc8fbff4b237ff4a7390c99f4d67",
+    ("prime_power", 5, 3): "15e0389be9d88ab2a0f12a5055255451c9f69f3ad56abd03fb7426f18969c4b2",
+    ("prime_power", 7, 2): "43bd1729ef0f2d428ec59a888b54a8099852ead57b339b2a4cf9a7a600c96836",
+    ("prime_power", 11, 2): "4cd0be55434e60c7726c10b346cb0087861ae511670a9e8e929dd18d13f2b0d0",
+}
+
+
+@pytest.mark.parametrize("key", FAMILY_STATE_SHA256, ids=lambda key: "-".join(map(str, key)))
+def test_family_states_match_pinned_hashes(key):
+    family = mub_galois_ring(*key[1:]) if key[0] == "galois_ring" else mub_prime_power(*key[1:])
+    assert hashlib.sha256(family.states.tobytes()).hexdigest() == FAMILY_STATE_SHA256[key]
 
 
 @pytest.mark.parametrize("fam", [mub_prime(17), mub_galois_ring(4)], ids=["p17", "q4"])

@@ -549,6 +549,27 @@ def test_approx_twirl_channel_identity_bound_is_zero():
     assert abs(bound) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "n,k,trials,message",
+    [
+        (2, 1, 10_000_001, "--samples <= 10000000"),
+        (2, 1, -5, "samples >= 1"),
+        (1, 1, 0, "n >= 2"),
+        (1, 1, 100, "n >= 2"),
+        (2, -1, 0, "k >= 0"),
+        (2, 0, 100, "k >= 1"),
+        (12, 1, 100, "n <= 11"),
+    ],
+)
+def test_approx_twirl_channel_rejects_bad_arguments_before_twirling(monkeypatch, n, k, trials, message):
+    def no_twirl(*args, **kwargs):
+        raise AssertionError("pauli_twirl ran before the arguments were checked")
+
+    monkeypatch.setattr(qdesigns.twirl, "pauli_twirl", no_twirl)
+    with pytest.raises(ValueError, match=message):
+        approx_twirl_channel(depolarizing(4, 0.6), n, k, trials=trials, rng=np.random.default_rng(0))
+
+
 def test_approx_twirl_channel_mc_mode():
     rng = np.random.default_rng(51)
     mixed = KrausChannel(4, (math.sqrt(0.7) * np.eye(4, dtype=complex),
