@@ -360,24 +360,22 @@ def build_mub_circuit_prime_power(p: int, n_qudits: int, a, b) -> Circuit:
     if not 0 <= b_lab < d:
         raise ValueError(f"state label {b_lab} outside 0..{d - 1}")
     c = Circuit(n=n_qudits, d=p)
-    t = ctx.trace_vector
     b_el = ctx.element_from_int(b_lab)
     # level shifts prepare |b> itself on the computational branch, |t_b> otherwise
-    for i, coeff in enumerate(b_el.coeffs if a_lab == d else (t @ ctx.mul_matrix(b_el)) % p):
+    for i, coeff in enumerate(b_el.coeffs if a_lab == d else ctx.trace_forms(b_el.coeffs)):
         if coeff:
             c.append(Gate("Xd", (i,), num=int(coeff)))
     if a_lab == d:
         return c
-    t_a = (t @ ctx.mul_matrix(ctx.element_from_int(a_lab))) % p
+    # column i of M_a is a X^i, whose trace form holds couplings[i, j] = tr(a X^(i+j))
+    couplings = ctx.trace_forms(ctx.mul_matrix(ctx.element_from_int(a_lab)).T)
     for i in range(n_qudits):
         c.append(Gate("Fp", (i,)))
-    ta_of = lambda i, j: int(np.dot(t_a, ctx.monomial_vector(i + j)) % p)
     for i in range(n_qudits):
         for j in range(i + 1, n_qudits):
-            c.append(Gate("CPhase", (i, j), num=(2 * ta_of(i, j)) % p, den=p))
+            c.append(Gate("CPhase", (i, j), num=int(2 * couplings[i, j] % p), den=p))
     for i in range(n_qudits):
-        coeff = ta_of(i, i)
-        c.append(Gate("PhaseVec", (i,), den=p, phases=tuple((coeff * u * u) % p for u in range(p))))
+        c.append(Gate("PhaseVec", (i,), den=p, phases=tuple(int(couplings[i, i] * u * u % p) for u in range(p))))
     return c
 
 

@@ -65,17 +65,18 @@ def cmd_verify(args) -> int:
     report = mub.verify_unbiased(family, tol=args.tol)
     worst = report.worst_unbiasedness_pair if report.max_unbiasedness_error >= report.max_orthonormality_error else report.worst_orthonormality_pair
     if args.json:
-        print(_json_dump({
+        text = _json_dump({
             "d": family.d,
             "ok": report.ok,
             "max_orthonormality_error": report.max_orthonormality_error,
             "max_unbiasedness_error": report.max_unbiasedness_error,
             "worst_pair": list(map(list, worst)),
-        }))
+        })
     else:
         status = "PASS" if report.ok else "FAIL"
-        print(f"{status} d={family.d} max_orth_err={report.max_orthonormality_error:.3e} "
-              f"max_unbias_err={report.max_unbiasedness_error:.3e} worst_pair={worst}")
+        text = (f"{status} d={family.d} max_orth_err={report.max_orthonormality_error:.3e} "
+                f"max_unbias_err={report.max_unbiasedness_error:.3e} worst_pair={worst}")
+    _write(text + "\n", args.out)
     return 0 if report.ok else 1
 
 
@@ -122,11 +123,12 @@ def cmd_design(args) -> int:
         ok = worst <= args.tol
     results["ok"] = ok
     if args.json:
-        print(_json_dump(results))
+        text = _json_dump(results)
     else:
         detail = " ".join(f"{k}={v:.3e}" if isinstance(v, float) else f"{k}={v}"
                           for k, v in results.items() if k != "ok")
-        print(f"{'PASS' if ok else 'FAIL'} {detail}")
+        text = f"{'PASS' if ok else 'FAIL'} {detail}"
+    _write(text + "\n", args.out)
     return 0 if ok else 1
 
 

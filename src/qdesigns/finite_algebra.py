@@ -7,10 +7,10 @@ sums, negation, scalar and element products, non-negative powers, the integer
 label, zero, one, the root of h, element construction and the context check.
 It also holds the multiplication matrices M_{X^i} and the trace of
 multiplication tr(x) = tr(M_x) mod q, which is Z_q-linear: the field trace of
-GF(p^k) and the generalized trace of GR(4^m).  GF(p^k) adds the inverse and
-negative powers; GR(4^m) adds the Teichmuller set and the 2-adic split, and
-rejects negative powers.  Contexts are immutable after construction and every
-operation is pure.
+GF(p^k) (GF(p) at k = 1) and the generalized trace of GR(4^m), and its trace
+forms u_a.  GF(p^k) adds the inverse and negative powers; GR(4^m) adds the
+Teichmuller set and the 2-adic split, and rejects negative powers.  Contexts
+are immutable after construction and every operation is pure.
 
 The computational-basis label of an element is the base-q integer of its
 coefficient vector, least-significant coefficient first.
@@ -18,7 +18,6 @@ coefficient vector, least-significant coefficient first.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -174,9 +173,9 @@ class _PolyContext:
     def __init__(self, q: int, n: int, h: tuple[int, ...], name: str):
         self._q, self._n, self.h, self._name = q, n, h, name
         root = self._element(self, _root_coeffs(h, q))
-        self._xi_powers = [e.coeffs for e in self._powers(root, 2 * n - 1)]  # X^t mod h, t <= 2n-2
+        xi_powers = [e.coeffs for e in self._powers(root, 2 * n - 1)]  # X^t mod h, t <= 2n-2
         # column j of M_{X^i} is X^(i+j) mod h
-        self.mul_matrices = [np.array(self._xi_powers[i : i + n], dtype=np.int64).T for i in range(n)]
+        self.mul_matrices = [np.array(xi_powers[i : i + n], dtype=np.int64).T for i in range(n)]
         self.trace_vector = np.trace(np.array(self.mul_matrices), axis1=1, axis2=2) % q
 
     @property
@@ -217,6 +216,11 @@ class _PolyContext:
         """tr(x) = tr(M_x) mod q, linear in the coefficients of x."""
         self._own(x)
         return int(np.dot(self.trace_vector, np.asarray(x.coeffs, dtype=np.int64)) % self._q)
+
+    def trace_forms(self, coeffs) -> np.ndarray:
+        """Rows u_a with tr(a y) = (u_a, coeffs(y)) mod q, one per row coeffs(a):
+        u_a[j] = sum_i a_i tr(X^(i+j)), and row i of t @ M holds tr(X^(i+j))."""
+        return np.asarray(coeffs, dtype=np.int64) @ (self.trace_vector @ np.array(self.mul_matrices)) % self._q
 
 
 class GfElement(_PolyElement):
@@ -269,10 +273,6 @@ class GfContext(_PolyContext):
         """The root of h, reduced (equals X for k >= 2, -h_0 for k = 1)."""
         return GfElement(self, _root_coeffs(self.h, self.p))
 
-    def monomial_vector(self, t: int) -> tuple[int, ...]:
-        """Coefficient vector of X^t mod h, available for t = 0 .. 2k-2."""
-        return self._xi_powers[t]
-
     def mul_matrix(self, y: GfElement) -> np.ndarray:
         """Matrix M_y over F_p with vec(y*x) = M_y @ vec(x)."""
         acc = sum(c * m for c, m in zip(y.coeffs, self.mul_matrices))
@@ -281,10 +281,10 @@ class GfContext(_PolyContext):
 
 def gf_gauss_sum(ctx: GfContext, a: GfElement) -> complex:
     """Additive character sum sum_x exp(2 pi i tr(a x) / p) over GF(p^k)."""
-    total = 0j
-    for x in ctx.elements():
-        total += cmath.exp(2j * cmath.pi * ctx.trace(a * x) / ctx.p)
-    return total
+    ctx._own(a)
+    c = np.arange(ctx.order)[:, None] // ctx.p ** np.arange(ctx.k) % ctx.p  # c[x] = coefficients of element x
+    tr_ax = c @ ctx.trace_forms(a.coeffs) % ctx.p
+    return complex(np.exp(2j * np.pi * tr_ax / ctx.p).sum())
 
 
 class GrElement(_PolyElement):
@@ -366,7 +366,6 @@ I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 def gr_exponential_sum(ctx: GrContext, x: GrElement) -> complex:
     """Gamma(x) = sum over the Teichmuller set of i^tr(x y)."""
-    total = 0j
-    for y in ctx.teichmuller:
-        total += I_POWERS[ctx.trace(x * y) % 4]
-    return total
+    ctx._own(x)
+    tr_xy = np.array([y.coeffs for y in ctx.teichmuller]) @ ctx.trace_forms(x.coeffs) % 4
+    return complex(np.array(I_POWERS)[tr_xy].sum())

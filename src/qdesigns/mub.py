@@ -2,10 +2,10 @@
 
 Three constructions are provided: odd prime dimension (quadratic Gauss-sum
 phases), odd prime power dimension (field-trace phases over GF(p^k)) and
-qubit dimension 2^n (Galois-ring phases over GR(4^n)).  Basis index a runs
-over 0..d with a = d reserved for the computational basis.  For the Galois
-ring family, a and b enumerate the Teichmuller set in its natural order
-(0, 1, X, X^2, ...).
+qubit dimension 2^n (Galois-ring phases over GR(4^n)), all from trace forms;
+the prime one is the field one at k = 1.  Basis index a runs over 0..d with
+a = d reserved for the computational basis.  For the Galois ring family, a
+and b enumerate the Teichmuller set in its natural order (0, 1, X, X^2, ...).
 
 Global phases of individual states follow the defining formulas verbatim;
 every verification here is phase-insensitive.
@@ -58,20 +58,35 @@ class MubFamily:
         return self.states.reshape(-1, self.d)
 
 
+def _phase_states(roots: np.ndarray, e_a: np.ndarray, e_b: np.ndarray) -> np.ndarray:
+    """states[a, b, x] = roots[(e_a[a, x] + e_b[b, x]) mod q] / sqrt d with q = len(roots),
+    for a, b < d, then the computational basis as states[d]."""
+    d = e_a.shape[1]
+    states = np.empty((d + 1, d, d), dtype=complex)
+    # times 1/sqrt d: dividing a complex by sqrt d can give a zero part the other sign
+    states[:d] = roots[(e_a[:, None, :] + e_b) % len(roots)] * (1 / math.sqrt(d))
+    states[d] = np.eye(d)
+    return states
+
+
+def _field_states(p: int, k: int) -> np.ndarray:
+    """The GF(p^k) family: e_a[a, x] = tr(a x^2) and e_b[b, x] = tr(b x)."""
+    ctx = GfContext(p, k)
+    c = np.arange(p**k)[:, None] // p ** np.arange(k) % p  # c[x] = coefficients of element x
+    sq = np.einsum("xi,ijl,xl->xj", c, np.array(ctx.mul_matrices), c) % p  # coefficients of x^2
+    u = ctx.trace_forms(c)  # tr(a y) = u[a] . coeffs(y)
+    return _phase_states(np.exp(2j * np.pi / p) ** np.arange(p), u @ sq.T % p, u @ c.T % p)
+
+
 def mub_prime(p: int) -> MubFamily:
     """States (1/sqrt p) sum_x w_p^(a x^2 + b x)|x> for a, b in F_p, plus the
-    computational basis.  Requires an odd prime: the quadratic character-sum
-    bound underlying unbiasedness fails in characteristic 2."""
+    computational basis: the GF(p^k) family at k = 1.  Requires an odd prime:
+    the quadratic character-sum bound underlying unbiasedness fails in characteristic 2."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"p = {p} must be an odd prime (qubit families come from mub_galois_ring)")
     if p > PRIME_CAP:
         raise ValueError(f"p = {p} exceeds the supported cap {PRIME_CAP}")
-    x = np.arange(p)
-    e = (x[:, None, None] * x * x + x[:, None] * x) % p  # e[a, b, x] = a x^2 + b x
-    states = np.empty((p + 1, p, p), dtype=complex)
-    states[:p] = (np.exp(2j * np.pi / p) ** np.arange(p))[e] / math.sqrt(p)
-    states[p] = np.eye(p)
-    return MubFamily(d=p, kind="prime", states=states)
+    return MubFamily(d=p, kind="prime", states=_field_states(p, 1))
 
 
 def mub_prime_power(p: int, k: int) -> MubFamily:
@@ -82,17 +97,7 @@ def mub_prime_power(p: int, k: int) -> MubFamily:
         raise ValueError(f"p = {p} must be an odd prime")
     if k < 1 or p**k > PRIME_POWER_CAP:
         raise ValueError(f"p^k = {p**k} outside the supported range (k >= 1, p^k <= {PRIME_POWER_CAP})")
-    ctx = GfContext(p, k)
-    d = p**k
-    c = np.arange(d)[:, None] // p ** np.arange(k) % p  # c[x] = coefficients of element x
-    m = np.array(ctx.mul_matrices)
-    sq = np.einsum("xi,ijl,xl->xj", c, m, c) % p  # coefficients of x^2
-    ta = c @ (ctx.trace_vector @ m) % p  # tr(a y) = ta[a] . y
-    e = ((ta @ sq.T)[:, None, :] + ta @ c.T) % p  # e[a, b, x] = tr(a x^2 + b x)
-    states = np.empty((d + 1, d, d), dtype=complex)
-    states[:d] = (np.exp(2j * np.pi / p) ** np.arange(p))[e] * (1 / math.sqrt(d))
-    states[d] = np.eye(d)
-    return MubFamily(d=d, kind="prime_power", states=states)
+    return MubFamily(d=p**k, kind="prime_power", states=_field_states(p, k))
 
 
 def mub_galois_ring(n: int) -> MubFamily:
@@ -101,14 +106,10 @@ def mub_galois_ring(n: int) -> MubFamily:
     if not 1 <= n <= QUBIT_CAP:
         raise ValueError(f"qubit count n = {n} outside 1..{QUBIT_CAP}")
     ctx = GrContext(n)
-    d = 2**n
-    # tr((a+2b)x) = tr(ax) + 2 tr(bx), and the trace is Z_4-linear
     c = np.array([t.coeffs for t in ctx.teichmuller])  # c[a] = coefficients of Teichmuller element a
-    tr_ax = c @ (ctx.trace_vector @ np.array(ctx.mul_matrices)) @ c.T % 4  # tr_ax[a, x] = tr(a x)
-    states = np.empty((d + 1, d, d), dtype=complex)
-    states[:d] = np.array(I_POWERS)[(tr_ax[:, None, :] + 2 * tr_ax) % 4] * (1 / math.sqrt(d))
-    states[d] = np.eye(d)
-    return MubFamily(d=d, kind="galois_ring", states=states)
+    tr_ax = ctx.trace_forms(c) @ c.T % 4  # tr_ax[a, x] = tr(a x)
+    # tr((a+2b)x) = tr(ax) + 2 tr(bx), and the trace is Z_4-linear
+    return MubFamily(d=2**n, kind="galois_ring", states=_phase_states(np.array(I_POWERS), tr_ax, 2 * tr_ax))
 
 
 def family_for_dimension(d: int) -> MubFamily:
@@ -196,6 +197,8 @@ def haar_moment_mc(
 ) -> tuple[complex, float]:
     """Monte-Carlo oracle for the Fubini-Study average: Gaussian vectors
     normalized to the sphere.  Returns (mean, standard error of the mean)."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     m, n = np.asarray(m, dtype=complex), np.asarray(n, dtype=complex)
     d = m.shape[0]
     g = rng.standard_normal((samples, d)) + 1j * rng.standard_normal((samples, d))

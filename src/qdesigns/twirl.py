@@ -789,9 +789,9 @@ def approx_twirl_channel(
     source label.
     Returns the twirled Pauli channel and B(Lambda) (eps0 + eps_k), where
     eps_k is the realized l1 gap beyond eps0, maximized over source labels in
-    exact mode.  Needs n >= 2, and k >= 0 in exact mode; Monte-Carlo mode
-    needs an rng and mc_convergence_curve's bounds on n, k and trials
-    (ValueError otherwise, before the channel is twirled).
+    exact mode.  Needs n >= 2, a channel on n qubits, and k >= 0 in exact
+    mode; Monte-Carlo mode needs an rng and mc_convergence_curve's bounds on
+    n, k and trials (ValueError otherwise, before the channel is twirled).
     """
     if trials == 0:
         _check_rounds(n, k, least_k=0)
@@ -799,10 +799,10 @@ def approx_twirl_channel(
         _check_mc(n, k, trials)
         if rng is None:
             raise ValueError("Monte-Carlo mode needs an rng")
-    pauli_ch = pauli_twirl(ch)
-    if pauli_ch.n != n:
-        raise ValueError("channel size disagrees with n")
     dim = 2**n
+    if ch.dim != dim:
+        raise ValueError("channel size disagrees with n")
+    pauli_ch = pauli_twirl(ch)
     tr_hat, tr_on_id = _kraus_traces(ch)
     b_lambda = (dim * tr_on_id - tr_hat) / dim**4
     eps_k = 0.0

@@ -196,6 +196,15 @@ def test_prime_power_circuit_matches_closed_form():
             assert overlap(out, fam.states[a, b]) >= 1 - 1e-10
 
 
+@pytest.mark.parametrize("p,k", [(5, 2), (7, 2), (3, 3), (5, 3)])
+def test_prime_power_circuit_matches_closed_form_beyond_gf9(p, k):
+    # over GF(3^2) every M_a commutes with the Gram matrix tr(X^(i+j)), which hides a transposed M_a
+    fam, d = mub_prime_power(p, k), p**k
+    for a, b in [(1, 0), (2, 3), (d - 1, d - 2), (d // 2, 1), (d, 4)]:
+        out = simulate(build_mub_circuit_prime_power(p, k, a, b), basis_state(d, 0))
+        assert overlap(out, fam.states[a, b]) >= 1 - 1e-10
+
+
 def test_amplitude_split_validates():
     with pytest.raises(ValueError):
         amplitude_split(basis_state(4, 0), np.zeros((4, 4)))

@@ -133,6 +133,24 @@ def test_design_state_outputs_are_pinned(capsys, flags, line):
     assert run(capsys, ["design", "state", *flags.split()]) == (0, line + "\n", "")
 
 
+@pytest.mark.parametrize("argv", [
+    "design state --d 5",
+    "design state --d 4 --rounds 2 --json",
+    "design unitary --cliffords1q --rounds 2 --json",
+    "verify --family {family}",
+    "verify --family {family} --json",
+])
+def test_design_and_verify_write_their_report_to_out(tmp_path, capsys, argv):
+    family = tmp_path / "q2.mub"
+    run(capsys, ["mub", "--qubits", "2", "--out", str(family)])
+    argv = argv.format(family=family).split()
+    code, stdout, err = run(capsys, argv)
+    assert code == 0 and stdout.count("\n") == 1
+    report = tmp_path / "report.txt"
+    assert run(capsys, [*argv, "--out", str(report)]) == (code, "", err)
+    assert report.read_text() == stdout
+
+
 def test_design_unitary_cliffords_pass(capsys):
     code, stdout, _ = run(capsys, ["design", "unitary", "--cliffords1q", "--tol", "1e-10"])
     assert code == 0

@@ -1,11 +1,13 @@
 """Field/ring arithmetic, traces, and character sums."""
 
+import cmath
 import itertools
 
 import numpy as np
 import pytest
 
 from qdesigns.finite_algebra import (
+    I_POWERS,
     GfContext,
     GrContext,
     gf_gauss_sum,
@@ -106,6 +108,15 @@ def test_trace_vector_matches_power_sum(p, k):
             acc = acc + x ** (p**j)
         assert acc.coeffs[1:] == (0,) * (k - 1)
         assert x.trace() == acc.coeffs[0]
+
+
+@pytest.mark.parametrize("ctx", [GfContext(3, 1), GfContext(3, 2), GfContext(5, 2), GrContext(1), GrContext(3)],
+                         ids=["gf3", "gf9", "gf25", "gr4", "gr64"])
+def test_trace_forms_give_tr_of_every_product(ctx):
+    els = ctx.elements()
+    forms = ctx.trace_forms([a.coeffs for a in els])
+    for (a, u), y in itertools.product(zip(els, forms), els):
+        assert int(u @ np.array(y.coeffs)) % getattr(ctx, "p", 4) == (a * y).trace()
 
 
 def test_trace_linearity_gf9():
@@ -251,6 +262,36 @@ def test_exponential_sum_trichotomy(m):
             assert abs(mag - np.sqrt(2**m)) < TOL
 
 
+# --- the per-element character sums the vectorized ones replace ---
+
+def loop_gauss_sum(ctx, a):
+    total = 0j
+    for x in ctx.elements():
+        total += cmath.exp(2j * cmath.pi * ctx.trace(a * x) / ctx.p)
+    return total
+
+
+def loop_exponential_sum(ctx, x):
+    total = 0j
+    for y in ctx.teichmuller:
+        total += I_POWERS[ctx.trace(x * y) % 4]
+    return total
+
+
+@pytest.mark.parametrize("p,k", [(3, 3), (5, 2), (7, 2)])
+def test_gauss_sum_matches_per_element_loop(p, k):
+    ctx = GfContext(p, k)
+    for a in ctx.elements():
+        assert abs(gf_gauss_sum(ctx, a) - loop_gauss_sum(ctx, a)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_exponential_sum_matches_per_element_loop(m):
+    ctx = GrContext(m)
+    for x in ctx.elements():
+        assert abs(gr_exponential_sum(ctx, x) - loop_exponential_sum(ctx, x)) <= 1e-12
+
+
 def test_context_mismatch_raises():
     a = GfContext(3, 1).one
     b = GfContext(3, 1).one  # distinct context object
@@ -261,6 +302,10 @@ def test_context_mismatch_raises():
         c * e
     with pytest.raises(ValueError):
         GrContext(2).trace(c)
+    with pytest.raises(ValueError):  # so do the character sums
+        gr_exponential_sum(GrContext(2), c)
+    with pytest.raises(ValueError):
+        gf_gauss_sum(GfContext(3, 1), a)
 
 
 def test_inverse_of_zero_raises():

@@ -205,6 +205,13 @@ def test_haar_moment_monte_carlo():
     assert abs(mean - haar_moment(m, n)) < 5 * stderr
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_haar_moment_monte_carlo_needs_a_sample(samples):
+    m = np.eye(2)
+    with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+        haar_moment_mc(m, m, samples, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("fam_builder,arg", [
     (mub_prime, 3), (mub_prime, 7), (mub_prime_power, (3, 2)), (mub_galois_ring, 2), (mub_galois_ring, 3),
 ])
@@ -318,6 +325,21 @@ def test_prime_builder_is_bit_identical_to_reference(p):
     assert np.array_equal(mub_prime(p).states.view(float), reference_prime(p).view(float))
 
 
+def reference_prime_exponent_table(p):
+    """mub_prime's own a x^2 + b x exponent table, before it took GF(p)'s trace forms."""
+    x = np.arange(p)
+    e = (x[:, None, None] * x * x + x[:, None] * x) % p  # e[a, b, x] = a x^2 + b x
+    states = np.empty((p + 1, p, p), dtype=complex)
+    states[:p] = (np.exp(2j * np.pi / p) ** np.arange(p))[e] / math.sqrt(p)
+    states[p] = np.eye(p)
+    return states
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, PRIME_CAP + 1) if is_prime(p)])
+def test_prime_family_is_the_exponent_table_bit_for_bit(p):
+    assert mub_prime(p).states.tobytes() == reference_prime_exponent_table(p).tobytes()
+
+
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (7, 2), (3, 3)])
 def test_prime_power_builder_is_bit_identical_to_reference(p, k):
     assert np.array_equal(mub_prime_power(p, k).states.view(float), reference_prime_power(p, k).view(float))
@@ -341,12 +363,16 @@ FAMILY_STATE_SHA256 = {
     ("prime_power", 5, 3): "15e0389be9d88ab2a0f12a5055255451c9f69f3ad56abd03fb7426f18969c4b2",
     ("prime_power", 7, 2): "43bd1729ef0f2d428ec59a888b54a8099852ead57b339b2a4cf9a7a600c96836",
     ("prime_power", 11, 2): "4cd0be55434e60c7726c10b346cb0087861ae511670a9e8e929dd18d13f2b0d0",
+    ("prime", 3): "53023e2e6a07b809767da9b9b3a6b9d84edb73fd6e422b20fe7f0ebaaa8d83ca",
+    ("prime", 61): "f9f0bb96376be3dfa7ac4f7c4dd1f1bb78659734b6245018cf98ce715087bf0c",
+    ("prime", 127): "eb44441b1aa87aca1760ae13b7d8aade644c1e4641a4527c05fe9be7747364a9",
 }
+_BUILDERS = {"prime": mub_prime, "prime_power": mub_prime_power, "galois_ring": mub_galois_ring}
 
 
 @pytest.mark.parametrize("key", FAMILY_STATE_SHA256, ids=lambda key: "-".join(map(str, key)))
 def test_family_states_match_pinned_hashes(key):
-    family = mub_galois_ring(*key[1:]) if key[0] == "galois_ring" else mub_prime_power(*key[1:])
+    family = _BUILDERS[key[0]](*key[1:])
     assert hashlib.sha256(family.states.tobytes()).hexdigest() == FAMILY_STATE_SHA256[key]
 
 

@@ -570,6 +570,16 @@ def test_approx_twirl_channel_rejects_bad_arguments_before_twirling(monkeypatch,
         approx_twirl_channel(depolarizing(4, 0.6), n, k, trials=trials, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("trials", [0, 100])
+def test_approx_twirl_channel_checks_the_channel_size_before_twirling(monkeypatch, trials):
+    def no_twirl(*args, **kwargs):
+        raise AssertionError("pauli_twirl ran before the channel size was checked")
+
+    monkeypatch.setattr(qdesigns.twirl, "pauli_twirl", no_twirl)
+    with pytest.raises(ValueError, match="channel size disagrees with n"):
+        approx_twirl_channel(depolarizing(32, 0.9), 2, 1, trials=trials, rng=np.random.default_rng(0))
+
+
 def test_approx_twirl_channel_mc_mode():
     rng = np.random.default_rng(51)
     mixed = KrausChannel(4, (math.sqrt(0.7) * np.eye(4, dtype=complex),
