@@ -18,9 +18,9 @@ The tables stop at n = EXACT_CHAIN_CAP (about 0.6 MB of int16 there); above
 it the Monte-Carlo round moves packed int16 masks with _move, one step at a
 time.
 
-Twirling always means averaging V Lambda(V^dag X V) V^dag over the set; every
-set used here (Pauli group, Clifford group) is closed under inverses, so this
-agrees with the V^dag Lambda(V X V^dag) V form.
+Twirling always means averaging U^dag Lambda(U X U^dag) U over the set, and
+_group_average is the one such sum; every set used here (Pauli group, Clifford
+group) is closed under inverses, so this agrees with the U Lambda(U^dag X U) U^dag form.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import KrausChannel, Supermatrix, generalized_paulis, kraus_to_supermatrix, vec
+from .channels import KrausChannel, generalized_paulis
 from .channels import _invariant_pq, _kraus_traces
 from .circuits import Circuit, Gate, parallel_prefix_parity
 from .linalg import SUPERMATRIX_DIM_CAP, dagger
@@ -204,28 +204,35 @@ class PauliChannel:
         return self.to_kraus().apply(rho)
 
 
-def pauli_twirl(ch: KrausChannel, d: int = 2) -> PauliChannel:
-    """Closed-form Pauli twirl: beta_r = sum_k |tr(P_r^dagger A_k)|^2 / D^2."""
+def _pauli_qudits(ch: KrausChannel, d: int) -> int:
+    """The number n >= 1 of qudits of dimension d >= 2 with d^n = ch.dim."""
+    if d < 2:
+        raise ValueError(f"the Pauli twirl needs qudit dimension d >= 2, got {d}")
     n = round(math.log(ch.dim, d))
-    if d**n != ch.dim:
+    if n < 1 or d**n != ch.dim:
         raise ValueError(f"channel dim {ch.dim} is not a power of {d}")
-    if ch.dim > 16:
-        raise ValueError("Pauli twirl capped at D <= 16")
-    dim2 = ch.dim**2
-    # tr(P_r^dagger A_k) is the inner product of the flattened operators
-    amps = _pauli_stack(d, n).reshape(-1, dim2).conj() @ ch.kraus.reshape(-1, dim2).T
-    return PauliChannel(d, n, (np.abs(amps) ** 2).sum(axis=1) / dim2)
+    return n
+
+
+def pauli_twirl(ch: KrausChannel, d: int = 2) -> PauliChannel:
+    """Closed-form Pauli twirl: beta_r = sum_k |tr(P_r^dagger A_k)|^2 / D^2.
+    The trace factors over qudits, so it is taken one operator and one qudit at a time."""
+    n = _pauli_qudits(ch, d)
+    one = _pauli_stack(d, 1).reshape(d * d, d * d).T.conj()  # column r: conj(P_r) flattened
+    pairs = [a for q in range(n) for a in (q, n + q)]  # (row, column) digit of each qudit, high first
+    weights = np.zeros((d * d) ** n)
+    for a in ch.kraus:
+        amps = a.reshape((d,) * (2 * n)).transpose(pairs)
+        for _ in range(n):  # contract the leading qudit's digit pair; its label digit goes last
+            amps = amps.reshape(d * d, -1).T @ one
+        weights += np.abs(amps.ravel()) ** 2
+    return PauliChannel(d, n, weights / ch.dim**2)
 
 
 def pauli_twirl_brute(ch: KrausChannel, rho: np.ndarray, d: int = 2) -> np.ndarray:
     """Brute-force conjugation average (1/D^2) sum_j P_j^dag E(P_j rho P_j^dag) P_j."""
-    n = round(math.log(ch.dim, d))
-    out = np.zeros_like(np.asarray(rho, dtype=complex))
-    labels = all_labels(d, n)
-    for label in labels:
-        p = pauli_matrix(label)
-        out += dagger(p) @ ch.apply(p @ rho @ dagger(p)) @ p
-    return out / len(labels)
+    adjoints = ch.kraus.conj().transpose(0, 2, 1)
+    return _group_average(_pauli_stack(d, _pauli_qudits(ch, d)), ch.kraus, rho, adjoints)
 
 
 def clifford_group_1q() -> list[np.ndarray]:
@@ -261,32 +268,38 @@ def clifford_group_1q() -> list[np.ndarray]:
     return group
 
 
-def _twirl_supermatrix(unitaries, s: Supermatrix) -> Supermatrix:
-    d = s.dim
-    out = np.zeros_like(s.mat)
+def _group_average(unitaries, left, x: np.ndarray, right) -> np.ndarray:
+    """(1/K) sum_U sum_j U^dag L_j U x U^dag R_j U: a channel's twirl at x (or at a
+    stack x) for L_j = A_j, R_j = A_j^dag, the 2-design sandwich for one pair (M, O)."""
+    if not len(unitaries):
+        raise ValueError("the group average needs a non-empty set of unitaries")
+    out = np.zeros(np.shape(x), dtype=complex)
     for u in unitaries:
-        u_hat = np.kron(u.conj(), u)
-        out += u_hat @ s.mat @ dagger(u_hat)
-    return Supermatrix(d, out / len(unitaries))
+        u_dag = dagger(u)
+        for l_j, r_j in zip(left, right):
+            out += u_dag @ l_j @ u @ x @ u_dag @ r_j @ u
+    return out / len(unitaries)
 
 
 def clifford_twirl_exact(ch: KrausChannel) -> tuple[float, float]:
-    """Average C Lambda(C^dag . C) C^dag over the 24 single-qubit Cliffords and
+    """Average C^dag Lambda(C . C^dag) C over the 24 single-qubit Cliffords and
     fit the result to the depolarizing form p rho + (1-p) I/d.
 
-    Returns (p, residual).  For any trace-preserving channel the fit is exact
-    and p = (tr Lambda_hat - 1) / (d^2 - 1); a residual above 1e-6 would
-    falsify the 2-design property and raises.
+    Returns (p, residual), the residual over the d^2 matrix units.  The fit is
+    exact and p = (sum_k |tr A_k|^2 - 1) / (d^2 - 1); a residual above 1e-6
+    would falsify the 2-design property and raises.  Needs a trace-preserving
+    qubit channel (ValueError otherwise).
     """
     if ch.dim != 2:
         raise ValueError("exact Clifford twirl implemented for single qubits")
-    s = kraus_to_supermatrix(ch)
-    twirled = _twirl_supermatrix(clifford_group_1q(), s)
+    if not ch.trace_preserving:
+        raise ValueError("the depolarizing fit of the Clifford twirl requires a trace-preserving channel")
     d = ch.dim
-    p = float(np.real(_invariant_pq(np.trace(s.mat), d, d)[0]))  # tr Lambda(I) = d
-    vi = vec(np.eye(d, dtype=complex))
-    target = p * np.eye(d**2) + ((1 - p) / d) * np.outer(vi, vi.conj())
-    residual = float(np.abs(twirled.mat - target).max())
+    p = _invariant_pq(_kraus_traces(ch)[0], d, d)[0]  # tr Lambda(I) = d
+    units = np.eye(d * d).reshape(d * d, d, d)  # every E_ij, twirled at once
+    twirled = _group_average(clifford_group_1q(), ch.kraus, units, ch.kraus.conj().transpose(0, 2, 1))
+    target = p * units + (1 - p) * np.trace(units, axis1=1, axis2=2)[:, None, None] * np.eye(d) / d
+    residual = float(np.abs(twirled - target).max())
     if residual > 1e-6:
         raise RuntimeError(f"Clifford twirl failed to depolarize: residual {residual:.2e}")
     return p, residual
@@ -296,10 +309,7 @@ def unitary_design_check(unitaries, m: np.ndarray, n: np.ndarray, o: np.ndarray)
     """Max-entry deviation of (1/K) sum_k U_k^dag M U_k N U_k^dag O U_k from
     the Haar value p N + q tr(N) I/d."""
     d = m.shape[0]
-    avg = np.zeros((d, d), dtype=complex)
-    for u in unitaries:
-        avg += dagger(u) @ m @ u @ n @ dagger(u) @ o @ u
-    avg /= len(unitaries)
+    avg = _group_average(unitaries, [m], n, [o])
     p, q = _invariant_pq(np.trace(m) * np.trace(o), np.trace(m @ o), d)
     haar = p * n + q * np.trace(n) * np.eye(d) / d
     return float(np.abs(avg - haar).max())
@@ -307,6 +317,8 @@ def unitary_design_check(unitaries, m: np.ndarray, n: np.ndarray, o: np.ndarray)
 
 def unitary_1design_check(unitaries, rho: np.ndarray) -> float:
     """Max-entry deviation of (1/K) sum_k U_k rho U_k^dag from tr(rho) I/d."""
+    if not len(unitaries):
+        raise ValueError("the 1-design check needs a non-empty set of unitaries")
     d = rho.shape[0]
     avg = sum(u @ rho @ dagger(u) for u in unitaries) / len(unitaries)
     return float(np.abs(avg - np.trace(rho) * np.eye(d) / d).max())
@@ -535,11 +547,17 @@ def _chain_step(dist: np.ndarray, n: int) -> np.ndarray:
     return out / (2**n - 1)
 
 
+def _check_chain(n: int, k: int = 0) -> None:
+    """Reject an exact-chain run outside 2 <= n <= EXACT_CHAIN_CAP or with k < 0 rounds."""
+    _check_rounds(n, k, least_k=0)
+    if n > EXACT_CHAIN_CAP:
+        raise ValueError(f"exact chain capped at n <= {EXACT_CHAIN_CAP}")
+
+
 def twirl_markov_step(dist: np.ndarray, n: int) -> np.ndarray:
     """Exact one-round pushforward of a distribution over qubit Pauli labels
     under the randomized twirl (uniform over the 2^n - 1 subset choices)."""
-    if n > EXACT_CHAIN_CAP:
-        raise ValueError(f"exact chain capped at n <= {EXACT_CHAIN_CAP}")
+    _check_chain(n)
     dist = np.asarray(dist, dtype=float)
     if dist.shape != (4**n,):
         raise ValueError(f"distribution length {dist.shape} != 4^{n}")
@@ -551,8 +569,7 @@ def twirl_markov_step(dist: np.ndarray, n: int) -> np.ndarray:
 def markov_transition_matrix(n: int) -> np.ndarray:
     """Column-stochastic matrix P with P[:, v] the one-round image of the
     point mass at label v."""
-    if n > EXACT_CHAIN_CAP:
-        raise ValueError(f"exact chain capped at n <= {EXACT_CHAIN_CAP}")
+    _check_chain(n)
     return _chain_step(np.eye(4**n), n)
 
 
@@ -576,6 +593,7 @@ def ideal_good_case_distribution(n: int) -> tuple[np.ndarray, np.ndarray]:
     its support complement is exactly the labels with identity on the control
     and I/Z elsewhere, so ||u - q||_1 = 2 (2^(n-1) - 1) / (4^n - 1).
     """
+    _check_chain(n)
     start = np.zeros(4**n)
     start[1] = 1  # X on qubit 0
     exact = _step2_push(start, n, control=0)
@@ -789,12 +807,13 @@ def approx_twirl_channel(
     source label.
     Returns the twirled Pauli channel and B(Lambda) (eps0 + eps_k), where
     eps_k is the realized l1 gap beyond eps0, maximized over source labels in
-    exact mode.  Needs n >= 2, a channel on n qubits, and k >= 0 in exact
-    mode; Monte-Carlo mode needs an rng and mc_convergence_curve's bounds on
-    n, k and trials (ValueError otherwise, before the channel is twirled).
+    exact mode.  Needs n >= 2, a channel on n qubits, and k >= 0 and
+    n <= EXACT_CHAIN_CAP in exact mode; Monte-Carlo mode needs an rng and
+    mc_convergence_curve's bounds on n, k and trials (ValueError otherwise,
+    before the channel is twirled).
     """
     if trials == 0:
-        _check_rounds(n, k, least_k=0)
+        _check_chain(n, k)
     else:
         _check_mc(n, k, trials)
         if rng is None:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import qdesigns.twirl
 from qdesigns.channels import KrausChannel, depolarizing, kraus_to_supermatrix, unitary_channel
-from qdesigns.channels import _kraus_traces
+from qdesigns.channels import _invariant_pq, _kraus_traces
 from qdesigns.circuits import Circuit, Gate, circuit_unitary
 from qdesigns.linalg import dagger, random_complex_matrix, random_density, random_kraus_channel_ops
 from qdesigns.twirl import (
@@ -39,9 +40,12 @@ from qdesigns.twirl import (
     symplectic_inner,
     twirl_bound,
     twirl_markov_step,
+    unitary_1design_check,
+    unitary_design_check,
 )
 from qdesigns.twirl import (
-    _ROUND, _THIRDS, _draw, _from_label_int, _move, _perm_table, _place, _push, _to_label_int,
+    _ROUND, _THIRDS, _draw, _exact_chain, _from_label_int, _move, _pauli_stack, _perm_table, _place, _push,
+    _to_label_int,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -216,13 +220,16 @@ def test_clifford_twirl_fixes_depolarizing():
 
 def test_clifford_twirl_random_channels():
     rng = np.random.default_rng(7)
-    for _ in range(5):
+    for _ in range(20):
         ch = random_channel(rng, 2, k=int(rng.integers(1, 5)))
         s = kraus_to_supermatrix(ch)
         want = float(np.real(np.trace(s.mat) - 1)) / 3
         p, residual = clifford_twirl_exact(ch)
         assert abs(p - want) < 1e-9
-        assert residual < 1e-9
+        assert residual < 1e-12
+        want_p, want_residual = supermatrix_clifford_twirl(ch)
+        assert abs(p - want_p) <= 1e-15
+        assert want_residual < 1e-12
 
 
 def test_clifford_twirl_unitary_x_channel():
@@ -241,9 +248,42 @@ def test_clifford_twirl_exact_raises_when_group_is_paulis(monkeypatch):
         clifford_twirl_exact(unitary_channel(h))
 
 
-def test_unitary_design_check_cliffords():
-    from qdesigns.twirl import unitary_design_check
+def test_clifford_twirl_rejects_a_non_trace_preserving_channel():
+    # the fit's p assumes tr Lambda(I) = d: the error names the channel, not the group
+    with pytest.raises(ValueError, match="requires a trace-preserving channel"):
+        clifford_twirl_exact(KrausChannel(2, np.array([0.5 * np.eye(2)])))
 
+
+@pytest.mark.parametrize("d,message", [(1, "d >= 2, got 1"), (0, "d >= 2, got 0"), (3, "not a power of 3")])
+def test_pauli_twirls_check_the_qudit_dimension(d, message):
+    ch = depolarizing(4, 0.6)
+    with pytest.raises(ValueError, match=message):
+        pauli_twirl(ch, d=d)
+    with pytest.raises(ValueError, match=message):
+        pauli_twirl_brute(ch, np.eye(4) / 4, d=d)
+
+
+def test_design_checks_reject_an_empty_set():
+    m = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="non-empty set of unitaries"):
+        unitary_design_check([], m, m, m)
+    with pytest.raises(ValueError, match="non-empty set of unitaries"):
+        unitary_1design_check([], m / 2)
+
+
+def test_pauli_twirl_runs_at_the_channel_cap():
+    ch = depolarizing(64, 0.9)
+    tracemalloc.start()
+    try:
+        weights = pauli_twirl(ch).weights
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(weights[0] - (0.9 + 0.1 / 4096)) <= 1e-12
+    assert peak < 2 * 2**20  # one 64 x 64 operator at a time, not the 268 MB Kraus array
+
+
+def test_unitary_design_check_cliffords():
     rng = np.random.default_rng(11)
     group = clifford_group_1q()
     for _ in range(10):
@@ -252,16 +292,12 @@ def test_unitary_design_check_cliffords():
 
 
 def test_singleton_is_not_a_2_design():
-    from qdesigns.twirl import unitary_design_check
-
     rng = np.random.default_rng(12)
     m, n, o = (random_complex_matrix(rng, 2) for _ in range(3))
     assert unitary_design_check([np.eye(2, dtype=complex)], m, n, o) > 1e-3
 
 
 def test_paulis_are_a_1_design_but_not_a_2_design():
-    from qdesigns.twirl import unitary_1design_check, unitary_design_check
-
     rng = np.random.default_rng(13)
     paulis = [np.eye(2, dtype=complex), X, Y, Z]
     rho = random_density(rng, 2)
@@ -323,6 +359,17 @@ def test_pauli_matrix_cap_fails_before_allocating(monkeypatch, no_numpy):
     no_numpy(qdesigns.twirl)
     with pytest.raises(ValueError, match="matrix dimension exceeds the cap"):
         pauli_matrix(label)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_exact_chain_needs_two_qubits(n):
+    message = f"the randomized twirl needs n >= 2 qubits, got n = {n}"
+    with pytest.raises(ValueError, match=message):
+        markov_transition_matrix(n)
+    with pytest.raises(ValueError, match=message):
+        twirl_markov_step(np.ones(4) / 4, n)
+    with pytest.raises(ValueError, match=message):
+        ideal_good_case_distribution(n)
 
 
 def test_exact_chain_cap_fails_before_allocating(no_numpy):
@@ -559,6 +606,7 @@ def test_approx_twirl_channel_identity_bound_is_zero():
         (2, -1, 0, "k >= 0"),
         (2, 0, 100, "k >= 1"),
         (12, 1, 100, "n <= 11"),
+        (6, 2, 0, "n <= 5"),
     ],
 )
 def test_approx_twirl_channel_rejects_bad_arguments_before_twirling(monkeypatch, n, k, trials, message):
@@ -589,6 +637,33 @@ def test_approx_twirl_channel_mc_mode():
     assert abs(out.weights[0] - 0.7) < 1e-9  # identity weight untouched
     rest = out.weights[1:] / 0.3
     assert np.abs(rest - 1 / 15).sum() < 0.05
+    assert bound >= 0
+
+
+def test_approx_twirl_channel_exact_mode_at_five_qubits(monkeypatch):
+    # the 1024 x 1024 chain matrix takes seconds: build it once for the three chains below
+    monkeypatch.setattr(qdesigns.twirl, "markov_transition_matrix", lru_cache(markov_transition_matrix))
+    n, k = 5, 3
+    dim = 2**n
+    worst_l1 = _exact_chain(n, k)[0][-1]
+    flip = pauli_matrix(PauliLabel(2, n, (1,) + (0,) * (n - 1), (0,) * n))
+    mixed = KrausChannel(dim, np.array([math.sqrt(0.7) * np.eye(dim), math.sqrt(0.3) * flip]))
+    for ch, beta0 in ((depolarizing(dim, 0.9), 0.9 + 0.1 / dim**2), (mixed, 0.7)):
+        out, _ = approx_twirl_channel(ch, n, k)
+        assert abs(out.weights.sum() - 1) <= 1e-12
+        assert abs(out.weights[0] - beta0) <= 1e-12
+        # a mixture of pushed point masses is no farther from uniform than the worst of them
+        rest = out.weights[1:]
+        assert np.abs(rest - (1 - beta0) / rest.size).sum() <= (1 - beta0) * worst_l1 + 1e-12
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_approx_twirl_channel_mc_mode_above_sixteen_dimensions(n):
+    dim = 2**n
+    rng = np.random.default_rng(n)
+    out, bound = approx_twirl_channel(depolarizing(dim, 0.9), n, 2, trials=100_000, rng=rng)
+    assert abs(out.weights.sum() - 1) <= 1e-12
+    assert abs(out.weights[0] - (0.9 + 0.1 / dim**2)) <= 1e-12
     assert bound >= 0
 
 
@@ -719,7 +794,29 @@ def test_mc_convergence_curve_rejects_degenerate_runs(n, k, samples):
         mc_convergence_curve(n, k, samples, np.random.default_rng(0))
 
 
-# --- the loops the stacked Paulis and the shared exact chain replaced, as oracles
+# --- the loops the stacked Paulis and the shared exact chain replaced, the stack
+# product the per-qudit Pauli twirl replaced, and the supermatrix Clifford twirl
+# the group average replaced, as oracles
+
+def stack_pauli_twirl(ch, d=2):
+    """beta_r as one product of the flattened (d^(2n), D, D) Pauli stack with the flattened operators."""
+    n = round(math.log(ch.dim, d))
+    dim2 = ch.dim**2
+    amps = _pauli_stack(d, n).reshape(-1, dim2).conj() @ ch.kraus.reshape(-1, dim2).T
+    return (np.abs(amps) ** 2).sum(axis=1) / dim2
+
+
+def supermatrix_clifford_twirl(ch):
+    """(p, residual) from the supermatrix S twirled as U_hat S U_hat^dag, U_hat = conj(U) (x) U."""
+    s = kraus_to_supermatrix(ch).mat
+    d = ch.dim
+    group = clifford_group_1q()
+    twirled = sum(np.kron(u.conj(), u) @ s @ dagger(np.kron(u.conj(), u)) for u in group) / len(group)
+    p = float(np.real(_invariant_pq(np.trace(s), d, d)[0]))
+    vi = np.eye(d, dtype=complex).flatten(order="F")
+    target = p * np.eye(d**2) + ((1 - p) / d) * np.outer(vi, vi.conj())
+    return p, float(np.abs(twirled - target).max())
+
 
 def loop_pauli_twirl(ch, d=2):
     n = round(math.log(ch.dim, d))
@@ -758,11 +855,14 @@ def loop_exact_csv(n, k):
     return "\n".join(rows) + "\n"
 
 
-@pytest.mark.parametrize("d,n,dim", [(2, 1, 2), (2, 2, 4), (3, 1, 3), (2, 3, 8), (2, 4, 16)])
+@pytest.mark.parametrize("d,n,dim", [(2, 1, 2), (2, 2, 4), (3, 1, 3), (2, 3, 8), (2, 4, 16),
+                                     (3, 2, 9), (5, 1, 5)])
 def test_stacked_pauli_twirl_matches_trace_loop(d, n, dim):
     rng = np.random.default_rng(60 + dim)
     for ch in (random_channel(rng, dim, k=3), depolarizing(dim, 0.7)):
-        assert np.abs(pauli_twirl(ch, d=d).weights - loop_pauli_twirl(ch, d=d)).max() <= 1e-13
+        weights = pauli_twirl(ch, d=d).weights
+        assert np.abs(weights - loop_pauli_twirl(ch, d=d)).max() <= 1e-13
+        assert np.abs(weights - stack_pauli_twirl(ch, d=d)).max() <= 1e-15
 
 
 def test_pauli_to_kraus_matches_label_loop():
