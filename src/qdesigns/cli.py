@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+
+# Read once when OpenBLAS loads: idle workers sleep after ~2^20 cycles of spin, not ~2^28 (0.1 s of a core each).
+if "GOTO_THREAD_TIMEOUT" not in os.environ:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
 import numpy as np
 
@@ -31,7 +36,16 @@ def _json_dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _at_most_one(args, what: str, keys) -> None:
+    """Reject a command line that gives more than one of the options `keys` (argparse dests)."""
+    given = [f"--{key.replace('_', '-')}" for key in keys
+             if (value := getattr(args, key, None)) is not None and value is not False]
+    if len(given) > 1:
+        raise ValueError(f"conflicting {what} {' and '.join(given)}: choose one")
+
+
 def cmd_mub(args) -> int:
+    _at_most_one(args, "families", ("prime", "prime_power", "qubits"))
     if args.prime is not None:
         family = mub.mub_prime(args.prime)
     elif args.prime_power is not None:
@@ -102,6 +116,7 @@ def cmd_design(args) -> int:
             results[f"angle_sum_error_k{k}"] <= 1e-9 for k in (1, 2)
         )
     else:
+        _at_most_one(args, "unitary sets", ("cliffords1q", "paulis"))
         if args.cliffords1q:
             unitaries = twirl.clifford_group_1q()
             label = "cliffords1q"
@@ -132,14 +147,8 @@ def cmd_design(args) -> int:
     return 0 if ok else 1
 
 
-_CHANNEL_SOURCES = (("channel_json", "--channel-json"), ("depolarizing", "--depolarizing"),
-                    ("sweep", "--sweep"), ("noise", "--noise"))
-
-
 def _make_channel(args) -> channels.KrausChannel:
-    given = [flag for key, flag in _CHANNEL_SOURCES if getattr(args, key, None) is not None]
-    if len(given) > 1:
-        raise ValueError(f"conflicting channel sources {' and '.join(given)}: choose one")
+    _at_most_one(args, "channel sources", ("channel_json", "depolarizing", "sweep", "noise"))
     if getattr(args, "channel_json", None) is not None:
         with open(args.channel_json) as fh:
             return channels.channel_from_json(fh.read())
@@ -266,6 +275,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_emit(args) -> int:
+    _at_most_one(args, "circuits", ("mub_circuit", "parity"))
+    _at_most_one(args, "prime dimensions", ("p", "prime_power"))
     if args.mub_circuit:
         if args.prime_power is not None:
             p, k = args.prime_power

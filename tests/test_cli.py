@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -589,6 +591,60 @@ def test_emit_parity(capsys):
     assert code == 0
     circuit = parse_circuit(stdout)
     assert all(g.kind == "CNOT" for g in circuit)
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("mub --prime 3 --prime-power 3 2", "conflicting families --prime and --prime-power"),
+    ("mub --qubits 2 --prime 5", "conflicting families --prime and --qubits"),
+    ("mub --prime 0 --qubits 2", "conflicting families --prime and --qubits"),
+    ("design unitary --cliffords1q --paulis --n 2", "conflicting unitary sets --cliffords1q and --paulis"),
+    ("emit --mub-circuit --p 5 --prime-power 3 2", "conflicting prime dimensions --p and --prime-power"),
+    ("emit --mub-circuit --p 5 --parity 0,1", "conflicting circuits --mub-circuit and --parity"),
+    ("channel --depolarizing 0.0 --d 2 --noise bit_flip --p 0.8", "conflicting channel sources --depolarizing and --noise"),
+])
+def test_conflicting_choices_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "artifact"
+    assert run(capsys, [*argv.split(), "--out", str(out)]) == (2, "", f"error: {message}: choose one\n")
+    assert not out.exists()
+
+
+def _blas_env_probe(env_extra, code):
+    """Run `code` in a fresh interpreter whose environment holds neither OpenBLAS
+    timeout variable (importing the CLI here sets one) except those in `env_extra`."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_THREAD_TIMEOUT", "GOTO_THREAD_TIMEOUT")}
+    src = os.path.dirname(os.path.dirname(qdesigns.cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**env, **env_extra},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_package_import_leaves_numpy_unloaded():
+    assert _blas_env_probe({}, "import sys, qdesigns; print('numpy' in sys.modules)") == "False\n"
+
+
+_AT_NUMPY_LOAD = """
+import os, sys
+
+class Probe:  # reports the variable at numpy's first import
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+
+sys.meta_path.insert(0, Probe())
+import qdesigns.cli
+print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+"""
+
+
+@pytest.mark.parametrize("env_extra,seen", [
+    ({}, "20"),
+    ({"OPENBLAS_THREAD_TIMEOUT": "7"}, "7"),
+    ({"GOTO_THREAD_TIMEOUT": "7"}, "None"),
+])
+def test_cli_caps_openblas_spin_before_numpy_loads(env_extra, seen):
+    assert _blas_env_probe(env_extra, _AT_NUMPY_LOAD) == f"{seen}\n{seen}\n"
 
 
 def test_usage_error_exit_code(capsys):
