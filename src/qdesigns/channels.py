@@ -41,7 +41,9 @@ __all__ = [
     "channel_from_json",
 ]
 
-TP_TOL = 1e-8
+TP_TOL = 1e-8  # largest max |sum_k A_k^dagger A_k - I| of a trace-preserving channel
+_CHOI_NEG_TOL = 1e-8  # Choi eigenvalues in (-_CHOI_NEG_TOL, 0) are rounding and clip to 0
+_CHOI_DROP_TOL = 1e-10  # Choi eigenvalues at or below this give no Kraus operator
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -63,8 +65,6 @@ class KrausChannel:
     dim: int
     kraus: np.ndarray
     trace_preserving: bool = field(init=False)
-    # max |sum_k A_k^dagger A_k - I|, the deviation from trace preservation
-    _completeness_error: float = field(init=False, repr=False)
 
     def __post_init__(self):
         kraus = np.ascontiguousarray(self.kraus, dtype=complex)
@@ -76,7 +76,6 @@ class KrausChannel:
         # which would first copy all K d^2 entries, twice
         total = sum(dagger(a) @ a for a in kraus)
         err = float(np.abs(total - np.eye(self.dim)).max())
-        object.__setattr__(self, "_completeness_error", err)
         object.__setattr__(self, "trace_preserving", err <= TP_TOL)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -188,18 +187,18 @@ def supermatrix_to_choi(s: Supermatrix) -> ChoiMatrix:
     return ChoiMatrix(d, s.mat.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d))
 
 
-def choi_to_kraus(x: ChoiMatrix, drop_tol: float = 1e-10, neg_tol: float = 1e-8) -> KrausChannel:
+def choi_to_kraus(x: ChoiMatrix) -> KrausChannel:
     """Kraus operators sqrt(lambda_k) unvec(eigvec_k) of the Choi matrix, in
     descending order of lambda_k.
 
-    Eigenvalues in (-neg_tol, 0) are clipped to zero; anything more negative
-    means the map is not completely positive and raises.
+    Eigenvalues in (-_CHOI_NEG_TOL, 0) are clipped to zero; anything more
+    negative means the map is not completely positive and raises.
     """
     w, v = hermitian_eig(x.mat)
-    if w.min() < -neg_tol:
+    if w.min() < -_CHOI_NEG_TOL:
         raise ValueError(f"Choi matrix has significantly negative eigenvalue {w.min():.3e}")
     lam = np.maximum(w, 0.0)
-    keep = np.flatnonzero(lam > drop_tol)[::-1]
+    keep = np.flatnonzero(lam > _CHOI_DROP_TOL)[::-1]
     if not keep.size:
         raise ValueError("Choi matrix is numerically zero")
     d = x.dim
@@ -272,9 +271,9 @@ def channel_to_json(ch: KrausChannel) -> str:
     return json.dumps({"dim": ch.dim, "kraus": pairs.tolist()}, sort_keys=True, check_circular=False)
 
 
-def channel_from_json(text: str, completeness_tol: float = 1e-6) -> KrausChannel:
-    """Parse channel_to_json's form; every malformed input raises ValueError,
-    naming the Kraus entry at fault."""
+def channel_from_json(text: str) -> KrausChannel:
+    """Parse channel_to_json's form into a trace-preserving channel; every
+    malformed input raises ValueError, naming the Kraus entry at fault."""
     payload = json.loads(text)
     if not isinstance(payload, dict) or not {"dim", "kraus"} <= payload.keys():
         raise ValueError('channel JSON must be an object with keys "dim" and "kraus"')
@@ -294,6 +293,6 @@ def channel_from_json(text: str, completeness_tol: float = 1e-6) -> KrausChannel
             raise ValueError(f"Kraus entry {k} is not {d * d} pairs [re, im] of finite numbers")
         ops[k] = pairs.view(complex).reshape(d, d)
     ch = KrausChannel(d, ops)
-    if ch._completeness_error > completeness_tol:
+    if not ch.trace_preserving:
         raise ValueError("Kraus operators fail the completeness check")
     return ch

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "Gate",
     "Circuit",
     "CircuitParseError",
-    "AmplitudeSplit",
     "simulate",
     "circuit_unitary",
     "build_mub_circuit_prime",
@@ -379,21 +378,17 @@ def build_mub_circuit_prime_power(p: int, n_qudits: int, a, b) -> Circuit:
     return c
 
 
-@dataclass(frozen=True, eq=False)
-class AmplitudeSplit:
-    """One state's decomposition against a good-subspace projector."""
-
-    theta: float
-    good_projector: np.ndarray = field(repr=False)
+_SPLIT_TOL = 1e-12  # a good weight within this of 0 or 1 leaves nothing to amplify
 
 
-def amplitude_split(state: np.ndarray, good_projector: np.ndarray, tol: float = 1e-12) -> AmplitudeSplit:
+def amplitude_split(state: np.ndarray, good_projector: np.ndarray) -> float:
+    """theta with sin(theta)^2 = <state|good_projector|state>, which must lie in (0, pi/2)."""
     p_good = float(np.real(np.vdot(state, good_projector @ state)))
-    if p_good <= tol:
+    if p_good <= _SPLIT_TOL:
         raise ValueError("good component vanishes: amplification is useless")
-    if p_good >= 1 - tol:
+    if p_good >= 1 - _SPLIT_TOL:
         raise ValueError("good component saturates: amplification is not necessary")
-    return AmplitudeSplit(theta=math.asin(math.sqrt(p_good)), good_projector=good_projector)
+    return math.asin(math.sqrt(p_good))
 
 
 def amplitude_amplify(prep: Circuit, good_projector: np.ndarray, rounds: int) -> np.ndarray:
@@ -433,7 +428,7 @@ _AMPLIFIED_GOOD = math.cos(math.pi / 3)  # good amplitude after the ancilla rota
 _ANCILLA_TOL = 1e-6  # largest ancilla residual a prepared state may keep
 
 
-def _amplified_projections(n_qubits: int, a: np.ndarray, b: np.ndarray, ancilla_tol: float) -> np.ndarray:
+def _amplified_projections(n_qubits: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row i: projected_mub_states' row for label (a[i], b[i]), a[i] < p.
 
     build_mub_circuit_prime(p, n_qubits, a, b) is one H layer followed only by
@@ -484,7 +479,7 @@ def _amplified_projections(n_qubits: int, a: np.ndarray, b: np.ndarray, ancilla_
 
     norms = np.linalg.norm(good, axis=1)
     residual = np.sqrt(np.maximum(0.0, 1 - norms**2))
-    failed = residual > ancilla_tol
+    failed = residual > _ANCILLA_TOL
     if failed.any():
         raise RuntimeError(f"{first(failed)}: ancillas failed to return to |00>: "
                            f"residual {residual[failed][0]:.2e}")
@@ -517,12 +512,12 @@ def projected_mub_states(n_qubits: int) -> np.ndarray:
     d = 2**n_qubits
     a, b = np.divmod(np.arange(p * p), p)
     out = np.zeros((p * (p + 1), d), dtype=complex)
-    out[:p * p] = _amplified_projections(n_qubits, a, b, _ANCILLA_TOL)
+    out[:p * p] = _amplified_projections(n_qubits, a, b)
     out[p * p + np.arange(d), np.arange(d)] = 1
     return out
 
 
-def projected_mub_prepare(n_qubits: int, a: int, b: int, ancilla_tol: float = _ANCILLA_TOL) -> np.ndarray:
+def projected_mub_prepare(n_qubits: int, a: int, b: int) -> np.ndarray:
     """Row a*p + b of projected_mub_states(n_qubits), run for that one label
     (up to n_qubits = 11, past the stack's cap); a computational state that
     projects to zero raises."""
@@ -538,7 +533,7 @@ def projected_mub_prepare(n_qubits: int, a: int, b: int, ancilla_tol: float = _A
         if b >= d:
             raise ValueError(f"computational state {b} projects to zero on {n_qubits} qubits")
         return basis_state(d, b)
-    return _amplified_projections(n_qubits, np.array([a]), np.array([b]), ancilla_tol)[0]
+    return _amplified_projections(n_qubits, np.array([a]), np.array([b]))[0]
 
 
 def parallel_prefix_parity(n: int, controls, target: int) -> Circuit:

@@ -32,7 +32,6 @@ from .channels import (
     entanglement_fidelity,
 )
 from .circuits import Circuit, Gate, embedding_prime, projected_mub_states, simulate
-from .linalg import hermitian_eig
 from .mub import MubFamily, family_for_dimension
 from .twirl import PauliLabel, pauli_matrix
 
@@ -225,17 +224,16 @@ def run_protocol(cfg: ExperimentConfig, family: MubFamily | None = None) -> Esti
 def pauli_expectation(
     rho: np.ndarray, label: PauliLabel, shots: int, rng: np.random.Generator
 ) -> tuple[float, float]:
-    """Estimate tr(P rho) for the Hermitian representative of a qubit Pauli
-    label by sampling +-1 outcomes from its spectral projectors."""
+    """Estimate tr(P rho) for the Hermitian representative P of a qubit Pauli
+    label by sampling +-1 outcomes.  P^2 = I, so (I + P)/2 projects onto
+    the +1 eigenspace and p+ = (1 + tr(P rho))/2."""
     if label.d != 2:
         raise ValueError("expectation sampling implemented for qubit labels")
     if shots < 1:
         raise ValueError("need at least one shot")
     n_y = sum(1 for a, b in zip(label.xa, label.xb) if a and b)
     herm = pauli_matrix(PauliLabel(2, label.n, label.xa, label.xb)) * (1j**n_y)
-    w, v = hermitian_eig(herm)
-    plus = v[:, w > 0]
-    p_plus = float(np.real(np.einsum("ik,ij,jk->", plus.conj(), rho, plus)))
+    p_plus = (1 + float(np.real(np.trace(herm @ rho)))) / 2
     p_plus = min(max(p_plus, 0.0), 1.0)
     mean = float(2 * rng.binomial(shots, p_plus) - shots) / shots
     stderr = math.sqrt(max(1 - mean**2, 0.0) / shots)

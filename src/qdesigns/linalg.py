@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 SUPERMATRIX_DIM_CAP = 4096
+HERMITIAN_TOL = 1e-8  # largest max |a - a^dagger| of a matrix taken as Hermitian
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
@@ -68,12 +69,12 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
     raise ValueError("keep must be 'A' or 'B'")
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-9) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and np.abs(a - a.conj().T).max() <= tol
+    return a.ndim == 2 and a.shape[0] == a.shape[1] and np.abs(a - a.conj().T).max() <= HERMITIAN_TOL
 
 
-def hermitian_eig(a: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with deterministic output.
 
     Returns (eigenvalues ascending, eigenvector columns).  Each eigenvector is
@@ -81,7 +82,7 @@ def hermitian_eig(a: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndar
     and positive, which pins the result across runs.
     """
     a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((a + a.conj().T) / 2)
     for k in range(v.shape[1]):

@@ -566,11 +566,14 @@ def twirl_markov_step(dist: np.ndarray, n: int) -> np.ndarray:
     return _chain_step(dist, n)
 
 
+@lru_cache(maxsize=None)
 def markov_transition_matrix(n: int) -> np.ndarray:
     """Column-stochastic matrix P with P[:, v] the one-round image of the
-    point mass at label v."""
+    point mass at label v, built once per n and shared read-only."""
     _check_chain(n)
-    return _chain_step(np.eye(4**n), n)
+    p = _chain_step(np.eye(4**n), n)
+    p.flags.writeable = False
+    return p
 
 
 def _exact_chain(n: int, k: int) -> tuple[list[float], np.ndarray]:
@@ -807,10 +810,10 @@ def approx_twirl_channel(
     source label.
     Returns the twirled Pauli channel and B(Lambda) (eps0 + eps_k), where
     eps_k is the realized l1 gap beyond eps0, maximized over source labels in
-    exact mode.  Needs n >= 2, a channel on n qubits, and k >= 0 and
-    n <= EXACT_CHAIN_CAP in exact mode; Monte-Carlo mode needs an rng and
-    mc_convergence_curve's bounds on n, k and trials (ValueError otherwise,
-    before the channel is twirled).
+    exact mode.  Needs n >= 2, a trace-preserving channel on n qubits, and
+    k >= 0 and n <= EXACT_CHAIN_CAP in exact mode; Monte-Carlo mode needs an
+    rng and mc_convergence_curve's bounds on n, k and trials (ValueError
+    otherwise, before the channel is twirled).
     """
     if trials == 0:
         _check_chain(n, k)
@@ -821,6 +824,8 @@ def approx_twirl_channel(
     dim = 2**n
     if ch.dim != dim:
         raise ValueError("channel size disagrees with n")
+    if not ch.trace_preserving:
+        raise ValueError("the approximate twirl requires a trace-preserving channel")
     pauli_ch = pauli_twirl(ch)
     tr_hat, tr_on_id = _kraus_traces(ch)
     b_lambda = (dim * tr_on_id - tr_hat) / dim**4

@@ -66,7 +66,6 @@ def test_channel_and_config_equality_is_identity_and_never_raises():
     assert cfg == cfg
     assert (cfg == ExperimentConfig(ch, target_unitary=np.eye(2, dtype=complex))) is False
 
-    from qdesigns.circuits import AmplitudeSplit
     from qdesigns.mub import MubFamily
     from qdesigns.twirl import PauliChannel
 
@@ -76,7 +75,6 @@ def test_channel_and_config_equality_is_identity_and_never_raises():
         lambda: ChoiMatrix(2, np.eye(4, dtype=complex)),
         lambda: PauliChannel(2, 1, np.full(4, 0.25)),
         lambda: MubFamily(2, "prime", np.zeros((3, 2, 2), dtype=complex)),
-        lambda: AmplitudeSplit(0.5, np.eye(2)),
     ]
     for make in makers:
         obj = make()
@@ -280,6 +278,18 @@ def test_json_round_trip_and_validation():
     broken = text.replace("0.0", "0.3", 1)
     with pytest.raises(ValueError):
         channel_from_json(broken)
+
+
+@pytest.mark.parametrize("scale,loads", [(1 + 1e-12, True), (1 + 4.9e-9, True), (1 + 5.1e-9, False), (1 + 1e-7, False)])
+def test_channel_from_json_refuses_exactly_what_trace_preserving_refuses(scale, loads):
+    # one Kraus operator scale * I misses completeness by scale^2 - 1, about 2 (scale - 1), against 1e-8
+    assert KrausChannel(2, np.array([scale * np.eye(2)])).trace_preserving is loads
+    text = json.dumps({"dim": 2, "kraus": [[[scale, 0], [0, 0], [0, 0], [scale, 0]]]})
+    if loads:
+        assert channel_from_json(text).trace_preserving
+    else:
+        with pytest.raises(ValueError, match="^Kraus operators fail the completeness check$"):
+            channel_from_json(text)
 
 
 def test_trace_preserving_flag():

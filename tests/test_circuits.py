@@ -205,6 +205,11 @@ def test_prime_power_circuit_matches_closed_form_beyond_gf9(p, k):
         assert overlap(out, fam.states[a, b]) >= 1 - 1e-10
 
 
+def test_amplitude_split_returns_theta():
+    # good weight 1/4: sin(theta) = 1/2
+    assert math.isclose(amplitude_split(np.full(4, 0.5), np.diag([1, 0, 0, 0])), math.pi / 6)
+
+
 def test_amplitude_split_validates():
     with pytest.raises(ValueError):
         amplitude_split(basis_state(4, 0), np.zeros((4, 4)))
@@ -411,7 +416,8 @@ def test_projected_residual_check_names_the_failing_label(monkeypatch):
         projected_mub_states(2)
     with pytest.raises(RuntimeError, match=r"^\(a, b\) = \(3, 1\): ancillas failed"):
         projected_mub_prepare(2, 3, 1)
-    assert np.abs(projected_mub_prepare(2, 3, 1, ancilla_tol=1.0)).max() > 0  # loose tolerance passes
+    monkeypatch.setattr(qdesigns.circuits, "_ANCILLA_TOL", 1.0)
+    assert np.abs(projected_mub_prepare(2, 3, 1)).max() > 0  # loose tolerance passes
     monkeypatch.setattr(qdesigns.circuits, "_AMPLIFIED_GOOD", 0.75)  # above cos(theta) = sqrt(1/2)
     with pytest.raises(ValueError, match=r"^\(a, b\) = \(4, 2\): projection weight below 1/4"):
         projected_mub_prepare(2, 4, 2)

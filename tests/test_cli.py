@@ -298,6 +298,8 @@ def test_projected_outputs_are_pinned(capsys, flags, line):
     ('{"dim": 1}', 'channel JSON must be an object with keys "dim" and "kraus"'),
     ('{"kraus": [[[1, 0]]]}', 'channel JSON must be an object with keys "dim" and "kraus"'),
     ('{"dim": 65, "kraus": [[[1, 0]]]}', "channel dimension 65 outside 1..64 (d^2 is capped at 4096)"),
+    ('{"dim": 2, "kraus": [[[1.0000001, 0], [0, 0], [0, 0], [1.0000001, 0]]]}',
+     "Kraus operators fail the completeness check"),
 ])
 def test_channel_malformed_json_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"

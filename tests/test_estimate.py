@@ -27,9 +27,9 @@ from qdesigns.estimate import (
     projected_estimate,
     run_protocol,
 )
-from qdesigns.linalg import random_density, random_kraus_channel_ops, random_unitary
+from qdesigns.linalg import hermitian_eig, random_density, random_kraus_channel_ops, random_unitary
 from qdesigns.mub import family_for_dimension
-from qdesigns.twirl import PauliLabel
+from qdesigns.twirl import PauliLabel, all_labels, pauli_matrix
 
 
 def random_channel(rng, d, k=3):
@@ -331,6 +331,32 @@ def test_pauli_expectation_random_state_vs_trace():
     shots = 40_000
     mean, err = pauli_expectation(rho, lab, shots=shots, rng=rng)
     assert abs(mean - exact) < 5 * max(err, 1e-3)
+
+
+class _BinomialProbe:
+    """An rng stand-in that records the p of each binomial draw."""
+
+    def __init__(self):
+        self.p = []
+
+    def binomial(self, n, p):
+        self.p.append(p)
+        return n
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pauli_expectation_draws_the_plus_eigenprojector_weight(n):
+    rng = np.random.default_rng(23 + n)
+    probe = _BinomialProbe()
+    for label in all_labels(2, n):
+        n_y = sum(1 for a, b in zip(label.xa, label.xb) if a and b)
+        w, v = hermitian_eig(pauli_matrix(label) * 1j**n_y)
+        plus = v[:, w > 0]  # the oracle: the +1 eigenvectors of the Hermitian representative
+        for _ in range(3):
+            rho = random_density(rng, 2**n)
+            pauli_expectation(rho, label, shots=10, rng=probe)
+            want = float(np.real(np.trace(plus.conj().T @ rho @ plus)))
+            assert abs(probe.p[-1] - want) <= 1e-12, (label, probe.p[-1], want)
 
 
 def test_config_validation():

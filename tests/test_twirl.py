@@ -3,7 +3,6 @@
 import itertools
 import math
 import tracemalloc
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -628,6 +627,29 @@ def test_approx_twirl_channel_checks_the_channel_size_before_twirling(monkeypatc
         approx_twirl_channel(depolarizing(32, 0.9), 2, 1, trials=trials, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("trials", [0, 100])
+def test_approx_twirl_channel_refuses_a_non_trace_preserving_channel_before_twirling(monkeypatch, trials):
+    def no_twirl(*args, **kwargs):
+        raise AssertionError("pauli_twirl ran before trace preservation was checked")
+
+    monkeypatch.setattr(qdesigns.twirl, "pauli_twirl", no_twirl)
+    leaky = KrausChannel(4, np.array([0.5 * np.eye(4)]))
+    with pytest.raises(ValueError, match="the approximate twirl requires a trace-preserving channel"):
+        approx_twirl_channel(leaky, 2, 1, trials=trials, rng=np.random.default_rng(0))
+
+
+def test_markov_transition_matrix_is_built_once_and_read_only(monkeypatch):
+    p = markov_transition_matrix(3)
+
+    def no_rebuild(*args):
+        raise AssertionError("the transition matrix was built again")
+
+    monkeypatch.setattr(qdesigns.twirl, "_chain_step", no_rebuild)
+    assert markov_transition_matrix(3) is p
+    with pytest.raises(ValueError, match="read-only"):
+        p[0, 0] = 1
+
+
 def test_approx_twirl_channel_mc_mode():
     rng = np.random.default_rng(51)
     mixed = KrausChannel(4, (math.sqrt(0.7) * np.eye(4, dtype=complex),
@@ -640,9 +662,7 @@ def test_approx_twirl_channel_mc_mode():
     assert bound >= 0
 
 
-def test_approx_twirl_channel_exact_mode_at_five_qubits(monkeypatch):
-    # the 1024 x 1024 chain matrix takes seconds: build it once for the three chains below
-    monkeypatch.setattr(qdesigns.twirl, "markov_transition_matrix", lru_cache(markov_transition_matrix))
+def test_approx_twirl_channel_exact_mode_at_five_qubits():
     n, k = 5, 3
     dim = 2**n
     worst_l1 = _exact_chain(n, k)[0][-1]
