@@ -19,7 +19,7 @@ if "GOTO_THREAD_TIMEOUT" not in os.environ:
 import numpy as np
 
 from . import channels, circuits, estimate, mub, twirl
-from .linalg import random_complex_matrix, random_density
+from .linalg import random_complex_matrix
 
 __all__ = ["main"]
 
@@ -97,9 +97,9 @@ def cmd_verify(args) -> int:
 def cmd_design(args) -> int:
     if args.rounds < 1:
         raise ValueError(f"--rounds must be >= 1, got {args.rounds}")
-    rng = np.random.default_rng(args.seed)
     results = {}
     if args.which == "state":
+        rng = np.random.default_rng(args.seed)
         family = mub.family_for_dimension(args.d)
         worst = 0.0
         for _ in range(args.rounds):
@@ -118,24 +118,17 @@ def cmd_design(args) -> int:
     else:
         _at_most_one(args, "unitary sets", ("cliffords1q", "paulis"))
         if args.cliffords1q:
-            unitaries = twirl.clifford_group_1q()
-            label = "cliffords1q"
-        elif args.paulis:
-            unitaries = twirl._pauli_stack(2, args.n)
-            label = "paulis"
+            unitaries, power, label = twirl.clifford_group_1q(), 1, "cliffords1q"
+        elif args.paulis:  # the n-qubit Paulis are the n-fold tensor power of the one-qubit set
+            twirl._check_pauli_qudits(2, args.n)
+            unitaries, power, label = twirl._pauli_stack(2, 1), args.n, "paulis"
         else:
             raise ValueError("choose --cliffords1q or --paulis")
-        d = unitaries[0].shape[0]
-        worst = 0.0
-        for _ in range(args.rounds):
-            m, n, o = (random_complex_matrix(rng, d) for _ in range(3))
-            worst = max(worst, twirl.unitary_design_check(unitaries, m, n, o))
         results["set"] = label
-        results["max_2design_deviation"] = worst
-        results["max_1design_deviation"] = max(
-            twirl.unitary_1design_check(unitaries, random_density(rng, d)) for _ in range(args.rounds)
-        )
-        ok = worst <= args.tol
+        # a t-design's frame potential is exactly its Haar value, 1 at t = 1 and 2 at t = 2
+        results["max_2design_deviation"] = abs(twirl.frame_potential(unitaries, 2) ** power - 2)
+        results["max_1design_deviation"] = abs(twirl.frame_potential(unitaries, 1) ** power - 1)
+        ok = results["max_2design_deviation"] <= args.tol
     results["ok"] = ok
     if args.json:
         text = _json_dump(results)

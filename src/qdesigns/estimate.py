@@ -33,7 +33,6 @@ from .channels import (
 )
 from .circuits import Circuit, Gate, embedding_prime, projected_mub_states, simulate
 from .mub import MubFamily, family_for_dimension
-from .twirl import PauliLabel, pauli_matrix
 
 __all__ = [
     "ExperimentConfig",
@@ -41,7 +40,6 @@ __all__ = [
     "mub_mc_estimate",
     "projected_estimate",
     "ancilla_entanglement_estimate",
-    "pauli_expectation",
     "run_protocol",
 ]
 
@@ -219,22 +217,3 @@ def run_protocol(cfg: ExperimentConfig, family: MubFamily | None = None) -> Esti
     if cfg.protocol == "projected":
         return projected_estimate(cfg)
     return ancilla_entanglement_estimate(cfg)
-
-
-def pauli_expectation(
-    rho: np.ndarray, label: PauliLabel, shots: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Estimate tr(P rho) for the Hermitian representative P of a qubit Pauli
-    label by sampling +-1 outcomes.  P^2 = I, so (I + P)/2 projects onto
-    the +1 eigenspace and p+ = (1 + tr(P rho))/2."""
-    if label.d != 2:
-        raise ValueError("expectation sampling implemented for qubit labels")
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    n_y = sum(1 for a, b in zip(label.xa, label.xb) if a and b)
-    herm = pauli_matrix(PauliLabel(2, label.n, label.xa, label.xb)) * (1j**n_y)
-    p_plus = (1 + float(np.real(np.trace(herm @ rho)))) / 2
-    p_plus = min(max(p_plus, 0.0), 1.0)
-    mean = float(2 * rng.binomial(shots, p_plus) - shots) / shots
-    stderr = math.sqrt(max(1 - mean**2, 0.0) / shots)
-    return mean, stderr

@@ -13,15 +13,12 @@ import numpy as np
 __all__ = [
     "tensor",
     "dagger",
-    "hs_inner",
-    "partial_trace",
     "hermitian_eig",
     "is_hermitian",
     "basis_state",
     "random_complex_matrix",
     "random_hermitian",
     "random_unitary",
-    "random_state",
     "random_density",
     "random_kraus_channel_ops",
 ]
@@ -42,31 +39,6 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
 
 def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a^dagger b)."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.sum(a.conj() * b))
-
-
-def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Trace out one factor of a bipartite operator on H_A (x) H_B.
-
-    keep is "A" or "B"; rho must be (dA*dB) x (dA*dB) with A index-major.
-    """
-    da, db = dims
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (da * db, da * db):
-        raise ValueError(f"operator shape {rho.shape} does not match dims {dims}")
-    r = rho.reshape(da, db, da, db)
-    if keep == "A":
-        return np.einsum("ikjk->ij", r)
-    if keep == "B":
-        return np.einsum("kikj->ij", r)
-    raise ValueError("keep must be 'A' or 'B'")
 
 
 def is_hermitian(a: np.ndarray) -> bool:
@@ -115,11 +87,6 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     _, v = hermitian_eig(random_hermitian(rng, d))
     phases = np.exp(2j * np.pi * rng.random(d))
     return v * phases
-
-
-def random_state(rng: np.random.Generator, d: int) -> np.ndarray:
-    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return psi / np.linalg.norm(psi)
 
 
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:

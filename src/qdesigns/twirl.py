@@ -50,6 +50,7 @@ __all__ = [
     "pauli_twirl_brute",
     "clifford_group_1q",
     "clifford_twirl_exact",
+    "frame_potential",
     "unitary_design_check",
     "unitary_1design_check",
     "conjugate_label",
@@ -64,7 +65,6 @@ __all__ = [
     "mc_convergence",
     "mc_convergence_curve",
     "approx_twirl_channel",
-    "distribution_to_csv",
     "twirl_result_json",
 ]
 
@@ -137,15 +137,20 @@ def all_labels(d: int, n: int) -> list[PauliLabel]:
     return [PauliLabel.from_int(d, n, v) for v in range((d * d) ** n)]
 
 
-def _pauli_stack(d: int, n: int) -> np.ndarray:
-    """pauli_matrix of every phase-free label, stacked in label-integer order
-    as one (d^(2n), d^n, d^n) array; capped like a channel's d^2 operators."""
+def _check_pauli_qudits(d: int, n: int) -> None:
+    """Refuse an n that _pauli_stack(d, n) is capped against, before any work."""
     if n < 1:
         raise ValueError(f"Pauli stack needs n >= 1 qudits, got {n}")
     if d ** (2 * n) > SUPERMATRIX_DIM_CAP:
         n_max = int(math.log(SUPERMATRIX_DIM_CAP, d * d) + 1e-9)
         raise ValueError(f"Pauli stack needs n <= {n_max} qudits of dimension {d} "
                          f"(d^(2n) is capped at {SUPERMATRIX_DIM_CAP}), got {n}")
+
+
+def _pauli_stack(d: int, n: int) -> np.ndarray:
+    """pauli_matrix of every phase-free label, stacked in label-integer order
+    as one (d^(2n), d^n, d^n) array; capped like a channel's d^2 operators."""
+    _check_pauli_qudits(d, n)
     # index a + d b of a factor holds X^a Z^b, as a label digit does; the kron
     # of two stacks pairs every label with every label, high digit first
     one = generalized_paulis(d).reshape(d, d, d, d).swapaxes(0, 1).reshape(d * d, d, d)
@@ -303,6 +308,18 @@ def clifford_twirl_exact(ch: KrausChannel) -> tuple[float, float]:
     if residual > 1e-6:
         raise RuntimeError(f"Clifford twirl failed to depolarize: residual {residual:.2e}")
     return p, residual
+
+
+def frame_potential(unitaries, t: int) -> float:
+    """F_t(S) = (1/K^2) sum_{U,V in S} |tr(U^dag V)|^(2t), from one Gram of the
+    flattened set.  For unitaries it is at least its Haar value (1 at t = 1, 2 at
+    t = 2 for d >= 2), with equality exactly when S is a unitary t-design
+    (Gross-Audenaert-Eisert, quant-ph/0611002).  The traces factor over a tensor
+    product, so F_t(S^(x)n) = F_t(S)^n."""
+    if not len(unitaries):
+        raise ValueError("the frame potential needs a non-empty set of unitaries")
+    flat = np.reshape(unitaries, (len(unitaries), -1))
+    return float(np.mean(np.abs(flat.conj() @ flat.T) ** (2 * t)))
 
 
 def unitary_design_check(unitaries, m: np.ndarray, n: np.ndarray, o: np.ndarray) -> float:
@@ -851,13 +868,6 @@ def approx_twirl_channel(
             eps_k = max(0.0, est["l1"] - epsilon0(n))
     bound = b_lambda * (epsilon0(n) + eps_k)
     return PauliChannel(2, n, weights), bound
-
-
-def distribution_to_csv(dist: np.ndarray) -> str:
-    lines = ["label,probability"]
-    for v, p in enumerate(np.asarray(dist, dtype=float)):
-        lines.append(f"{v},{float(p)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def twirl_result_json(n: int, k: int, l1: float, bound: float) -> str:

@@ -162,8 +162,24 @@ def test_design_unitary_paulis_fail_but_1design(capsys):
     code, stdout, _ = run(capsys, ["design", "unitary", "--paulis", "--n", "1", "--json"])
     assert code == 1
     payload = json.loads(stdout)
-    assert payload["max_2design_deviation"] > 1e-3
-    assert payload["max_1design_deviation"] < 1e-10
+    assert payload["max_2design_deviation"] == 2.0  # |F_2 - 2| with F_2 = 4
+    assert payload["max_1design_deviation"] == 0.0
+
+
+_CLIFFORDS_JSON = ('{"max_1design_deviation": 4.440892098500626e-16, "max_2design_deviation": 1.5543122344752192e-15, '
+                   '"ok": true, "set": "cliffords1q"}')
+
+
+@pytest.mark.parametrize("flags,code,line", [
+    # |F_1^n - 1| and |F_2^n - 2| of the frame potential; neither --seed nor --rounds is read
+    ("--cliffords1q", 0, "PASS set=cliffords1q max_2design_deviation=1.554e-15 max_1design_deviation=4.441e-16"),
+    ("--cliffords1q --json", 0, _CLIFFORDS_JSON),
+    ("--cliffords1q --json --seed 5 --rounds 3", 0, _CLIFFORDS_JSON),
+    *((f"--paulis --n {n} --json", 1, f'{{"max_1design_deviation": 0.0, "max_2design_deviation": {dev2}, '
+                                      '"ok": false, "set": "paulis"}') for n, dev2 in ((1, "2.0"), (3, "62.0"), (6, "4094.0"))),
+])
+def test_design_unitary_outputs_are_pinned(capsys, flags, code, line):
+    assert run(capsys, ["design", "unitary", *flags.split()]) == (code, line + "\n", "")
 
 
 def test_design_unitary_failed_clifford_closure_exits_1(monkeypatch, capsys):

@@ -23,13 +23,11 @@ from qdesigns.estimate import (
     _pure_outcome_probs,
     ancilla_entanglement_estimate,
     mub_mc_estimate,
-    pauli_expectation,
     projected_estimate,
     run_protocol,
 )
-from qdesigns.linalg import hermitian_eig, random_density, random_kraus_channel_ops, random_unitary
+from qdesigns.linalg import random_kraus_channel_ops, random_unitary
 from qdesigns.mub import family_for_dimension
-from qdesigns.twirl import PauliLabel, all_labels, pauli_matrix
 
 
 def random_channel(rng, d, k=3):
@@ -305,58 +303,6 @@ def test_run_protocol_dispatch_and_json():
     assert set(payload) == {"protocol", "d", "trials", "seed", "p_hat", "std_err", "exact", "fidelity"}
     res2 = run_protocol(ExperimentConfig(depolarizing(3, 0.5), protocol="mub_exact"))
     assert abs(res2.p_hat - res2.exact) < 1e-9
-
-
-def test_pauli_expectation():
-    rng = np.random.default_rng(17)
-    rho0 = np.diag([1.0, 0.0]).astype(complex)
-    z = PauliLabel(2, 1, (0,), (1,))
-    mean, err = pauli_expectation(rho0, z, shots=4000, rng=rng)
-    assert mean == 1.0
-    mixed = np.eye(2, dtype=complex) / 2
-    x = PauliLabel(2, 1, (1,), (0,))
-    mean, err = pauli_expectation(mixed, x, shots=4000, rng=rng)
-    assert abs(mean) < 3 / math.sqrt(4000) + 1e-12
-    assert err <= 1 / math.sqrt(4000)
-
-
-def test_pauli_expectation_random_state_vs_trace():
-    rng = np.random.default_rng(19)
-    rho = random_density(rng, 4)
-    lab = PauliLabel(2, 2, (1, 1), (1, 0))  # Y (x) X up to ordering
-    from qdesigns.twirl import pauli_matrix
-
-    herm = pauli_matrix(PauliLabel(2, 2, lab.xa, lab.xb)) * 1j  # one Y factor
-    exact = float(np.real(np.trace(herm @ rho)))
-    shots = 40_000
-    mean, err = pauli_expectation(rho, lab, shots=shots, rng=rng)
-    assert abs(mean - exact) < 5 * max(err, 1e-3)
-
-
-class _BinomialProbe:
-    """An rng stand-in that records the p of each binomial draw."""
-
-    def __init__(self):
-        self.p = []
-
-    def binomial(self, n, p):
-        self.p.append(p)
-        return n
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_pauli_expectation_draws_the_plus_eigenprojector_weight(n):
-    rng = np.random.default_rng(23 + n)
-    probe = _BinomialProbe()
-    for label in all_labels(2, n):
-        n_y = sum(1 for a, b in zip(label.xa, label.xb) if a and b)
-        w, v = hermitian_eig(pauli_matrix(label) * 1j**n_y)
-        plus = v[:, w > 0]  # the oracle: the +1 eigenvectors of the Hermitian representative
-        for _ in range(3):
-            rho = random_density(rng, 2**n)
-            pauli_expectation(rho, label, shots=10, rng=probe)
-            want = float(np.real(np.trace(plus.conj().T @ rho @ plus)))
-            assert abs(probe.p[-1] - want) <= 1e-12, (label, probe.p[-1], want)
 
 
 def test_config_validation():

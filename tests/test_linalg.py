@@ -1,4 +1,4 @@
-"""Tensor products, traces, partial trace, and the Hermitian eigensolver."""
+"""Tensor products, traces, and the Hermitian eigensolver."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,10 @@ from qdesigns.linalg import (
     basis_state,
     dagger,
     hermitian_eig,
-    hs_inner,
-    partial_trace,
     random_complex_matrix,
     random_density,
     random_hermitian,
     random_kraus_channel_ops,
-    random_state,
     random_unitary,
     tensor,
 )
@@ -47,17 +44,6 @@ def test_tensor_associative_and_bilinear():
         assert np.abs(tensor(a + c, b) - tensor(a, b) - tensor(c, b)).max() < 1e-12
 
 
-def test_hs_inner():
-    assert abs(hs_inner(np.eye(5), np.eye(5)) - 5) < 1e-12
-    rng = np.random.default_rng(3)
-    a, b = random_complex_matrix(rng, 4), random_complex_matrix(rng, 4)
-    assert abs(hs_inner(a, b) - np.conj(hs_inner(b, a))) < 1e-12
-    aa = hs_inner(a, a)
-    assert aa.real > 0 and abs(aa.imag) < 1e-12
-    with pytest.raises(ValueError):
-        hs_inner(np.eye(2), np.eye(3))
-
-
 def test_pauli_orthogonality_qutrit():
     # tr((X^a Z^b)^dag X^a' Z^b') = d delta delta at d = 3
     d = 3
@@ -71,28 +57,7 @@ def test_pauli_orthogonality_qutrit():
     for (a, b), p in paulis.items():
         for (a2, b2), q in paulis.items():
             want = d if (a, b) == (a2, b2) else 0
-            assert abs(hs_inner(p, q) - want) < 1e-9
-
-
-def test_partial_trace_product_states():
-    rng = np.random.default_rng(11)
-    rho = random_density(rng, 3)
-    sigma = random_density(rng, 4)
-    joint = tensor(rho, sigma)
-    assert np.abs(partial_trace(joint, (3, 4), "A") - rho).max() < 1e-12
-    assert np.abs(partial_trace(joint, (3, 4), "B") - sigma).max() < 1e-12
-
-
-def test_partial_trace_bell_state():
-    bell = (basis_state(4, 0) + basis_state(4, 3)) / np.sqrt(2)
-    proj = np.outer(bell, bell.conj())
-    assert np.abs(partial_trace(proj, (2, 2), "A") - I2 / 2).max() < 1e-12
-
-
-def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(2)
-    rho = random_density(rng, 6)
-    assert abs(np.trace(partial_trace(rho, (2, 3), "A")) - 1) < 1e-12
+            assert abs(np.vdot(p, q) - want) < 1e-9
 
 
 def test_hermitian_eig_paulis():
@@ -128,8 +93,8 @@ def test_trace_invariant_under_random_unitaries():
 
 def test_random_state_and_kraus_helpers():
     rng = np.random.default_rng(13)
-    psi = random_state(rng, 7)
-    assert abs(np.linalg.norm(psi) - 1) < 1e-12
+    rho = random_density(rng, 7)
+    assert abs(np.trace(rho) - 1) < 1e-12 and np.linalg.eigvalsh(rho).min() > -1e-12
     ops = random_kraus_channel_ops(rng, 3, 4)
     total = sum(dagger(a) @ a for a in ops)
     assert np.abs(total - np.eye(3)).max() < 1e-10

@@ -13,7 +13,7 @@ import qdesigns.twirl
 from qdesigns.channels import KrausChannel, depolarizing, kraus_to_supermatrix, unitary_channel
 from qdesigns.channels import _invariant_pq, _kraus_traces
 from qdesigns.circuits import Circuit, Gate, circuit_unitary
-from qdesigns.linalg import dagger, random_complex_matrix, random_density, random_kraus_channel_ops
+from qdesigns.linalg import dagger, random_complex_matrix, random_density, random_kraus_channel_ops, random_unitary
 from qdesigns.twirl import (
     EXACT_CHAIN_CAP,
     MATRIX_DIM_CAP,
@@ -27,6 +27,7 @@ from qdesigns.twirl import (
     commutation_check,
     conjugate_label,
     epsilon0,
+    frame_potential,
     ideal_good_case_distribution,
     l1_to_uniform,
     markov_transition_matrix,
@@ -268,6 +269,8 @@ def test_design_checks_reject_an_empty_set():
         unitary_design_check([], m, m, m)
     with pytest.raises(ValueError, match="non-empty set of unitaries"):
         unitary_1design_check([], m / 2)
+    with pytest.raises(ValueError, match="non-empty set of unitaries"):
+        frame_potential([], 2)
 
 
 def test_pauli_twirl_runs_at_the_channel_cap():
@@ -307,6 +310,34 @@ def test_paulis_are_a_1_design_but_not_a_2_design():
         big = [pauli_matrix(lab) for lab in all_labels(2, n)]
         rho = random_density(rng, 2**n)
         assert unitary_1design_check(big, rho) < 1e-10
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_frame_potential_is_the_mean_of_the_trace_powers(t):
+    rng = np.random.default_rng(29)
+    unitaries = [random_unitary(rng, 3) for _ in range(5)]  # a set not closed under complex conjugation
+    want = np.mean([abs(np.trace(dagger(u) @ v)) ** (2 * t) for u in unitaries for v in unitaries])
+    assert abs(frame_potential(unitaries, t) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pauli_frame_potential_is_the_nth_power_of_one_qubit(n, t):
+    assert frame_potential(_pauli_stack(2, n), t) == frame_potential(_pauli_stack(2, 1), t) ** n
+
+
+@pytest.mark.parametrize("name,unitaries", [
+    ("cliffords1q", clifford_group_1q()),
+    *((f"paulis n={n}", _pauli_stack(2, n)) for n in (1, 2, 3, 4)),
+    ("identity only", [np.eye(2, dtype=complex)]),
+])
+def test_frame_potential_agrees_with_the_random_draw_oracle(name, unitaries):
+    """|F_2 - 2| and the group average at random (M, N, O) put each set on the same side of 1e-8."""
+    rng = np.random.default_rng(31)
+    d = unitaries[0].shape[0]
+    sampled = max(unitary_design_check(unitaries, *(random_complex_matrix(rng, d) for _ in range(3)))
+                  for _ in range(3))
+    assert (abs(frame_potential(unitaries, 2) - 2) <= 1e-8) == (sampled <= 1e-8) == (name == "cliffords1q")
 
 
 def step1_success_by_masks(label):
@@ -699,16 +730,11 @@ def test_twirl_result_json_round_trip_property(n, k, l1, bound):
     assert twirl_result_json(**{key: value for key, value in json.loads(text).items() if key != "epsilon0"}) == text
 
 
-def test_distribution_csv_and_result_json():
+def test_twirl_result_json_keys():
     import json
 
-    from qdesigns.twirl import distribution_to_csv, twirl_result_json
+    from qdesigns.twirl import twirl_result_json
 
-    dist = np.concatenate(([0.0], np.full(15, 1 / 15)))
-    lines = distribution_to_csv(dist).splitlines()
-    assert lines[0] == "label,probability"
-    assert len(lines) == 17
-    assert lines[1] == "0,0.0"
     payload = json.loads(twirl_result_json(2, 12, 0.001, 0.27))
     assert set(payload) == {"n", "k", "l1", "epsilon0", "bound"}
     assert abs(payload["epsilon0"] - 4 / 15) < 1e-12
