@@ -1,8 +1,10 @@
 """Command-line front end: reproducible experiments with structured output.
 
-Exit codes: 0 pass, 1 check failure, 2 usage/config error.  Every run with
-the same flags and seed produces byte-identical output.  Config files (the
-`estimate` subcommand) are flat `key=value` text; flags override file values.
+Exit codes: 0 pass, 1 check failure, 2 usage/config error, each error one
+`error:` line on stderr.  Each subcommand and mode accepts only the options it
+reads.  Every run with the same flags and seed produces byte-identical output.
+Config files (the `estimate` subcommand) are flat `key=value` text; flags
+override file values.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .linalg import random_complex_matrix
 
 __all__ = ["main"]
 
+PAULI_QUBIT_CAP = 511  # F_2 of the n-qubit Paulis is 4^n, a finite double up to n = 511
+
 
 def _write(text: str, out: str | None) -> None:
     if out:
@@ -36,25 +40,20 @@ def _json_dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _at_most_one(args, what: str, keys) -> None:
-    """Reject a command line that gives more than one of the options `keys` (argparse dests)."""
-    given = [f"--{key.replace('_', '-')}" for key in keys
-             if (value := getattr(args, key, None)) is not None and value is not False]
-    if len(given) > 1:
-        raise ValueError(f"conflicting {what} {' and '.join(given)}: choose one")
+def _not_read(args, mode: str, keys) -> None:
+    """Reject any option in `keys` (argparse dests, None unless given) that `mode` does not read."""
+    for key in keys:
+        if getattr(args, key) is not None:
+            raise ValueError(f"--{key.replace('_', '-')} is not read with {mode}")
 
 
 def cmd_mub(args) -> int:
-    _at_most_one(args, "families", ("prime", "prime_power", "qubits"))
     if args.prime is not None:
         family = mub.mub_prime(args.prime)
     elif args.prime_power is not None:
-        p, k = args.prime_power
-        family = mub.mub_prime_power(p, k)
-    elif args.qubits is not None:
-        family = mub.mub_galois_ring(args.qubits)
+        family = mub.mub_prime_power(*args.prime_power)
     else:
-        raise ValueError("choose one of --prime, --prime-power, --qubits")
+        family = mub.mub_galois_ring(args.qubits)
     report = mub.verify_unbiased(family, tol=args.tol)
     if args.out:
         mub.export_family(family, args.out)
@@ -95,10 +94,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_design(args) -> int:
-    if args.rounds < 1:
-        raise ValueError(f"--rounds must be >= 1, got {args.rounds}")
     results = {}
     if args.which == "state":
+        if args.rounds < 1:
+            raise ValueError(f"--rounds must be >= 1, got {args.rounds}")
         rng = np.random.default_rng(args.seed)
         family = mub.family_for_dimension(args.d)
         worst = 0.0
@@ -109,21 +108,22 @@ def cmd_design(args) -> int:
             want = np.trace(m @ n) + np.trace(m) * np.trace(n)
             worst = max(worst, abs(got - want) / max(abs(want), 1.0))
         results["max_relative_deviation"] = worst
-        for k in (1, 2):
-            want = 1 / family.d if k == 1 else 2 / (family.d * (family.d + 1))
-            results[f"angle_sum_error_k{k}"] = abs(mub.t_design_angle_check(family, k) - want)
+        wants = (1 / family.d, 2 / (family.d * (family.d + 1)))
+        for k, got, want in zip((1, 2), mub.t_design_angle_check(family, (1, 2)), wants):
+            results[f"angle_sum_error_k{k}"] = abs(got - want)
         ok = worst <= args.tol and all(
             results[f"angle_sum_error_k{k}"] <= 1e-9 for k in (1, 2)
         )
     else:
-        _at_most_one(args, "unitary sets", ("cliffords1q", "paulis"))
         if args.cliffords1q:
+            _not_read(args, "--cliffords1q", ("n",))
             unitaries, power, label = twirl.clifford_group_1q(), 1, "cliffords1q"
-        elif args.paulis:  # the n-qubit Paulis are the n-fold tensor power of the one-qubit set
-            twirl._check_pauli_qudits(2, args.n)
-            unitaries, power, label = twirl._pauli_stack(2, 1), args.n, "paulis"
-        else:
-            raise ValueError("choose --cliffords1q or --paulis")
+        else:  # the n-qubit Paulis are the n-fold tensor power of the one-qubit set
+            n = 1 if args.n is None else args.n
+            if not 1 <= n <= PAULI_QUBIT_CAP:
+                bound = "n >= 1" if n < 1 else f"n <= {PAULI_QUBIT_CAP}"
+                raise ValueError(f"Pauli stack needs {bound} qudits, got {n}")
+            unitaries, power, label = twirl._pauli_stack(2, 1), n, "paulis"
         results["set"] = label
         # a t-design's frame potential is exactly its Haar value, 1 at t = 1 and 2 at t = 2
         results["max_2design_deviation"] = abs(twirl.frame_potential(unitaries, 2) ** power - 2)
@@ -140,23 +140,29 @@ def cmd_design(args) -> int:
     return 0 if ok else 1
 
 
-def _make_channel(args) -> channels.KrausChannel:
-    _at_most_one(args, "channel sources", ("channel_json", "depolarizing", "sweep", "noise"))
-    if getattr(args, "channel_json", None) is not None:
+def _make_channel(args, sweep=None) -> channels.KrausChannel:
+    """The channel of the one source given, as a flag or an `estimate --config` key;
+    `sweep` is the current point of `estimate --sweep`, a depolarizing source of its own."""
+    sources = {"--channel-json": args.channel_json, "--depolarizing": args.depolarizing,
+               "--sweep": sweep, "--noise": args.noise}
+    given = [flag for flag, value in sources.items() if value is not None]
+    if len(given) > 1:
+        raise ValueError(f"conflicting channel sources {' and '.join(given)}: choose one")
+    if not given:
+        raise ValueError("specify a channel: --channel-json, --depolarizing, or --noise")
+    if args.channel_json is not None:
+        _not_read(args, "--channel-json", ("d", "p"))
         with open(args.channel_json) as fh:
             return channels.channel_from_json(fh.read())
-    p_dep = getattr(args, "depolarizing", None)
-    if p_dep is None:
-        p_dep = getattr(args, "sweep", None)
-    if p_dep is not None:
-        if args.d is None:
-            raise ValueError("--depolarizing needs --d")
-        return channels.depolarizing(args.d, p_dep)
-    if getattr(args, "noise", None):
+    if args.noise is not None:
+        _not_read(args, "--noise", ("d",))
         if args.p is None:
             raise ValueError("--noise needs --p")
         return channels.standard_noise(args.noise, args.p)
-    raise ValueError("specify a channel: --channel-json, --depolarizing, or --noise")
+    _not_read(args, given[0], ("p",))
+    if args.d is None:
+        raise ValueError(f"{given[0]} needs --d")
+    return channels.depolarizing(args.d, sources[given[0]])
 
 
 def cmd_channel(args) -> int:
@@ -186,14 +192,15 @@ def cmd_twirl(args) -> int:
     rows = ["k,l1,bound"]
     ok = True
     if args.exact:
+        _not_read(args, "--exact", ("samples", "seed"))
         for k, d_k in enumerate(twirl._exact_chain(args.n, args.k)[0][1:], start=1):
             bound = twirl.twirl_bound(args.n, k)
             rows.append(f"{k},{d_k!r},{bound!r}")
             ok = ok and d_k <= bound + 1e-9
             final_l1 = d_k
     else:
-        rng = np.random.default_rng(args.seed)
-        curve = twirl.mc_convergence_curve(args.n, args.k, args.samples, rng)
+        samples = 100_000 if args.samples is None else args.samples
+        curve = twirl.mc_convergence_curve(args.n, args.k, samples, np.random.default_rng(args.seed or 0))
         for entry in curve:
             bound = twirl.twirl_bound(args.n, entry["k"])
             rows.append(f"{entry['k']},{entry['l1']!r},{bound!r}")
@@ -246,8 +253,6 @@ def cmd_estimate(args) -> int:
                 setattr(args, key, value)
     sweep = None
     if args.sweep:
-        if args.d is None:
-            raise ValueError("--sweep needs --d")
         try:
             sweep = [float(tok) for tok in args.sweep.split(",")]
         except ValueError as exc:
@@ -255,10 +260,8 @@ def cmd_estimate(args) -> int:
     sampling = {key: getattr(args, key) for key in ("protocol", "trials", "seed")
                 if getattr(args, key) is not None}
 
-    results = []
-    for value in sweep or [None]:
-        args.sweep = value  # each point is a depolarizing source of its own
-        results.append(estimate.run_protocol(estimate.ExperimentConfig(_make_channel(args), **sampling)))
+    results = [estimate.run_protocol(estimate.ExperimentConfig(_make_channel(args, value), **sampling))
+               for value in sweep or [None]]
     if sweep:
         rows = [f"{v!r},{r.p_hat!r},{r.std_err!r},{r.exact!r},{r.fidelity!r}" for v, r in zip(sweep, results)]
         _write("\n".join(["depolarizing_p,p_hat,std_err,exact,fidelity", *rows]) + "\n", args.out)
@@ -268,112 +271,104 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_emit(args) -> int:
-    _at_most_one(args, "circuits", ("mub_circuit", "parity"))
-    _at_most_one(args, "prime dimensions", ("p", "prime_power"))
-    if args.mub_circuit:
-        if args.prime_power is not None:
-            p, k = args.prime_power
-            circuit = circuits.build_mub_circuit_prime_power(p, k, args.a, args.b)
-        else:
-            if args.p is None:
-                raise ValueError("--mub-circuit needs --p (or --prime-power)")
-            n = args.n if args.n is not None else max((args.p - 1).bit_length() - 1, 1)
-            circuit = circuits.build_mub_circuit_prime(args.p, n, args.a, args.b)
-    elif args.parity is not None:
+    if args.parity is not None:
+        _not_read(args, "--parity", ("p", "prime_power", "n", "a", "b"))
         qubits = [int(t) for t in args.parity.split(",")]
         circuit = circuits.parallel_prefix_parity(max(qubits) + 1, qubits[:-1], qubits[-1])
+    elif args.prime_power is not None:
+        _not_read(args, "--prime-power", ("n",))
+        circuit = circuits.build_mub_circuit_prime_power(*args.prime_power, args.a or 0, args.b or 0)
+    elif args.p is None:
+        raise ValueError("--mub-circuit needs --p (or --prime-power)")
     else:
-        raise ValueError("choose --mub-circuit or --parity")
+        n = args.n if args.n is not None else max((args.p - 1).bit_length() - 1, 1)
+        circuit = circuits.build_mub_circuit_prime(args.p, n, args.a or 0, args.b or 0)
     _write(circuits.emit_circuit(circuit), args.out)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, as for every other usage error: no usage block
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qdesigns",
-        description="MUB state designs, Clifford twirling, and fidelity estimation",
-    )
+    """One parser per subcommand and mode, declaring exactly the options its code reads."""
+    parser = _Parser(prog="qdesigns", description="MUB state designs, Clifford twirling, and fidelity estimation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_default=1e-8):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--out", help="write primary artifact to this path")
-        p.add_argument("--tol", type=float, default=tol_default)
+    def add(subparsers, name, help, func, json=True, tol=None):
+        p = subparsers.add_parser(name, help=help)
+        p.add_argument("--out", help="write the primary artifact to this path")
+        if json:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("mub", help="build a MUB family and verify it")
-    p.add_argument("--prime", type=int)
-    p.add_argument("--prime-power", type=int, nargs=2, metavar=("P", "K"))
-    p.add_argument("--qubits", type=int)
-    common(p, tol_default=1e-9)
-    p.set_defaults(func=cmd_mub)
+    p = add(sub, "mub", "build a MUB family and verify it", cmd_mub, tol=1e-9)
+    family = p.add_mutually_exclusive_group(required=True)
+    family.add_argument("--prime", type=int)
+    family.add_argument("--prime-power", type=int, nargs=2, metavar=("P", "K"))
+    family.add_argument("--qubits", type=int)
 
-    p = sub.add_parser("verify", help="verify a MUB family file")
+    p = add(sub, "verify", "verify a MUB family file", cmd_verify, tol=1e-9)
     p.add_argument("--family", required=True)
-    common(p, tol_default=1e-9)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("design", help="state/unitary 2-design checks")
-    p.add_argument("which", choices=["state", "unitary"])
+    design = sub.add_parser("design", help="state/unitary 2-design checks").add_subparsers(dest="which", required=True)
+    p = add(design, "state", "the MUB family as a state 2-design", cmd_design, tol=1e-8)
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n", type=int, default=1)
     p.add_argument("--rounds", type=int, default=20)
-    p.add_argument("--cliffords1q", action="store_true")
-    p.add_argument("--paulis", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_design)
+    p.add_argument("--seed", type=int, default=0)
+    p = add(design, "unitary", "exact unitary 2-design check by frame potential", cmd_design, tol=1e-8)
+    unitaries = p.add_mutually_exclusive_group(required=True)
+    unitaries.add_argument("--cliffords1q", action="store_true")
+    unitaries.add_argument("--paulis", action="store_true")
+    p.add_argument("--n", type=int, help="qubits of --paulis (default 1)")
+    p.add_argument("--seed", type=int, help="accepted for old command lines and not read: the check is exact")
 
-    p = sub.add_parser("channel", help="inspect or generate a channel")
-    p.add_argument("--channel-json")
-    p.add_argument("--depolarizing", type=float,
-                   help="identity weight p in rho -> p rho + (1-p) I/d; the "
-                        "random-Pauli-rate convention is q = 1 - p")
-    p.add_argument("--d", type=int)
-    p.add_argument("--noise", choices=["bit_flip", "phase_flip", "bit_phase_flip"])
-    p.add_argument("--p", type=float)
-    common(p)
-    p.set_defaults(func=cmd_channel)
-
-    p = sub.add_parser("twirl", help="approximate-twirl convergence study")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=12)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--samples", type=int, default=100_000)
-    common(p)
-    p.set_defaults(func=cmd_twirl)
-
-    p = sub.add_parser("estimate", help="run a fidelity-estimation protocol")
+    # channel and estimate share the channel-source options; estimate's own follow the loop
+    for name, func, help in (("channel", cmd_channel, "inspect or generate a channel"),
+                             ("estimate", cmd_estimate, "run a fidelity-estimation protocol")):
+        p = add(sub, name, help, func, json=name == "channel")
+        p.add_argument("--channel-json")
+        p.add_argument("--depolarizing", type=float,
+                       help="identity weight p in rho -> p rho + (1-p) I/d; the "
+                            "random-Pauli-rate convention is q = 1 - p")
+        p.add_argument("--d", type=int)
+        p.add_argument("--noise", choices=["bit_flip", "phase_flip", "bit_phase_flip"])
+        p.add_argument("--p", type=float)
     p.add_argument("--config", help="flat key=value config file; flags override")
     p.add_argument("--protocol", choices=list(estimate.PROTOCOLS))
     p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int,
-                   help="accepted and ignored: results depend only on (seed, trials)")
-    p.add_argument("--channel-json")
-    p.add_argument("--depolarizing", type=float)
-    p.add_argument("--d", type=int)
-    p.add_argument("--noise", choices=["bit_flip", "phase_flip", "bit_phase_flip"])
-    p.add_argument("--p", type=float)
+                   help="accepted for old command lines and not read: results depend only on (seed, trials)")
     p.add_argument("--sweep", help="comma-separated depolarizing parameters; CSV output")
-    common(p)
-    p.set_defaults(func=cmd_estimate, seed=None)
 
-    p = sub.add_parser("emit", help="write a named circuit construction")
-    p.add_argument("--mub-circuit", action="store_true")
-    p.add_argument("--parity", help="comma-separated qubits, last one the target")
-    p.add_argument("--p", type=int)
-    p.add_argument("--n", type=int, help="qubit count minus one (defaults to the minimal register for p)")
-    p.add_argument("--prime-power", type=int, nargs=2, metavar=("P", "K"))
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
-    common(p)
-    p.set_defaults(func=cmd_emit)
+    p = add(sub, "twirl", "approximate-twirl convergence study", cmd_twirl)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, default=12)
+    p.add_argument("--exact", action="store_true")
+    p.add_argument("--samples", type=int, help="Monte-Carlo mode only (default 100000)")
+    p.add_argument("--seed", type=int, help="Monte-Carlo mode only (default 0)")
 
+    p = add(sub, "emit", "write a named circuit construction", cmd_emit, json=False)
+    circuit = p.add_mutually_exclusive_group(required=True)
+    circuit.add_argument("--mub-circuit", action="store_true")
+    circuit.add_argument("--parity", help="comma-separated qubits, last one the target")
+    prime = p.add_mutually_exclusive_group()
+    prime.add_argument("--p", type=int)
+    prime.add_argument("--prime-power", type=int, nargs=2, metavar=("P", "K"))
+    p.add_argument("--n", type=int, help="with --p: qubit count minus one (defaults to the minimal register for p)")
+    p.add_argument("--a", type=int, help="--mub-circuit only (default 0)")
+    p.add_argument("--b", type=int, help="--mub-circuit only (default 0)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, RuntimeError) as exc:

@@ -209,16 +209,22 @@ def haar_moment_mc(
     return mean, stderr
 
 
-def t_design_angle_check(family: MubFamily, k: int) -> float:
+def t_design_angle_check(family: MubFamily, k: int | tuple[int, ...]) -> float | tuple[float, ...]:
     """(1/|X|^2) sum over state pairs of |<psi|phi>|^(2k); equals 1/binom(d+k-1, k)
-    when the family is a k-design.  Each pair of distinct bases is summed once, counted twice."""
-    if k not in (0, 1, 2):
+    when the family is a k-design.  Each pair of distinct bases is summed once, counted twice.
+    k is one power or a tuple of powers; a tuple gives a tuple of sums from one walk."""
+    ks = k if isinstance(k, tuple) else (k,)
+    if any(j not in (0, 1, 2) for j in ks):
         raise ValueError("k must be 0, 1, or 2")
-    total = 0.0
+    totals = [0.0] * len(ks)
     for _, g in _gram_rows(family):
-        sums = np.sum((g**2) ** k, axis=(1, 2))
-        total += sums[0] + 2 * np.sum(sums[1:])
-    return float(total / len(family.all_states()) ** 2)
+        np.square(g, out=g)  # in place: a second array would stay alive while _gram_rows forms the next block
+        for i, j in enumerate(ks):
+            sums = np.sum(g**j, axis=(1, 2))
+            totals[i] += sums[0] + 2 * np.sum(sums[1:])
+    n2 = len(family.all_states()) ** 2
+    sums = tuple(float(total / n2) for total in totals)
+    return sums if isinstance(k, tuple) else sums[0]
 
 
 def export_family(family: MubFamily, path: str) -> None:

@@ -25,7 +25,10 @@ from qdesigns.mub import load_family
 
 
 def run(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a usage error that argparse raised
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -138,7 +141,7 @@ def test_design_state_outputs_are_pinned(capsys, flags, line):
 @pytest.mark.parametrize("argv", [
     "design state --d 5",
     "design state --d 4 --rounds 2 --json",
-    "design unitary --cliffords1q --rounds 2 --json",
+    "design unitary --cliffords1q --json",
     "verify --family {family}",
     "verify --family {family} --json",
 ])
@@ -171,12 +174,13 @@ _CLIFFORDS_JSON = ('{"max_1design_deviation": 4.440892098500626e-16, "max_2desig
 
 
 @pytest.mark.parametrize("flags,code,line", [
-    # |F_1^n - 1| and |F_2^n - 2| of the frame potential; neither --seed nor --rounds is read
+    # |F_1^n - 1| and |F_2^n - 2| of the frame potential; --seed is accepted and not read
     ("--cliffords1q", 0, "PASS set=cliffords1q max_2design_deviation=1.554e-15 max_1design_deviation=4.441e-16"),
     ("--cliffords1q --json", 0, _CLIFFORDS_JSON),
-    ("--cliffords1q --json --seed 5 --rounds 3", 0, _CLIFFORDS_JSON),
+    ("--cliffords1q --json --seed 5", 0, _CLIFFORDS_JSON),
     *((f"--paulis --n {n} --json", 1, f'{{"max_1design_deviation": 0.0, "max_2design_deviation": {dev2}, '
-                                      '"ok": false, "set": "paulis"}') for n, dev2 in ((1, "2.0"), (3, "62.0"), (6, "4094.0"))),
+                                      '"ok": false, "set": "paulis"}')
+      for n, dev2 in ((1, "2.0"), (3, "62.0"), (6, "4094.0"), (7, "16382.0"))),
 ])
 def test_design_unitary_outputs_are_pinned(capsys, flags, code, line):
     assert run(capsys, ["design", "unitary", *flags.split()]) == (code, line + "\n", "")
@@ -201,8 +205,7 @@ def test_design_unitary_failed_clifford_closure_exits_1(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv,message", [
     ("unitary --paulis --n 0", "Pauli stack needs n >= 1 qudits, got 0"),
-    ("unitary --paulis --n 7", "Pauli stack needs n <= 6 qudits of dimension 2 (d^(2n) is capped at 4096), got 7"),
-    ("unitary --cliffords1q --rounds 0", "--rounds must be >= 1, got 0"),
+    ("unitary --paulis --n 512", "Pauli stack needs n <= 511 qudits, got 512"),  # F_2 = 4^n overflows a double
     ("state --d 5 --rounds 0", "--rounds must be >= 1, got 0"),
 ])
 def test_design_usage_errors_exit_2(capsys, monkeypatch, argv, message):
@@ -612,18 +615,59 @@ def test_emit_parity(capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    ("mub --prime 3 --prime-power 3 2", "conflicting families --prime and --prime-power"),
-    ("mub --qubits 2 --prime 5", "conflicting families --prime and --qubits"),
-    ("mub --prime 0 --qubits 2", "conflicting families --prime and --qubits"),
-    ("design unitary --cliffords1q --paulis --n 2", "conflicting unitary sets --cliffords1q and --paulis"),
-    ("emit --mub-circuit --p 5 --prime-power 3 2", "conflicting prime dimensions --p and --prime-power"),
-    ("emit --mub-circuit --p 5 --parity 0,1", "conflicting circuits --mub-circuit and --parity"),
-    ("channel --depolarizing 0.0 --d 2 --noise bit_flip --p 0.8", "conflicting channel sources --depolarizing and --noise"),
+    # argparse's mutually exclusive groups
+    ("mub --prime 3 --prime-power 3 2", "argument --prime-power: not allowed with argument --prime"),
+    ("mub --qubits 2 --prime 5", "argument --prime: not allowed with argument --qubits"),
+    ("mub --prime 0 --qubits 2", "argument --qubits: not allowed with argument --prime"),
+    ("design unitary --cliffords1q --paulis --n 2", "argument --paulis: not allowed with argument --cliffords1q"),
+    ("emit --mub-circuit --p 5 --prime-power 3 2", "argument --prime-power: not allowed with argument --p"),
+    ("emit --mub-circuit --p 5 --parity 0,1", "argument --parity: not allowed with argument --mub-circuit"),
+    # the channel-source check, which also sees the keys of an `estimate --config` file
+    ("channel --depolarizing 0.0 --d 2 --noise bit_flip --p 0.8",
+     "conflicting channel sources --depolarizing and --noise: choose one"),
 ])
 def test_conflicting_choices_exit_2(tmp_path, capsys, argv, message):
     out = tmp_path / "artifact"
-    assert run(capsys, [*argv.split(), "--out", str(out)]) == (2, "", f"error: {message}: choose one\n")
+    assert run(capsys, [*argv.split(), "--out", str(out)]) == (2, "", f"error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,option", [
+    ("design state --d 5 --paulis", "--paulis"),
+    ("design unitary --cliffords1q --d 9", "--d"),
+    ("design unitary --cliffords1q --rounds 2", "--rounds"),
+    ("design unitary --cliffords1q --n 2", "--n"),
+    ("emit --parity 0,1 --p 5", "--p"),
+    ("emit --parity 0,1 --a 0", "--a"),
+    ("emit --parity 0,1 --json", "--json"),
+    ("emit --mub-circuit --prime-power 3 2 --n 4", "--n"),
+    ("emit --mub-circuit --p 5 --seed 1", "--seed"),
+    ("twirl --n 2 --k 2 --exact --samples 5", "--samples"),
+    ("twirl --n 2 --k 2 --exact --seed 5", "--seed"),
+    ("channel --depolarizing 0.9 --d 2 --tol 0 --seed 3", "--tol"),
+    ("channel --noise bit_flip --p 0.8 --d 2", "--d"),
+    ("estimate --protocol mub_exact --depolarizing 0.9 --d 2 --tol 0 --workers 9", "--tol"),
+    ("estimate --depolarizing 0.9 --d 2 --json", "--json"),
+    ("estimate --channel-json rand.json --p 0.5", "--p"),
+    ("estimate --config noise.cfg", "--d"),  # a config key counts as given
+    ("mub --prime 3 --seed 5", "--seed"),
+])
+def test_unread_option_exits_2(tmp_path, capsys, monkeypatch, argv, option):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rand.json").write_text(channel_to_json(depolarizing(2, 0.7)))
+    (tmp_path / "noise.cfg").write_text("noise = bit_flip\np = 0.8\nd = 2\n")
+    code, stdout, err = run(capsys, argv.split())
+    assert (code, stdout, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: ") and option in err.split()  # the option itself, not a longer one
+
+
+@pytest.mark.parametrize("argv", [
+    "mub --bogus", "mub --prime x", "twirl --k 3", "estimate --protocol nope --d 2", "design sideways", "",
+])
+def test_argparse_errors_are_one_error_line(capsys, argv):
+    code, stdout, err = run(capsys, argv.split())
+    assert (code, stdout, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: ") and "usage" not in err
 
 
 def _blas_env_probe(env_extra, code):

@@ -382,6 +382,15 @@ def test_blocked_angle_check_matches_full_gram(fam, k):
     assert abs(t_design_angle_check(fam, k) - reference_angle_sum(fam, k)) <= 1e-15
 
 
+@pytest.mark.parametrize("fam", [mub_prime(17), mub_galois_ring(4), mub_prime_power(3, 2)], ids=["p17", "q4", "9"])
+def test_one_walk_for_several_powers_matches_one_walk_each(fam):
+    # same sums in the same order: bit for bit, in any order of the powers
+    assert t_design_angle_check(fam, (0, 1, 2)) == tuple(t_design_angle_check(fam, k) for k in (0, 1, 2))
+    assert t_design_angle_check(fam, (2, 1)) == (t_design_angle_check(fam, 2), t_design_angle_check(fam, 1))
+    with pytest.raises(ValueError):
+        t_design_angle_check(fam, (1, 3))
+
+
 def per_pair_verify_unbiased(family, tol=1e-9):
     """verify_unbiased as one d x d Gram block per pair of bases a1 <= a2:
     the oracle for the Gram walk."""
