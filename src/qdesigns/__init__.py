@@ -2,7 +2,7 @@
 
 Submodules:
     finite_algebra  -- GF(p^k) and GR(4^m) arithmetic, traces, character sums
-    linalg          -- dense complex vectors/matrices, tensor products, eigensolver
+    linalg          -- dense complex vectors/matrices, random draws, eigensolver
     mub             -- complete MUB families and state 2-design checks
     circuits        -- gate-level circuits, statevector simulation, MUB preparation
     channels        -- Kraus/supermatrix/Choi channels and fidelity formulas

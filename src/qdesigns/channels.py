@@ -25,7 +25,6 @@ __all__ = [
     "ChoiMatrix",
     "vec",
     "unvec",
-    "identity_channel",
     "unitary_channel",
     "depolarizing",
     "standard_noise",
@@ -106,10 +105,6 @@ class Supermatrix:
 class ChoiMatrix:
     dim: int
     mat: np.ndarray
-
-
-def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel(d, (np.eye(d, dtype=complex),))
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:

@@ -35,7 +35,6 @@ from .linalg import basis_state
 __all__ = [
     "Gate",
     "Circuit",
-    "CircuitParseError",
     "simulate",
     "circuit_unitary",
     "build_mub_circuit_prime",
@@ -48,7 +47,6 @@ __all__ = [
     "parallel_prefix_parity",
     "classical_parity_map",
     "emit_circuit",
-    "parse_circuit",
 ]
 
 SIMULATE_DIM_CAP = 2**12
@@ -580,12 +578,6 @@ def classical_parity_map(circuit: Circuit) -> np.ndarray:
     return m
 
 
-class CircuitParseError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
 def _fmt_indices(ix: tuple[int, ...]) -> str:
     return ",".join(str(i) for i in ix)
 
@@ -603,58 +595,3 @@ def emit_circuit(circuit: Circuit) -> str:
             f"controls={_fmt_indices(g.controls)} param={param}"
         )
     return "\n".join(lines) + "\n"
-
-
-def _parse_indices(text: str, line_no: int) -> tuple[int, ...]:
-    if not text:
-        return ()
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise CircuitParseError(line_no, f"bad index list {text!r}") from None
-
-
-def parse_circuit(text: str) -> Circuit:
-    lines = [ln for ln in text.splitlines()]
-    if not lines or not lines[0].startswith("CIRCUIT "):
-        raise CircuitParseError(1, "missing CIRCUIT header")
-    head = dict(tok.split("=", 1) for tok in lines[0].split()[1:] if "=" in tok)
-    try:
-        circuit = Circuit(n=int(head["n"]), d=int(head["d"]))
-    except (KeyError, ValueError):
-        raise CircuitParseError(1, f"bad CIRCUIT header {lines[0]!r}") from None
-    for line_no, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        parts = ln.split()
-        if parts[0] != "GATE" or len(parts) != 5:
-            raise CircuitParseError(line_no, f"expected `GATE <kind> targets=.. controls=.. param=..`, got {ln!r}")
-        kind = parts[1]
-        fields = {}
-        for tok in parts[2:]:
-            if "=" not in tok:
-                raise CircuitParseError(line_no, f"bad field {tok!r}")
-            key, val = tok.split("=", 1)
-            fields[key] = val
-        if set(fields) != {"targets", "controls", "param"}:
-            raise CircuitParseError(line_no, f"fields must be targets/controls/param, got {sorted(fields)}")
-        targets = _parse_indices(fields["targets"], line_no)
-        controls = _parse_indices(fields["controls"], line_no)
-        param = fields["param"]
-        if "/" not in param:
-            raise CircuitParseError(line_no, f"param {param!r} is not <num>/<den>")
-        num_part, den_part = param.rsplit("/", 1)
-        try:
-            den = int(den_part)
-            if kind == "PhaseVec":
-                phases = tuple(int(t) for t in num_part.split(","))
-                gate = Gate(kind, targets, controls, den=den, phases=phases)
-            else:
-                gate = Gate(kind, targets, controls, num=int(num_part), den=den)
-        except ValueError:
-            raise CircuitParseError(line_no, f"bad param {param!r}") from None
-        try:
-            circuit.append(gate)
-        except ValueError as exc:
-            raise CircuitParseError(line_no, str(exc)) from None
-    return circuit

@@ -251,6 +251,8 @@ def cmd_estimate(args) -> int:
         for key, value in _load_config(args.config).items():
             if getattr(args, key) is None:
                 setattr(args, key, value)
+    if args.protocol == "mub_exact" and args.trials:  # trials = 0, the exact average, is what it runs
+        raise ValueError("--trials is not read with --protocol mub_exact: give 0 or leave it out")
     sweep = None
     if args.sweep:
         try:

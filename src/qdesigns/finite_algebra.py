@@ -29,8 +29,6 @@ __all__ = [
     "GrContext",
     "GrElement",
     "gf_gauss_sum",
-    "gr_2adic",
-    "gr_trace",
     "gr_exponential_sum",
     "is_prime",
 ]
@@ -186,12 +184,6 @@ class _PolyContext:
     def one(self):
         return self._element(self, tuple([1] + [0] * (self._n - 1)))
 
-    def element_from_coeffs(self, coeffs):
-        c = tuple(int(x) % self._q for x in coeffs)
-        if len(c) != self._n:
-            raise ValueError(f"expected {self._n} coefficients, got {len(c)}")
-        return self._element(self, c)
-
     def element_from_int(self, label: int):
         if not 0 <= label < self._q**self._n:
             raise ValueError(f"label {label} out of range for {self._name}")
@@ -335,13 +327,6 @@ class GrContext(_PolyContext):
             raise RuntimeError("Teichmuller set has repeated elements")  # pragma: no cover
         return out
 
-    def teich_mul_index(self, i: int, j: int) -> int:
-        """Index of teichmuller[i] * teichmuller[j]: the nonzero part of the
-        Teichmuller set is cyclic of order 2^m - 1 under multiplication."""
-        if i == 0 or j == 0:
-            return 0
-        return 1 + (i - 1 + j - 1) % (2**self.m - 1)
-
     def two_adic(self, c: GrElement) -> tuple[GrElement, GrElement]:
         """(a, b) with c = a + 2b, both Teichmuller.  (a + 2b)^2 = a^2 and every
         Teichmuller t has t^(2^m) = t, so a = c^(2^m); c - a = 2b, and any lift
@@ -350,14 +335,6 @@ class GrContext(_PolyContext):
         a = c ** 2**self.m
         half = GrElement(self, tuple(v // 2 for v in (c - a).coeffs))
         return a, half ** 2**self.m
-
-
-def gr_2adic(ctx: GrContext, c: GrElement) -> tuple[GrElement, GrElement]:
-    return ctx.two_adic(c)
-
-
-def gr_trace(ctx: GrContext, c: GrElement) -> int:
-    return ctx.trace(c)
 
 
 # exact integer powers of i (1j**n goes through exp/log and picks up rounding)

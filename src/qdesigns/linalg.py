@@ -11,30 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "tensor",
     "dagger",
     "hermitian_eig",
     "is_hermitian",
     "basis_state",
     "random_complex_matrix",
-    "random_hermitian",
-    "random_unitary",
     "random_density",
     "random_kraus_channel_ops",
 ]
 
 SUPERMATRIX_DIM_CAP = 4096
 HERMITIAN_TOL = 1e-8  # largest max |a - a^dagger| of a matrix taken as Hermitian
-
-
-def tensor(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of vectors or matrices, first factor index-major."""
-    if not factors:
-        raise ValueError("tensor of no factors")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
-    return out
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -74,19 +61,6 @@ def basis_state(dim: int, index: int) -> np.ndarray:
 
 def random_complex_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-
-
-def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = random_complex_matrix(rng, d)
-    return (g + g.conj().T) / 2
-
-
-def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Random unitary from the eigenvectors of a random Hermitian matrix,
-    with random eigenphases."""
-    _, v = hermitian_eig(random_hermitian(rng, d))
-    phases = np.exp(2j * np.pi * rng.random(d))
-    return v * phases
 
 
 def random_density(rng: np.random.Generator, d: int) -> np.ndarray:

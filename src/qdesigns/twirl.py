@@ -44,7 +44,6 @@ __all__ = [
     "TwirlSample",
     "pauli_matrix",
     "symplectic_inner",
-    "commutation_check",
     "char_sum",
     "pauli_twirl",
     "pauli_twirl_brute",
@@ -163,22 +162,6 @@ def symplectic_inner(x: PauliLabel, y: PauliLabel) -> int:
         raise ValueError("label shape mismatch")
     val = sum(a * b for a, b in zip(x.xa, y.xb)) - sum(b * a for b, a in zip(x.xb, y.xa))
     return val % x.d
-
-
-def commutation_check(x: PauliLabel, y: PauliLabel) -> int:
-    """Verify P_x P_y = omega^e P_y P_x at the matrix level and return e.
-
-    The verified exponent is e = (y, x)_Sp: with Z|j> = omega^j |j> one has
-    ZX = omega XZ, which fixes this orientation of the symplectic form.
-    """
-    e = symplectic_inner(y, x)
-    if x.d**x.n > 64:
-        raise ValueError("matrix verification capped at dimension 64")
-    px, py = pauli_matrix(x), pauli_matrix(y)
-    om = np.exp(2j * np.pi / x.d)
-    if np.abs(px @ py - om**e * (py @ px)).max() > 1e-10:
-        raise RuntimeError("commutation phase disagrees with matrix conjugation")  # pragma: no cover
-    return e
 
 
 def char_sum(j: PauliLabel) -> complex:

@@ -21,7 +21,6 @@ from qdesigns.channels import (
     depolarizing,
     entanglement_fidelity,
     generalized_paulis,
-    identity_channel,
     invariant_decompose,
     kraus_to_supermatrix,
     standard_noise,
@@ -36,9 +35,9 @@ from qdesigns.linalg import (
     hermitian_eig,
     random_density,
     random_kraus_channel_ops,
-    random_unitary,
-    tensor,
 )
+
+from helpers import random_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -86,7 +85,7 @@ def test_channel_and_config_equality_is_identity_and_never_raises():
 def test_identity_channel_apply():
     rng = np.random.default_rng(0)
     rho = random_density(rng, 3)
-    assert np.abs(identity_channel(3).apply(rho) - rho).max() < 1e-12
+    assert np.abs(unitary_channel(np.eye(3)).apply(rho) - rho).max() < 1e-12
 
 
 def test_bit_flip_edge_probability():
@@ -132,7 +131,7 @@ def test_depolarizing_matches_single_qubit_pauli_form():
 
 
 def test_supermatrix_of_identity_and_unitary():
-    assert np.abs(kraus_to_supermatrix(identity_channel(2)).mat - np.eye(4)).max() < 1e-12
+    assert np.abs(kraus_to_supermatrix(unitary_channel(np.eye(2))).mat - np.eye(4)).max() < 1e-12
     rng = np.random.default_rng(4)
     u = random_unitary(rng, 3)
     s = kraus_to_supermatrix(unitary_channel(u))
@@ -150,7 +149,7 @@ def test_supermatrix_action_matches_kraus():
 
 
 def test_choi_of_identity_is_entangled_projector():
-    choi = supermatrix_to_choi(kraus_to_supermatrix(identity_channel(2))).mat
+    choi = supermatrix_to_choi(kraus_to_supermatrix(unitary_channel(np.eye(2)))).mat
     want = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):
@@ -226,7 +225,7 @@ def test_avg_fidelity_u_independent():
 
 
 def test_entanglement_fidelity_formulas():
-    assert abs(entanglement_fidelity(identity_channel(3)) - 1) < 1e-12
+    assert abs(entanglement_fidelity(unitary_channel(np.eye(3))) - 1) < 1e-12
     for d in (2, 3, 4):
         for p in (0.0, 0.5, 0.9):
             got = entanglement_fidelity(depolarizing(d, p))
@@ -260,7 +259,7 @@ def test_fidelity_monte_carlo_oracle():
 
 
 def test_invariant_decompose():
-    p, q = invariant_decompose(identity_channel(3))
+    p, q = invariant_decompose(unitary_channel(np.eye(3)))
     assert abs(p - 1) < 1e-12 and abs(q) < 1e-12
     p, q = invariant_decompose(depolarizing(4, 0.0))
     assert abs(p) < 1e-12 and abs(q - 1) < 1e-12
@@ -309,7 +308,7 @@ def kron_entanglement_fidelity(ch):
         phi[x * d + x] = 1
     phi /= math.sqrt(d)
     eye = np.eye(d, dtype=complex)
-    return float(sum(abs(np.vdot(phi, tensor(eye, a) @ phi)) ** 2 for a in ch.kraus))
+    return float(sum(abs(np.vdot(phi, np.kron(eye, a) @ phi)) ** 2 for a in ch.kraus))
 
 
 def oracle_channels():
@@ -337,7 +336,7 @@ def test_invariant_decompose_matches_supermatrix_oracle():
 
 def test_invariant_decompose_needs_two_levels():
     with pytest.raises(ValueError, match="d >= 2"):
-        invariant_decompose(identity_channel(1))
+        invariant_decompose(unitary_channel(np.eye(1)))
 
 
 def test_channel_dimension_cap_fails_before_allocating(monkeypatch):
@@ -433,7 +432,7 @@ def loop_choi(s):
         for j in range(d):
             e = np.zeros((d, d), dtype=complex)
             e[i, j] = 1
-            out += tensor(e, eye) @ s.mat @ tensor(eye, e)
+            out += np.kron(e, eye) @ s.mat @ np.kron(eye, e)
     return out
 
 

@@ -1,12 +1,14 @@
 """CLI subcommands: exit codes, determinism, and output formats."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +21,11 @@ import qdesigns.mub
 import qdesigns.twirl
 from qdesigns.channels import channel_to_json, depolarizing
 from qdesigns.cli import _CONFIG_KEYS, _load_config, main
-from qdesigns.circuits import parse_circuit, simulate
+from qdesigns.circuits import simulate
 from qdesigns.linalg import basis_state
 from qdesigns.mub import load_family
+
+from helpers import parse_circuit
 
 
 def run(capsys, argv):
@@ -651,11 +655,14 @@ def test_conflicting_choices_exit_2(tmp_path, capsys, argv, message):
     ("estimate --channel-json rand.json --p 0.5", "--p"),
     ("estimate --config noise.cfg", "--d"),  # a config key counts as given
     ("mub --prime 3 --seed 5", "--seed"),
+    ("estimate --protocol mub_exact --depolarizing 0.9 --d 2 --trials 5000 --seed 9", "--trials"),
+    ("estimate --config sampled.cfg --protocol mub_exact", "--trials"),  # checked after the file is merged
 ])
 def test_unread_option_exits_2(tmp_path, capsys, monkeypatch, argv, option):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "rand.json").write_text(channel_to_json(depolarizing(2, 0.7)))
     (tmp_path / "noise.cfg").write_text("noise = bit_flip\np = 0.8\nd = 2\n")
+    (tmp_path / "sampled.cfg").write_text("depolarizing = 0.9\nd = 2\ntrials = 100\n")
     code, stdout, err = run(capsys, argv.split())
     assert (code, stdout, err.count("\n")) == (2, "", 1)
     assert err.startswith("error: ") and option in err.split()  # the option itself, not a longer one
@@ -668,6 +675,20 @@ def test_argparse_errors_are_one_error_line(capsys, argv):
     code, stdout, err = run(capsys, argv.split())
     assert (code, stdout, err.count("\n")) == (2, "", 1)
     assert err.startswith("error: ") and "usage" not in err
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    """perfbench/trace_child.py looks each name up before the traced command runs;
+    one missing name fails every op of a traced pass."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
+    spec = importlib.util.spec_from_file_location("trace_child", path)
+    trace_child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_child)
+    wanted = {(layer, name) for layer, names in trace_child.WRAPPED.items() for name in names}
+    wanted |= {("circuits", "embedding_prime"), ("finite_algebra", "GfContext"), ("finite_algebra", "GrContext")}
+    missing = [f"qdesigns.{layer}.{name}" for layer, name in sorted(wanted)
+               if not callable(getattr(importlib.import_module(f"qdesigns.{layer}"), name, None))]
+    assert missing == []
 
 
 def _blas_env_probe(env_extra, code):

@@ -26,8 +26,10 @@ from qdesigns.estimate import (
     projected_estimate,
     run_protocol,
 )
-from qdesigns.linalg import random_kraus_channel_ops, random_unitary
+from qdesigns.linalg import random_kraus_channel_ops
 from qdesigns.mub import family_for_dimension
+
+from helpers import random_unitary
 
 
 def random_channel(rng, d, k=3):

@@ -1,4 +1,4 @@
-"""Tensor products, traces, and the Hermitian eigensolver."""
+"""Traces, the Hermitian eigensolver and the random draws."""
 
 import numpy as np
 import pytest
@@ -9,39 +9,13 @@ from qdesigns.linalg import (
     hermitian_eig,
     random_complex_matrix,
     random_density,
-    random_hermitian,
     random_kraus_channel_ops,
-    random_unitary,
-    tensor,
 )
+
+from helpers import random_hermitian, random_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
-
-
-def test_tensor_identities():
-    assert np.allclose(tensor(I2, I2), np.eye(4))
-    ket01 = tensor(basis_state(2, 0), basis_state(2, 1))
-    assert np.allclose(ket01, basis_state(4, 1))
-
-
-def test_tensor_matches_factorwise_action():
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    zero = basis_state(2, 0)
-    lhs = tensor(X, Z) @ tensor(plus, zero)
-    rhs = tensor(X @ plus, Z @ zero)
-    assert np.abs(lhs - rhs).max() < 1e-12
-
-
-def test_tensor_associative_and_bilinear():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        a, b, c = (random_complex_matrix(rng, 2) for _ in range(3))
-        assert np.abs(tensor(tensor(a, b), c) - tensor(a, tensor(b, c))).max() < 1e-12
-        s = rng.standard_normal() + 1j * rng.standard_normal()
-        assert np.abs(tensor(s * a, b) - s * tensor(a, b)).max() < 1e-12
-        assert np.abs(tensor(a + c, b) - tensor(a, b) - tensor(c, b)).max() < 1e-12
 
 
 def test_pauli_orthogonality_qutrit():

@@ -13,7 +13,7 @@ import qdesigns.twirl
 from qdesigns.channels import KrausChannel, depolarizing, kraus_to_supermatrix, unitary_channel
 from qdesigns.channels import _invariant_pq, _kraus_traces
 from qdesigns.circuits import Circuit, Gate, circuit_unitary
-from qdesigns.linalg import dagger, random_complex_matrix, random_density, random_kraus_channel_ops, random_unitary
+from qdesigns.linalg import dagger, random_complex_matrix, random_density, random_kraus_channel_ops
 from qdesigns.twirl import (
     EXACT_CHAIN_CAP,
     MATRIX_DIM_CAP,
@@ -24,7 +24,6 @@ from qdesigns.twirl import (
     char_sum,
     clifford_group_1q,
     clifford_twirl_exact,
-    commutation_check,
     conjugate_label,
     epsilon0,
     frame_potential,
@@ -47,6 +46,8 @@ from qdesigns.twirl import (
     _ROUND, _THIRDS, _draw, _exact_chain, _from_label_int, _move, _pauli_stack, _perm_table, _place, _push,
     _to_label_int,
 )
+
+from helpers import random_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -131,17 +132,21 @@ def test_symplectic_inner_basics():
 
 
 def test_commutation_check_qubit_and_qutrit():
+    """P_x P_y = omega^e P_y P_x with e = (y, x)_Sp: with Z|j> = omega^j |j> one
+    has ZX = omega XZ, which fixes this orientation of the symplectic form."""
     x = PauliLabel(2, 1, (1,), (0,))
     z = PauliLabel(2, 1, (0,), (1,))
-    assert commutation_check(x, z) == 1  # anti-commute
     z1 = PauliLabel(2, 2, (0, 0), (1, 0))
     z2 = PauliLabel(2, 2, (0, 0), (0, 1))
-    assert commutation_check(z1, z2) == 0
+    assert symplectic_inner(z, x) == 1  # anti-commute
+    assert symplectic_inner(z2, z1) == 0
     rng = np.random.default_rng(1)
-    for _ in range(10):
-        a = PauliLabel.from_int(3, 1, int(rng.integers(9)))
-        b = PauliLabel.from_int(3, 1, int(rng.integers(9)))
-        commutation_check(a, b)  # raises if the matrix identity fails
+    pairs = [(x, z), (z1, z2)] + [tuple(PauliLabel.from_int(3, 1, int(rng.integers(9))) for _ in range(2))
+                                  for _ in range(10)]
+    for a, b in pairs:
+        pa, pb = pauli_matrix(a), pauli_matrix(b)
+        omega_e = np.exp(2j * np.pi * symplectic_inner(b, a) / a.d)
+        assert np.abs(pa @ pb - omega_e * (pb @ pa)).max() < 1e-10
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1)])
