@@ -251,8 +251,6 @@ def cmd_estimate(args) -> int:
         for key, value in _load_config(args.config).items():
             if getattr(args, key) is None:
                 setattr(args, key, value)
-    if args.protocol == "mub_exact" and args.trials:  # trials = 0, the exact average, is what it runs
-        raise ValueError("--trials is not read with --protocol mub_exact: give 0 or leave it out")
     sweep = None
     if args.sweep:
         try:
@@ -289,15 +287,20 @@ def cmd_emit(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # one line, as for every other usage error: no usage block
-        self.exit(2, f"error: {message}\n")
+    def error(self, message):  # reported by _parse as one line, as every other usage error: no usage block
+        raise _UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One parser per subcommand and mode, declaring exactly the options its code reads."""
+def build_parser(required: bool = True) -> argparse.ArgumentParser:
+    """One parser per subcommand and mode, declaring exactly the options its code reads.
+    required=False makes every required option, group and subcommand optional."""
     parser = _Parser(prog="qdesigns", description="MUB state designs, Clifford twirling, and fidelity estimation")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=required)
 
     def add(subparsers, name, help, func, json=True, tol=None):
         p = subparsers.add_parser(name, help=help)
@@ -310,21 +313,21 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add(sub, "mub", "build a MUB family and verify it", cmd_mub, tol=1e-9)
-    family = p.add_mutually_exclusive_group(required=True)
+    family = p.add_mutually_exclusive_group(required=required)
     family.add_argument("--prime", type=int)
     family.add_argument("--prime-power", type=int, nargs=2, metavar=("P", "K"))
     family.add_argument("--qubits", type=int)
 
     p = add(sub, "verify", "verify a MUB family file", cmd_verify, tol=1e-9)
-    p.add_argument("--family", required=True)
+    p.add_argument("--family", required=required)
 
-    design = sub.add_parser("design", help="state/unitary 2-design checks").add_subparsers(dest="which", required=True)
+    design = sub.add_parser("design", help="state/unitary 2-design checks").add_subparsers(dest="which", required=required)
     p = add(design, "state", "the MUB family as a state 2-design", cmd_design, tol=1e-8)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--rounds", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p = add(design, "unitary", "exact unitary 2-design check by frame potential", cmd_design, tol=1e-8)
-    unitaries = p.add_mutually_exclusive_group(required=True)
+    unitaries = p.add_mutually_exclusive_group(required=required)
     unitaries.add_argument("--cliffords1q", action="store_true")
     unitaries.add_argument("--paulis", action="store_true")
     p.add_argument("--n", type=int, help="qubits of --paulis (default 1)")
@@ -350,14 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", help="comma-separated depolarizing parameters; CSV output")
 
     p = add(sub, "twirl", "approximate-twirl convergence study", cmd_twirl)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=required)
     p.add_argument("--k", type=int, default=12)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--samples", type=int, help="Monte-Carlo mode only (default 100000)")
     p.add_argument("--seed", type=int, help="Monte-Carlo mode only (default 0)")
 
     p = add(sub, "emit", "write a named circuit construction", cmd_emit, json=False)
-    circuit = p.add_mutually_exclusive_group(required=True)
+    circuit = p.add_mutually_exclusive_group(required=required)
     circuit.add_argument("--mub-circuit", action="store_true")
     circuit.add_argument("--parity", help="comma-separated qubits, last one the target")
     prime = p.add_mutually_exclusive_group()
@@ -369,8 +372,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """Parsed arguments, or exit 2 with one error: line.  argparse checks
+    required options before it reports unrecognized ones, so a failed parse is
+    retried with nothing required, and an unrecognized option it finds is named."""
+    try:
+        return build_parser().parse_args(argv)
+    except _UsageError as exc:
+        message = str(exc)
+    try:
+        build_parser(required=False).parse_args(argv)
+    except _UsageError as exc:
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError, RuntimeError) as exc:

@@ -67,6 +67,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 0")
         if self.trials >= 2**63:  # the sampler counts trials in int64
             raise ValueError(f"trials must be < 2**63, got {self.trials}")
+        if self.protocol == "mub_exact" and self.trials:
+            raise ValueError(f"protocol mub_exact is the exact average and draws no trials: "
+                             f"leave --trials out or give 0, got {self.trials}")
         if not self.channel.trace_preserving:
             raise ValueError("estimation requires a trace-preserving channel")
 
@@ -126,9 +129,9 @@ def _bernoulli_mean(
 def _result(cfg: ExperimentConfig, d: int, probs: np.ndarray, weights: np.ndarray | None,
             exact: float, to_fidelity) -> EstimateResult:
     """Every protocol's last step: the weighted mean of the per-state outcome
-    probabilities, exact when trials = 0 or for mub_exact and sampled
-    otherwise; to_fidelity maps that mean to F_avg."""
-    if cfg.trials == 0 or cfg.protocol == "mub_exact":
+    probabilities, exact when trials = 0 and sampled otherwise; to_fidelity
+    maps that mean to F_avg."""
+    if cfg.trials == 0:
         trials, err = 0, 0.0
         p_hat = float(probs.mean() if weights is None else (weights * probs).mean())
     else:

@@ -13,10 +13,10 @@ few bit operations, so one function (_move) moves a single label or a whole
 array of labels.  The table _ROUND is the single description of a randomized
 twirl round.  The gate sampler reads it directly; the exact Markov chain and
 the Monte-Carlo round read one set of permutation tables built from it and
-_move (_round_tables), which pushes a distribution or gathers a sample array.
+_move (_round_tables), which push a distribution or a histogram of samples.
 The tables stop at n = EXACT_CHAIN_CAP (about 0.6 MB of int16 there); above
-it the Monte-Carlo round moves packed int16 masks with _move, one step at a
-time.
+it the Monte-Carlo round moves each sample's packed int16 masks with _move,
+one step at a time.
 
 Twirling always means averaging U^dag Lambda(U X U^dag) U over the set, and
 _group_average is the one such sum; every set used here (Pauli group, Clifford
@@ -646,43 +646,51 @@ def step1_success_probability(label: PauliLabel) -> float:
 
 # --- vectorized Monte-Carlo convergence --------------------------------------
 
-def _mc_round(v: np.ndarray, n: int, rng: np.random.Generator, idx: np.ndarray) -> float:
-    """Apply one sampled round in place to every base-4 label int in v
-    (dtype _label_dtype(n)), drawing fresh randomness per sample.
+def _count_round(counts: np.ndarray, n: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Apply one sampled round to the (4^n,) int64 label histogram of
+    independent samples, drawing fresh randomness per sample.
 
-    Returns the empirical step-1 success rate: the fraction of samples whose
-    control qubit carries X or Y after the fan-in.  The analysis only uses 1/2
-    as a lower bound for it; it is reported, never asserted tighter.  Each
-    step is one gather through _round_tables, its flat table index formed in
-    idx, an intp scratch array as long as v; above EXACT_CHAIN_CAP, where the
-    tables are not built, _mc_round_packed moves the labels with the same draws.
+    Returns the new histogram and the number of samples whose control qubit
+    carries X or Y after the fan-in.  The samples are exchangeable, so their
+    draws are made as splits of a count: a multinomial over the subset masks
+    for the fan-in, then per _ROUND step one binomial of each (control, label)
+    cell per coin and two per T^e, each part pushed through the step's table
+    row.  Every output has the law of the per-sample round, at a cost set by
+    n alone, O((2^n + n^2) 4^n), whatever the sample count.
     """
-    if n > EXACT_CHAIN_CAP:
-        return _mc_round_packed(v, n, rng)
     tables = _round_tables(n)
     size = 4**n
-    m = v.shape[0]
-    mask = rng.integers(1, 2**n, size=m)
-    control = tables.control[mask]
-    np.multiply(mask, size, out=idx)
-    del mask
-    idx += v
-    # mode="clip" writes straight into v ("raise" would buffer a copy); every index is in range
-    tables.fan_in.take(idx, out=v, mode="clip")
-    success_rate = float(((v >> 2 * control) & 1).mean())
+    split = rng.multinomial(counts, np.full(2**n - 1, 1.0 / (2**n - 1)))  # (label, mask - 1)
+    cells = np.zeros((n, size), dtype=split.dtype)  # cells[c, v]: samples at label v with control c
+    for mask in range(1, 2**n):
+        cells[tables.control[mask], tables.fan_in[mask]] += split[:, mask - 1]
+    del split
+    x_on_control = (np.arange(size) >> 2 * np.arange(n)[:, None]) & 1
+    hits = (cells * x_on_control).sum()
 
+    ident = np.arange(size)
     for (_, _, law), stacks in zip(_ROUND, tables.steps):
-        for stack in stacks:  # an "o" step draws on the control too: that row is the identity
-            np.multiply(control, stack.shape[1], out=idx, dtype=np.intp)
-            idx += _draw(law, m, rng)  # the draw is freed before the next one
-            idx *= size
-            idx += v
-            stack.take(idx, out=v, mode="clip")
-    return success_rate
+        for stack in stacks:
+            # split only held cells the step moves: not the identity row of an "o"
+            # step's own qubit, nor the labels its gate fixes (an empty cell draws nothing)
+            rows, labels = np.nonzero((stack[:, 1] != ident) & (cells > 0))
+            stay = cells[rows, labels]
+            if law == _THIRDS:
+                once = rng.binomial(stay, 1 / 3)
+                parts = (once, rng.binomial(stay - once, 0.5))
+            else:
+                parts = (rng.binomial(stay, law),)
+            cells[rows, labels] = stay - sum(parts)
+            for times, part in enumerate(parts, start=1):
+                cells[rows, stack[rows, times, labels]] += part
+    return cells.sum(axis=0), hits
 
 
 def _mc_round_packed(v: np.ndarray, n: int, rng: np.random.Generator) -> float:
-    """_mc_round on packed (xa, xb) int16 masks, one _move per step and qubit."""
+    """One sampled round applied in place to the label ints v above
+    EXACT_CHAIN_CAP, where the round tables are not built: one _move per step
+    and qubit on packed (xa, xb) int16 masks, fresh draws per sample.  Returns
+    the fraction of samples whose control carries X or Y after the fan-in."""
     xa, xb = _from_label_int(v, n)
     xa, xb = xa.astype(np.int16, copy=False), xb.astype(np.int16, copy=False)
     m = xa.shape[0]
@@ -709,6 +717,20 @@ def _mc_round_packed(v: np.ndarray, n: int, rng: np.random.Generator) -> float:
     return success_rate
 
 
+def _mc_rounds(labels: np.ndarray, n: int, k: int, samples: int, rng: np.random.Generator):
+    """Yield the label histogram and the step-1 success rate after each of k
+    sampled rounds of `samples` samples.  Up to EXACT_CHAIN_CAP the samples are
+    `labels`, their (4^n,) int64 histogram, moved by _count_round; above it they
+    are label ints of _label_dtype(n), moved in place by _mc_round_packed."""
+    for _ in range(k):
+        if n <= EXACT_CHAIN_CAP:
+            labels, hits = _count_round(labels, n, rng)
+            yield labels, float(hits / samples)
+        else:
+            success = _mc_round_packed(labels, n, rng)
+            yield np.bincount(labels, minlength=4**n), success
+
+
 def _check_rounds(n: int, k: int, least_k: int = 1) -> None:
     """Reject a twirl run on fewer than two qubits or with fewer than least_k rounds."""
     if n < 2:
@@ -718,9 +740,10 @@ def _check_rounds(n: int, k: int, least_k: int = 1) -> None:
 
 
 # The histograms grow x4 per qubit: the floor and each round's l1 hold two
-# 8-byte arrays of 4^n at once, 67 MB at n = 11.  The sample arrays peak at
-# 20 B a sample on the table round and 35-42 B on the packed one, so a run at
-# the samples cap peaks near 0.4 GB of process RSS (n = 8 to 11).
+# 8-byte arrays of 4^n at once, 67 MB at n = 11.  Up to n = 5 the round moves
+# counts in under 1 MB whatever the sample count; above it the packed round's
+# sample arrays peak at 35-42 B a sample, so a run at the samples cap peaks
+# near 0.4 GB of process RSS (n = 8 to 11).  The samples cap guards those.
 _MC_QUBIT_CAP = 11
 _MC_SAMPLES_CAP = 10_000_000
 
@@ -753,24 +776,27 @@ def mc_convergence_curve(
     k >= 1 and 1 <= samples <= 10^7 (ValueError otherwise, before anything is
     allocated).
 
-    The samples are held as label ints of _label_dtype(n) and moved in place.
-    The floor and each round's l1 go through l1_to_uniform's own float
-    operations (_l1_split), in place in one float array of 4^n.
+    Up to EXACT_CHAIN_CAP the samples are held as their label histogram and
+    moved by _count_round, in time and memory that do not grow with samples;
+    above it they are label ints of _label_dtype(n), moved in place.  The
+    floor and each round's l1 go through l1_to_uniform's own float operations
+    (_l1_split), in place in one float array of 4^n.
     """
     _check_mc(n, k, samples)
     if start is None:
         start = PauliLabel(2, n, (1,) + (0,) * (n - 1), (0,) * n)
-    v = np.full(samples, start.to_int(), dtype=_label_dtype(n))
-    idx = np.empty(samples, dtype=np.intp)
+    if n <= EXACT_CHAIN_CAP:
+        labels = np.zeros(4**n, dtype=np.int64)
+        labels[start.to_int()] = samples
+    else:
+        labels = np.full(samples, start.to_int(), dtype=_label_dtype(n))
     # the uniform weights, then the null counts, are freed as soon as they are used
     floor = _l1_split(0.0, rng.multinomial(samples, np.full(4**n - 1, 1.0 / (4**n - 1))) / samples)
     curve = []
-    for step in range(1, k + 1):
-        success = _mc_round(v, n, rng, idx)
-        np.copyto(idx, v)  # bincount would copy v to intp itself
-        dist = np.bincount(idx, minlength=4**n) / samples
+    for step, (counts, success) in enumerate(_mc_rounds(labels, n, k, samples, rng), start=1):
+        dist = counts / samples
         raw = _l1_split(dist[0], dist[1:])
-        del dist  # freed before the next round's histogram
+        del counts, dist  # freed before the next round's histogram
         curve.append(
             {
                 "k": step,
@@ -805,9 +831,10 @@ def approx_twirl_channel(
     """Push a channel's Pauli weights through k twirl rounds and bound the
     diamond-norm gap to the perfect Clifford twirl.
 
-    trials = 0 runs the exact chain (n <= EXACT_CHAIN_CAP); otherwise the
-    weights are propagated by `trials` sampled circuits per non-identity
-    source label.
+    trials = 0 runs the exact chain (n <= EXACT_CHAIN_CAP); otherwise
+    `trials` samples of the non-identity weights go through k sampled rounds,
+    drawn as one multinomial histogram and moved by _count_round up to
+    EXACT_CHAIN_CAP, drawn one label each and moved by _mc_round_packed above.
     Returns the twirled Pauli channel and B(Lambda) (eps0 + eps_k), where
     eps_k is the realized l1 gap beyond eps0, maximized over source labels in
     exact mode.  Needs n >= 2, a trace-preserving channel on n qubits, and
@@ -842,11 +869,13 @@ def approx_twirl_channel(
         rest = 1 - pauli_ch.weights[0]
         if rest > 1e-12:
             cond = pauli_ch.weights[1:] / rest
-            values = rng.choice(np.arange(1, 4**n), size=trials, p=cond).astype(_label_dtype(n))
-            idx = np.empty(trials, dtype=np.intp)
-            for _ in range(k):
-                _mc_round(values, n, rng, idx)
-            weights[1:] += np.bincount(values, minlength=4**n)[1:] / trials * rest
+            if n <= EXACT_CHAIN_CAP:
+                labels = np.concatenate(([0], rng.multinomial(trials, cond)))
+            else:
+                labels = rng.choice(np.arange(1, 4**n), size=trials, p=cond).astype(_label_dtype(n))
+            for counts, _ in _mc_rounds(labels, n, k, trials, rng):
+                pass
+            weights[1:] += counts[1:] / trials * rest
             est = mc_convergence(n, k, trials, rng)
             eps_k = max(0.0, est["l1"] - epsilon0(n))
     bound = b_lambda * (epsilon0(n) + eps_k)

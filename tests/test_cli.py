@@ -677,6 +677,11 @@ def test_argparse_errors_are_one_error_line(capsys, argv):
     assert err.startswith("error: ") and "usage" not in err
 
 
+@pytest.mark.parametrize("argv", ["mub --bogus", "emit --bogus", "design unitary --bogus", "twirl --k 3 --bogus"])
+def test_unrecognized_option_is_named_before_a_missing_one(capsys, argv):
+    assert run(capsys, argv.split()) == (2, "", "error: unrecognized arguments: --bogus\n")
+
+
 def test_every_name_the_benchmark_tracer_wraps_exists():
     """perfbench/trace_child.py looks each name up before the traced command runs;
     one missing name fails every op of a traced pass."""

@@ -164,6 +164,12 @@ def test_trials_bound():
         ExperimentConfig(depolarizing(2, 0.5), trials=2**63)
 
 
+def test_mub_exact_refuses_a_trial_count():
+    with pytest.raises(ValueError, match="mub_exact is the exact average and draws no trials: .* got 5000"):
+        ExperimentConfig(depolarizing(2, 0.9), protocol="mub_exact", trials=5000, seed=9)
+    assert run_protocol(ExperimentConfig(depolarizing(2, 0.9), protocol="mub_exact", seed=9)).trials_used == 0
+
+
 def einsum_outcome_probs(states, kraus):
     """Oracle: one einsum per Kraus operator."""
     vals = np.zeros(states.shape[0])

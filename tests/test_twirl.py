@@ -43,8 +43,8 @@ from qdesigns.twirl import (
     unitary_design_check,
 )
 from qdesigns.twirl import (
-    _ROUND, _THIRDS, _draw, _exact_chain, _from_label_int, _move, _pauli_stack, _perm_table, _place, _push,
-    _to_label_int,
+    _ROUND, _THIRDS, _count_round, _draw, _exact_chain, _from_label_int, _mc_rounds, _move, _pauli_stack,
+    _perm_table, _place, _push, _to_label_int,
 )
 
 from helpers import random_unitary
@@ -431,9 +431,10 @@ def traced_peak_mb(fn, *args) -> float:
 
 
 def test_mc_round_memory_stays_small():
-    # int16 labels (0.2 MB), one reused intp index (0.8 MB) and one draw at a time: about 2 MB
-    mc_convergence_curve(3, 1, 10, np.random.default_rng(0))  # round tables cached untraced
-    assert traced_peak_mb(mc_convergence_curve, 3, 2, 100_000, np.random.default_rng(0)) < 4
+    # the count round holds the (4^n, 2^n - 1) fan-in split and a few (n, 4^n) count
+    # arrays, about 0.3 MB at n = 5 whatever the sample count; per-sample arrays took 200 MB
+    mc_convergence_curve(5, 1, 10, np.random.default_rng(0))  # round tables cached untraced
+    assert traced_peak_mb(mc_convergence_curve, 5, 2, 10**7, np.random.default_rng(0)) < 2
 
 
 def test_mc_histogram_memory_at_the_qubit_cap():
@@ -773,8 +774,8 @@ def test_seeded_twirl_outputs_are_pinned(tmp_path, capsys):
     )
     assert out.read_text() == (
         "k,l1,bound\n"
-        "1,0.20833333333333343,1.5333333333333332\n"
-        "2,0.03600000000000002,0.8999999999999999\n"
+        "1,0.193,1.5333333333333332\n"
+        "2,0.03266666666666669,0.8999999999999999\n"
         "3,0.0,0.5833333333333333\n"
     )
     sample = sample_twirl_circuit(3, 2, np.random.default_rng(3))
@@ -795,25 +796,25 @@ def test_benchmark_sized_twirl_stream_is_pinned(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == (
         '{"bound": 0.12705291263640872, "epsilon0": 0.12698412698412698, "k": 15, '
-        '"l1": 0.000473968253968237, "n": 3}\n'
+        '"l1": 0.0012599999999999903, "n": 3}\n'
     )
     assert out.read_text() == (
         "k,l1,bound\n"
-        "1,0.4281622222222221,1.253968253968254\n"
-        "2,0.08759619047619042,0.6904761904761905\n"
-        "3,0.01564793650793648,0.4087301587301587\n"
-        "4,0.0029619047619047593,0.26785714285714285\n"
-        "5,0.0010939682539682326,0.1974206349206349\n"
-        "6,0.0015339682539682424,0.16220238095238093\n"
-        "7,8.38095238095346e-05,0.14459325396825395\n"
-        "8,0.0009060317460317449,0.13578869047619047\n"
-        "9,0.0033419047619047577,0.13138640873015872\n"
-        "10,0.004447936507936515,0.12918526785714285\n"
-        "11,0.0,0.1280846974206349\n"
-        "12,0.0016377777777777762,0.12753441220238096\n"
-        "13,0.002881904761904759,0.12725926959325395\n"
-        "14,0.0,0.12712169828869047\n"
-        "15,0.000473968253968237,0.12705291263640872\n"
+        "1,0.4298022222222222,1.253968253968254\n"
+        "2,0.08438412698412696,0.6904761904761905\n"
+        "3,0.013319999999999992,0.4087301587301587\n"
+        "4,0.00447587301587302,0.26785714285714285\n"
+        "5,0.006415873015873017,0.1974206349206349\n"
+        "6,0.002899999999999986,0.16220238095238093\n"
+        "7,0.0,0.14459325396825395\n"
+        "8,0.0026460317460317365,0.13578869047619047\n"
+        "9,0.0,0.13138640873015872\n"
+        "10,0.0023698412698412684,0.12918526785714285\n"
+        "11,0.002507936507936511,0.1280846974206349\n"
+        "12,0.0,0.12753441220238096\n"
+        "13,0.0006739682539682497,0.12725926959325395\n"
+        "14,0.00022984126984127232,0.12712169828869047\n"
+        "15,0.0012599999999999903,0.12705291263640872\n"
     )
 
 
@@ -946,7 +947,7 @@ def test_twirl_exact_csv_is_the_round_by_round_loop(tmp_path, capsys, n):
 
 
 # --- the packed-mask Monte-Carlo round and the per-mask fan-in chain step that
-# the round tables replaced, as oracles
+# the round tables replaced, as oracles; the count round's moments and law
 
 def packed_mc_round(xa, xb, n, rng):
     """One sampled round on packed (xa, xb) masks, one _move per step and qubit."""
@@ -968,16 +969,22 @@ def packed_mc_round(xa, xb, n, rng):
     return xa, xb, success_rate
 
 
-def packed_mc_curve(n, k, samples, rng, start=None):
+def packed_mc_rounds(n, k, samples, rng, start=None):
+    """Label histogram and step-1 success rate after each of k packed-mask rounds."""
     if start is None:
         start = PauliLabel(2, n, (1,) + (0,) * (n - 1), (0,) * n)
     xa, xb = (np.full(samples, m, dtype=np.int64) for m in _from_label_int(start.to_int(), n))
+    for _ in range(k):
+        xa, xb, success = packed_mc_round(xa, xb, n, rng)
+        yield np.bincount(_to_label_int(xa, xb, n), minlength=4**n), success
+
+
+def packed_mc_curve(n, k, samples, rng, start=None):
     null_draw = rng.multinomial(samples, np.full(4**n - 1, 1.0 / (4**n - 1))) / samples
     floor = l1_to_uniform(np.concatenate(([0.0], null_draw)))
     curve = []
-    for step in range(1, k + 1):
-        xa, xb, success = packed_mc_round(xa, xb, n, rng)
-        raw = l1_to_uniform(np.bincount(_to_label_int(xa, xb, n), minlength=4**n) / samples)
+    for step, (counts, success) in enumerate(packed_mc_rounds(n, k, samples, rng, start), start=1):
+        raw = l1_to_uniform(counts / samples)
         curve.append({"k": step, "l1_raw": raw, "noise_floor": floor,
                       "l1": max(0.0, raw - floor), "step1_success": success})
     return curve
@@ -997,6 +1004,78 @@ def packed_approx_twirl_mc(ch, n, k, trials, rng):
     weights[1:] += np.bincount(_to_label_int(xa, xb, n), minlength=4**n)[1:] / trials * rest
     eps_k = max(0.0, packed_mc_curve(n, k, trials, rng)[-1]["l1"] - epsilon0(n))
     return weights, (2**n * tr_on_id - tr_hat) / 2 ** (4 * n) * (epsilon0(n) + eps_k)
+
+
+def chi2_bound(dof, z=4.0):
+    """Wilson-Hilferty upper quantile of chi-square(dof), z normal sigmas out (tail about 3e-5 at z = 4)."""
+    h = 2 / (9 * dof)
+    return dof * (1 - h + z * math.sqrt(h)) ** 3
+
+
+def assert_law(counts, want):
+    """counts is one multinomial draw with mean want: nothing off want's support and
+    Pearson's chi-square within its bound."""
+    support = want > 0
+    assert counts.sum() == round(want.sum()) and not counts[~support].any()
+    stat = ((counts - want)[support] ** 2 / want[support]).sum()
+    assert stat < chi2_bound(max(support.sum() - 1, 1))
+
+
+def assert_same_law(a, b):
+    """a and b are draws of one total from one multinomial: the chi-square of the
+    homogeneity test within its bound."""
+    assert a.sum() == b.sum()
+    seen = a + b > 0
+    stat = ((a - b)[seen] ** 2 / (a + b)[seen]).sum()
+    assert stat < chi2_bound(max(seen.sum() - 1, 1))
+
+
+def assert_same_rate(a, b, samples):
+    """Two binomial success rates over `samples` trials agree within 5 sigma of their difference."""
+    pooled = (a + b) / 2
+    assert abs(a - b) <= 5 * math.sqrt(2 * pooled * (1 - pooled) / samples)
+
+
+class MeanDraws:
+    """An rng stand-in whose multinomial and binomial draws are their means."""
+
+    def multinomial(self, n, pvals):
+        return np.multiply.outer(np.asarray(n, dtype=float), pvals)
+
+    def binomial(self, n, p):
+        return n * p
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_count_round_moments_are_the_chain(n):
+    from qdesigns.twirl import step1_success_probability
+
+    p = markov_transition_matrix(n)
+    samples = 1000.0
+    for v in range(4**n):
+        counts = np.zeros(4**n)
+        counts[v] = samples
+        out, hits = _count_round(counts, n, MeanDraws())
+        assert np.abs(out - p @ counts).max() <= 1e-12 * samples
+        assert abs(hits - samples * step1_success_probability(PauliLabel.from_int(2, n, v))) <= 1e-12 * samples
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_count_round_law_is_the_chain(n):
+    # one and two rounds from point masses at fixed seeds, against the columns of P and P^2
+    from qdesigns.twirl import step1_success_probability
+
+    p = markov_transition_matrix(n)
+    samples = 20_000
+    for seed, v in enumerate((1, 2, 3, 4**n - 1)):  # X, Z, Y on qubit 0; Y on every qubit
+        rng = np.random.default_rng(seed)
+        counts = np.zeros(4**n, dtype=np.int64)
+        counts[v] = samples
+        counts, hits = _count_round(counts, n, rng)
+        assert_law(counts, samples * p[:, v])
+        rate = step1_success_probability(PauliLabel.from_int(2, n, v))
+        assert abs(hits - samples * rate) <= 5 * math.sqrt(samples * rate * (1 - rate))
+        assert_law(_count_round(counts, n, rng)[0], samples * (p @ p[:, v]))
 
 
 def pushed_step2(dist, n, control):
@@ -1027,25 +1106,47 @@ def pushed_chain_step(dist, n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 11])
 def test_mc_curve_matches_packed_mask_oracle(n):
-    # n >= 6 runs the packed path in the library too; n = 8 is the first with int32 labels
+    # n >= 6 runs the packed path in the library too, bit for bit; n = 8 is the first with
+    # int32 labels.  At n <= 5 the count round draws per cell, not per sample: the same law
+    # on another stream, so its histograms and step-1 rates are compared in law
     assert (n > EXACT_CHAIN_CAP) == (n >= 6)
     samples = 3000 if n <= 6 else 500
     pure_z = PauliLabel(2, n, (0,) * n, (1,) + (0,) * (n - 1))
     for seed in (0, 1, 2):
         for start in (None, pure_z):
             got = mc_convergence_curve(n, 4, samples, np.random.default_rng(seed), start)
-            assert got == packed_mc_curve(n, 4, samples, np.random.default_rng(seed), start)
+            want = packed_mc_curve(n, 4, samples, np.random.default_rng(seed), start)
+            if n > EXACT_CHAIN_CAP:
+                assert got == want
+                continue
+            assert [e["noise_floor"] for e in got] == [e["noise_floor"] for e in want]  # drawn first
+            assert all(e["l1"] == max(0.0, e["l1_raw"] - e["noise_floor"]) for e in got)
+            labels = np.zeros(4**n, dtype=np.int64)
+            labels[(start or PauliLabel(2, n, (1,) + (0,) * (n - 1), (0,) * n)).to_int()] = samples
+            rounds = zip(_mc_rounds(labels, n, 4, samples, np.random.default_rng(seed)),
+                         packed_mc_rounds(n, 4, samples, np.random.default_rng(seed), start))
+            for (counts, success), (want_counts, want_success) in rounds:
+                assert_same_law(counts, want_counts)
+                assert_same_rate(success, want_success, samples)
     assert got[0]["step1_success"] == 0.0  # a pure-Z start puts no X on the control
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_approx_twirl_mc_mode_matches_packed_mask_oracle(n):
+    # bit for bit at n = 6, in law at n <= 5 (see test_mc_curve_matches_packed_mask_oracle)
     rng = np.random.default_rng(80 + n)
+    trials = 4000
     for ch in (random_channel(rng, 2**n, k=3), depolarizing(2**n, 0.6)):
-        out, bound = approx_twirl_channel(ch, n=n, k=3, trials=4000, rng=np.random.default_rng(n))
-        want_weights, want_bound = packed_approx_twirl_mc(ch, n, 3, 4000, np.random.default_rng(n))
-        assert np.array_equal(out.weights, want_weights)
-        assert bound == want_bound
+        out, bound = approx_twirl_channel(ch, n=n, k=3, trials=trials, rng=np.random.default_rng(n))
+        want_weights, want_bound = packed_approx_twirl_mc(ch, n, 3, trials, np.random.default_rng(n))
+        if n > EXACT_CHAIN_CAP:
+            assert np.array_equal(out.weights, want_weights)
+            assert bound == want_bound
+            continue
+        assert out.weights[0] == want_weights[0]
+        rest = 1 - want_weights[0]
+        assert_same_law(*(np.rint(w[1:] / rest * trials).astype(np.int64) for w in (out.weights, want_weights)))
+        assert math.isclose(bound, want_bound, rel_tol=0.1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
