@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 0")
         if self.trials >= 2**63:  # the sampler counts trials in int64
             raise ValueError(f"trials must be < 2**63, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {self.seed}")
         if self.protocol == "mub_exact" and self.trials:
             raise ValueError(f"protocol mub_exact is the exact average and draws no trials: "
                              f"leave --trials out or give 0, got {self.trials}")

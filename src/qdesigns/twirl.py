@@ -25,7 +25,6 @@ group) is closed under inverses, so this agrees with the U Lambda(U^dag X U) U^d
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
@@ -64,7 +63,6 @@ __all__ = [
     "mc_convergence",
     "mc_convergence_curve",
     "approx_twirl_channel",
-    "twirl_result_json",
 ]
 
 MATRIX_DIM_CAP = 256
@@ -717,15 +715,22 @@ def _mc_round_packed(v: np.ndarray, n: int, rng: np.random.Generator) -> float:
     return success_rate
 
 
-def _mc_rounds(labels: np.ndarray, n: int, k: int, samples: int, rng: np.random.Generator):
+def _mc_rounds(counts: np.ndarray, n: int, k: int, rng: np.random.Generator):
     """Yield the label histogram and the step-1 success rate after each of k
-    sampled rounds of `samples` samples.  Up to EXACT_CHAIN_CAP the samples are
-    `labels`, their (4^n,) int64 histogram, moved by _count_round; above it they
-    are label ints of _label_dtype(n), moved in place by _mc_round_packed."""
+    sampled rounds of the samples whose (4^n,) int64 label histogram is
+    `counts`.  Up to EXACT_CHAIN_CAP _count_round moves the histogram; above it
+    the samples are laid out once, in label order, as label ints of
+    _label_dtype(n), the histogram is dropped, and _mc_round_packed moves them
+    in place."""
+    samples = int(counts.sum())
+    if n > EXACT_CHAIN_CAP:
+        held = np.flatnonzero(counts)
+        labels = np.repeat(held.astype(_label_dtype(n)), counts[held])
+        del counts, held  # the caller holds no reference: freed before the first round
     for _ in range(k):
         if n <= EXACT_CHAIN_CAP:
-            labels, hits = _count_round(labels, n, rng)
-            yield labels, float(hits / samples)
+            counts, hits = _count_round(counts, n, rng)
+            yield counts, float(hits / samples)
         else:
             success = _mc_round_packed(labels, n, rng)
             yield np.bincount(labels, minlength=4**n), success
@@ -776,24 +781,22 @@ def mc_convergence_curve(
     k >= 1 and 1 <= samples <= 10^7 (ValueError otherwise, before anything is
     allocated).
 
-    Up to EXACT_CHAIN_CAP the samples are held as their label histogram and
-    moved by _count_round, in time and memory that do not grow with samples;
-    above it they are label ints of _label_dtype(n), moved in place.  The
-    floor and each round's l1 go through l1_to_uniform's own float operations
-    (_l1_split), in place in one float array of 4^n.
+    The rounds start from the point mass of `start` (X on qubit 0 by default)
+    as a label histogram.  The floor and each round's l1 go through
+    l1_to_uniform's own float operations (_l1_split), in place in one float
+    array of 4^n.
     """
     _check_mc(n, k, samples)
     if start is None:
         start = PauliLabel(2, n, (1,) + (0,) * (n - 1), (0,) * n)
-    if n <= EXACT_CHAIN_CAP:
-        labels = np.zeros(4**n, dtype=np.int64)
-        labels[start.to_int()] = samples
-    else:
-        labels = np.full(samples, start.to_int(), dtype=_label_dtype(n))
     # the uniform weights, then the null counts, are freed as soon as they are used
     floor = _l1_split(0.0, rng.multinomial(samples, np.full(4**n - 1, 1.0 / (4**n - 1))) / samples)
+    counts = np.zeros(4**n, dtype=np.int64)
+    counts[start.to_int()] = samples
+    rounds = _mc_rounds(counts, n, k, rng)
+    del counts  # above EXACT_CHAIN_CAP the rounds drop it before the first one
     curve = []
-    for step, (counts, success) in enumerate(_mc_rounds(labels, n, k, samples, rng), start=1):
+    for step, (counts, success) in enumerate(rounds, start=1):
         dist = counts / samples
         raw = _l1_split(dist[0], dist[1:])
         del counts, dist  # freed before the next round's histogram
@@ -809,15 +812,9 @@ def mc_convergence_curve(
     return curve
 
 
-def mc_convergence(
-    n: int,
-    k: int,
-    samples: int,
-    rng: np.random.Generator,
-    start: PauliLabel | None = None,
-) -> dict:
+def mc_convergence(n: int, k: int, samples: int, rng: np.random.Generator) -> dict:
     """Final entry of mc_convergence_curve (noise-floor-corrected l1 after k rounds)."""
-    curve = mc_convergence_curve(n, k, samples, rng, start)
+    curve = mc_convergence_curve(n, k, samples, rng)
     return {key: curve[-1][key] for key in ("l1_raw", "noise_floor", "l1")}
 
 
@@ -832,9 +829,8 @@ def approx_twirl_channel(
     diamond-norm gap to the perfect Clifford twirl.
 
     trials = 0 runs the exact chain (n <= EXACT_CHAIN_CAP); otherwise
-    `trials` samples of the non-identity weights go through k sampled rounds,
-    drawn as one multinomial histogram and moved by _count_round up to
-    EXACT_CHAIN_CAP, drawn one label each and moved by _mc_round_packed above.
+    `trials` samples of the non-identity weights, drawn as one multinomial
+    histogram, go through k sampled rounds.
     Returns the twirled Pauli channel and B(Lambda) (eps0 + eps_k), where
     eps_k is the realized l1 gap beyond eps0, maximized over source labels in
     exact mode.  Needs n >= 2, a trace-preserving channel on n qubits, and
@@ -868,12 +864,8 @@ def approx_twirl_channel(
         weights[0] = pauli_ch.weights[0]
         rest = 1 - pauli_ch.weights[0]
         if rest > 1e-12:
-            cond = pauli_ch.weights[1:] / rest
-            if n <= EXACT_CHAIN_CAP:
-                labels = np.concatenate(([0], rng.multinomial(trials, cond)))
-            else:
-                labels = rng.choice(np.arange(1, 4**n), size=trials, p=cond).astype(_label_dtype(n))
-            for counts, _ in _mc_rounds(labels, n, k, trials, rng):
+            counts = np.concatenate(([0], rng.multinomial(trials, pauli_ch.weights[1:] / rest)))
+            for counts, _ in _mc_rounds(counts, n, k, rng):
                 pass
             weights[1:] += counts[1:] / trials * rest
             est = mc_convergence(n, k, trials, rng)
@@ -881,9 +873,3 @@ def approx_twirl_channel(
     bound = b_lambda * (epsilon0(n) + eps_k)
     return PauliChannel(2, n, weights), bound
 
-
-def twirl_result_json(n: int, k: int, l1: float, bound: float) -> str:
-    return json.dumps(
-        {"n": n, "k": k, "l1": l1, "epsilon0": epsilon0(n), "bound": bound},
-        sort_keys=True,
-    )

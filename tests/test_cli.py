@@ -182,6 +182,7 @@ _CLIFFORDS_JSON = ('{"max_1design_deviation": 4.440892098500626e-16, "max_2desig
     ("--cliffords1q", 0, "PASS set=cliffords1q max_2design_deviation=1.554e-15 max_1design_deviation=4.441e-16"),
     ("--cliffords1q --json", 0, _CLIFFORDS_JSON),
     ("--cliffords1q --json --seed 5", 0, _CLIFFORDS_JSON),
+    ("--cliffords1q --json --seed -1", 0, _CLIFFORDS_JSON),
     *((f"--paulis --n {n} --json", 1, f'{{"max_1design_deviation": 0.0, "max_2design_deviation": {dev2}, '
                                       '"ok": false, "set": "paulis"}')
       for n, dev2 in ((1, "2.0"), (3, "62.0"), (6, "4094.0"), (7, "16382.0"))),
@@ -420,6 +421,30 @@ def test_twirl_usage_errors_exit_2(tmp_path, capsys, flags):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("estimate --protocol mub_exact --depolarizing 0.9 --d 2 --seed -1", "--seed must be >= 0, got -1"),
+    ("estimate --protocol mub_mc --depolarizing 0.9 --d 2 --trials 5 --seed -1", "--seed must be >= 0, got -1"),
+    ("estimate --config seed.cfg", "--seed must be >= 0, got -3"),
+    ("twirl --n 2 --k 1 --seed -5", "argument --seed: must be >= 0, got -5"),
+    ("design state --seed -1", "argument --seed: must be >= 0, got -1"),
+])
+def test_negative_seed_is_one_usage_error(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seed.cfg").write_text("depolarizing = 0.9\nd = 2\nseed = -3\n")
+    assert run(capsys, argv.split()) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", ["mub --prime 3", "verify --family q2.mub", "design state --d 2 --rounds 1",
+                                  "design unitary --cliffords1q"])
+def test_tol_must_be_a_number_at_least_zero(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, ["mub", "--qubits", "1", "--out", "q2.mub"])
+    for tol in ("nan", "-1", "-0.5"):
+        assert run(capsys, [*argv.split(), "--tol", tol]) == (2, "", f"error: argument --tol: must be >= 0, got {tol}\n")
+    assert run(capsys, [*argv.split(), "--tol", "x"]) == (2, "", "error: argument --tol: invalid float value: 'x'\n")
+    assert run(capsys, [*argv.split(), "--tol", "0"])[0] in (0, 1)
+
+
 def test_estimate_json_and_determinism(capsys):
     argv = ["estimate", "--protocol", "mub_mc", "--depolarizing", "0.9", "--d", "4",
             "--trials", "20000", "--seed", "11"]
@@ -616,6 +641,12 @@ def test_emit_parity(capsys):
     assert code == 0
     circuit = parse_circuit(stdout)
     assert all(g.kind == "CNOT" for g in circuit)
+
+
+@pytest.mark.parametrize("qubits", ["0,,1", "0,x", ""])
+def test_emit_parity_names_itself_on_a_bad_list(capsys, qubits):
+    message = f"error: --parity takes comma-separated qubit indices, got {qubits!r}\n"
+    assert run(capsys, ["emit", "--parity", qubits]) == (2, "", message)
 
 
 @pytest.mark.parametrize("argv,message", [

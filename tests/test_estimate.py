@@ -170,6 +170,12 @@ def test_mub_exact_refuses_a_trial_count():
     assert run_protocol(ExperimentConfig(depolarizing(2, 0.9), protocol="mub_exact", seed=9)).trials_used == 0
 
 
+def test_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="--seed must be >= 0, got -1"):
+        ExperimentConfig(depolarizing(2, 0.9), seed=-1)
+    assert ExperimentConfig(depolarizing(2, 0.9), seed=0).seed == 0
+
+
 def einsum_outcome_probs(states, kraus):
     """Oracle: one einsum per Kraus operator."""
     vals = np.zeros(states.shape[0])

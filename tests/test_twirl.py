@@ -724,28 +724,6 @@ def test_approx_twirl_channel_mc_mode_above_sixteen_dimensions(n):
     assert bound >= 0
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 11), st.integers(1, 50), st.floats(allow_nan=False), st.floats(allow_nan=False))
-def test_twirl_result_json_round_trip_property(n, k, l1, bound):
-    import json
-
-    from qdesigns.twirl import twirl_result_json
-
-    text = twirl_result_json(n, k, l1, bound)
-    assert json.loads(text) == {"n": n, "k": k, "l1": l1, "epsilon0": epsilon0(n), "bound": bound}
-    assert twirl_result_json(**{key: value for key, value in json.loads(text).items() if key != "epsilon0"}) == text
-
-
-def test_twirl_result_json_keys():
-    import json
-
-    from qdesigns.twirl import twirl_result_json
-
-    payload = json.loads(twirl_result_json(2, 12, 0.001, 0.27))
-    assert set(payload) == {"n", "k", "l1", "epsilon0", "bound"}
-    assert abs(payload["epsilon0"] - 4 / 15) < 1e-12
-
-
 def test_markov_chain_n4_is_stochastic_and_matches_mc():
     n, k = 4, 4
     p = markov_transition_matrix(n)
@@ -784,6 +762,33 @@ def test_seeded_twirl_outputs_are_pinned(tmp_path, capsys):
         ("CNOT", (1,), (2,)), ("CNOT", (0,), (2,)), ("T", (1,), ()), ("T", (1,), ()),
         ("CNOT", (1,), (0,)), ("CNOT", (2,), (0,)), ("T", (2,), ()), ("T", (0,), ()),
     ]
+
+
+def test_benchmark_exact_twirl_output_is_pinned(tmp_path, capsys):
+    # the exact chain at n = 3, as the twirl_convergence benchmark runs it
+    from qdesigns.cli import main
+
+    out = tmp_path / "e3.csv"
+    assert main(["twirl", "--n", "3", "--k", "12", "--exact", "--json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        '{"bound": 0.12753441220238096, "epsilon0": 0.12698412698412698, "k": 12, '
+        '"l1": 9.128161504168286e-07, "n": 3}\n'
+    )
+    assert out.read_text() == (
+        "k,l1,bound\n"
+        "1,0.9365079365079365,1.253968253968254\n"
+        "2,0.2612643822961283,0.6904761904761905\n"
+        "3,0.07401929964944372,0.4087301587301587\n"
+        "4,0.02091801587623556,0.26785714285714285\n"
+        "5,0.005938026260272249,0.1974206349206349\n"
+        "6,0.001688595413130111,0.16220238095238093\n"
+        "7,0.00048076749119973713,0.14459325396825395\n"
+        "8,0.00013703813161207792,0.13578869047619047\n"
+        "9,3.9100192000842554e-05,0.13138640873015872\n"
+        "10,1.1166944831619147e-05,0.12918526785714285\n"
+        "11,3.1918173717497555e-06,0.1280846974206349\n"
+        "12,9.128161504168286e-07,0.12753441220238096\n"
+    )
 
 
 def test_benchmark_sized_twirl_stream_is_pinned(tmp_path, capsys):
@@ -997,7 +1002,7 @@ def packed_approx_twirl_mc(ch, n, k, trials, rng):
     weights = np.zeros(4**n)
     weights[0] = beta[0]
     rest = 1 - beta[0]
-    picks = rng.choice(np.arange(1, 4**n), size=trials, p=beta[1:] / rest)
+    picks = np.repeat(np.arange(1, 4**n), rng.multinomial(trials, beta[1:] / rest))  # in label order
     xa, xb = _from_label_int(picks, n)
     for _ in range(k):
         xa, xb, _ = packed_mc_round(xa, xb, n, rng)
@@ -1123,7 +1128,7 @@ def test_mc_curve_matches_packed_mask_oracle(n):
             assert all(e["l1"] == max(0.0, e["l1_raw"] - e["noise_floor"]) for e in got)
             labels = np.zeros(4**n, dtype=np.int64)
             labels[(start or PauliLabel(2, n, (1,) + (0,) * (n - 1), (0,) * n)).to_int()] = samples
-            rounds = zip(_mc_rounds(labels, n, 4, samples, np.random.default_rng(seed)),
+            rounds = zip(_mc_rounds(labels, n, 4, np.random.default_rng(seed)),
                          packed_mc_rounds(n, 4, samples, np.random.default_rng(seed), start))
             for (counts, success), (want_counts, want_success) in rounds:
                 assert_same_law(counts, want_counts)
