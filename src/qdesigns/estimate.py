@@ -214,11 +214,9 @@ def ancilla_entanglement_estimate(cfg: ExperimentConfig) -> EstimateResult:
     return _result(cfg, d, np.array([p_zero]), None, exact, lambda p: avg_from_entanglement(d, p))
 
 
-def run_protocol(cfg: ExperimentConfig, family: MubFamily | None = None) -> EstimateResult:
+def run_protocol(cfg: ExperimentConfig) -> EstimateResult:
     if cfg.protocol in ("mub_mc", "mub_exact"):
-        if family is None:
-            family = family_for_dimension(cfg.channel.dim)
-        return mub_mc_estimate(cfg, family)
+        return mub_mc_estimate(cfg, family_for_dimension(cfg.channel.dim))
     if cfg.protocol == "projected":
         return projected_estimate(cfg)
     return ancilla_entanglement_estimate(cfg)

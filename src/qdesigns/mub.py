@@ -50,9 +50,6 @@ class MubFamily:
     kind: str  # "prime" | "prime_power" | "galois_ring"
     states: np.ndarray  # shape (d+1, d, d), complex
 
-    def state(self, a: int, b: int) -> np.ndarray:
-        return self.states[a, b]
-
     def all_states(self) -> np.ndarray:
         """All d(d+1) states stacked into a ((d+1)*d, d) array."""
         return self.states.reshape(-1, self.d)

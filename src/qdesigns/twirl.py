@@ -10,13 +10,16 @@ Clifford moves act on the packed form of a qubit label, the symplectic
 tableau of Aaronson-Gottesman (quant-ph/0406196): two integer masks xa, xb
 whose bit q is the X and the Z part on qubit q.  An H, S, T or CNOT is then a
 few bit operations, so one function (_move) moves a single label or a whole
-array of labels.  The table _ROUND is the single description of a randomized
-twirl round.  The gate sampler reads it directly; the exact Markov chain and
-the Monte-Carlo round read one set of permutation tables built from it and
+array of labels.  A round's parity fan-in onto its control is one closed form,
+_fan_in_move, and the table _ROUND describes the steps after it.  The gate
+sampler reads _ROUND directly; the exact Markov chain and the Monte-Carlo
+round read one set of permutation tables built from _fan_in_move, _ROUND and
 _move (_round_tables), which push a distribution or a histogram of samples.
-The tables stop at n = EXACT_CHAIN_CAP (about 0.6 MB of int16 there); above
-it the Monte-Carlo round moves each sample's packed int16 masks with _move,
-one step at a time.
+Every step after the fan-in depends only on the control, so both sum the
+subset masks that share a control first (_fan_in) and walk the steps once
+per control.  The tables stop at n = EXACT_CHAIN_CAP (about 0.6 MB of int16
+there); above it the Monte-Carlo round moves each sample's packed int16 masks
+with _fan_in_move and then _move, one step at a time.
 
 Twirling always means averaging U^dag Lambda(U X U^dag) U over the set, and
 _group_average is the one such sum; every set used here (Pauli group, Clifford
@@ -347,6 +350,22 @@ def _move(kind: str, xa, xb, qubits: tuple, on=True):
     raise ValueError(f"conjugation not defined for gate kind {kind!r}")
 
 
+def _fan_in_move(xa, xb, mask, control, n: int):
+    """Image of packed labels (xa, xb) under the parity fan-in of the subset
+    `mask` onto its `control`: CNOT(q -> control) for every other member q.
+
+    The CNOTs share their target, so they commute: the control's X bit gains
+    the parity of the members' X bits, and each member's Z bit gains the
+    control's Z bit.  Labels, masks and controls broadcast together, as in _move.
+    """
+    control = np.asarray(control).astype(np.asarray(mask).dtype)  # an int8 1 << 7 overflows
+    members = mask & ~(1 << control)
+    parity = xa & members
+    for i in range((n - 1).bit_length()):  # fold bits 0..n-1 onto bit 0
+        parity ^= parity >> (1 << i)
+    return xa ^ ((parity & 1) << control), xb ^ (members * ((xb >> control) & 1))
+
+
 def _from_label_int(v, n: int):
     """Packed (xa, xb) masks of base-4 label integers."""
     xa = sum(((v >> (2 * q)) & 1) << q for q in range(n))
@@ -473,16 +492,17 @@ def _controls(n: int) -> np.ndarray:
 
 
 class _RoundTables(NamedTuple):
-    fan_in: np.ndarray  # (2^n, 4^n) int16: the composed parity fan-in of each subset mask
-    control: np.ndarray  # (2^n,) int8: _controls(n)
+    fan_in: np.ndarray  # (2^n, 4^n) int16: the parity fan-in of each subset mask
     steps: tuple  # per _ROUND step, one (control, times, 4^n) int16 stack per qubit
 
 
 @lru_cache(maxsize=None)
 def _round_tables(n: int) -> _RoundTables:
     """One twirl round as permutation tables over base-4 label ints, built from
-    _ROUND and _move; the exact chain and the Monte-Carlo round both read them.
+    _fan_in_move, _ROUND and _move; the exact chain and the Monte-Carlo round
+    both read them.
 
+    fan_in[m] is the fan-in of subset mask m, built for every mask at once.
     steps[i] holds one stack per qubit q for an "o" step (q ascending) and a
     single stack for a "c" step; stack[c, e] is the step's permutation applied
     e times with control c, the identity where q is c.  The tables take
@@ -492,14 +512,8 @@ def _round_tables(n: int) -> _RoundTables:
     if n > EXACT_CHAIN_CAP:
         raise ValueError(f"round tables capped at n <= {EXACT_CHAIN_CAP}")
     ident = np.arange(4**n, dtype=_label_dtype(n))
-    control = _controls(n)
-    fan_in = np.empty((2**n, 4**n), dtype=ident.dtype)
-    for mask, c in enumerate(control):
-        perm = ident
-        for q in range(n):
-            if (mask >> q) & 1 and q != c:
-                perm = _perm_table(n, "CNOT", (q, c))[perm]
-        fan_in[mask] = perm
+    xa, xb = _from_label_int(ident, n)
+    fan_in = _to_label_int(*_fan_in_move(xa, xb, ident[: 2**n, None], _controls(n)[:, None], n), n)
     steps = []
     for kind, roles, law in _ROUND:
         stacks = []
@@ -512,7 +526,7 @@ def _round_tables(n: int) -> _RoundTables:
                     stack[c, e] = perm[stack[c, e - 1]]
             stacks.append(stack)
         steps.append(tuple(stacks))
-    return _RoundTables(fan_in, control, tuple(steps))
+    return _RoundTables(fan_in, tuple(steps))
 
 
 def _push(dist: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -536,17 +550,21 @@ def _step2_push(dist: np.ndarray, n: int, control: int) -> np.ndarray:
     return dist
 
 
-def _chain_step(dist: np.ndarray, n: int) -> np.ndarray:
-    """One round pushed through every column of dist at once."""
-    tables = _round_tables(n)
-    out = np.zeros_like(dist)
-    for mask in range(1, 2**n):
-        out += _step2_push(_push(dist, tables.fan_in[mask]), n, tables.control[mask])
-    return out / (2**n - 1)
+def _fan_in(parts, n: int):
+    """Yield, for each control c in turn, the sum over the subset masks m with
+    control c of parts[m - 1] pushed through m's fan-in (along axis 0).  Every
+    later step of the round depends only on c, so a round walks n such cells."""
+    fan_in = _round_tables(n).fan_in
+    for c in range(n):
+        cell = np.zeros_like(parts[0])
+        for mask in range(1 << c, 2**n, 2 << c):  # the masks whose lowest bit is c
+            cell[fan_in[mask]] += parts[mask - 1]
+        yield cell
 
 
 def _check_chain(n: int, k: int = 0) -> None:
-    """Reject an exact-chain run outside 2 <= n <= EXACT_CHAIN_CAP or with k < 0 rounds."""
+    """Reject an exact-chain run outside 2 <= n <= EXACT_CHAIN_CAP or with k
+    outside 0 <= k <= _ROUNDS_CAP rounds."""
     _check_rounds(n, k, least_k=0)
     if n > EXACT_CHAIN_CAP:
         raise ValueError(f"exact chain capped at n <= {EXACT_CHAIN_CAP}")
@@ -561,7 +579,7 @@ def twirl_markov_step(dist: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(f"distribution length {dist.shape} != 4^{n}")
     if dist.min() < -1e-12 or abs(dist.sum() - 1) > 1e-8:
         raise ValueError("input is not a probability distribution")
-    return _chain_step(dist, n)
+    return markov_transition_matrix(n) @ dist
 
 
 @lru_cache(maxsize=None)
@@ -569,7 +587,8 @@ def markov_transition_matrix(n: int) -> np.ndarray:
     """Column-stochastic matrix P with P[:, v] the one-round image of the
     point mass at label v, built once per n and shared read-only."""
     _check_chain(n)
-    p = _chain_step(np.eye(4**n), n)
+    cells = _fan_in([np.eye(4**n)] * (2**n - 1), n)  # one at a time: all n at once peak near 0.1 GB at n = 5
+    p = sum(_step2_push(cell, n, c) for c, cell in enumerate(cells)) / (2**n - 1)
     p.flags.writeable = False
     return p
 
@@ -656,18 +675,15 @@ def _count_round(counts: np.ndarray, n: int, rng: np.random.Generator) -> tuple[
     row.  Every output has the law of the per-sample round, at a cost set by
     n alone, O((2^n + n^2) 4^n), whatever the sample count.
     """
-    tables = _round_tables(n)
     size = 4**n
     split = rng.multinomial(counts, np.full(2**n - 1, 1.0 / (2**n - 1)))  # (label, mask - 1)
-    cells = np.zeros((n, size), dtype=split.dtype)  # cells[c, v]: samples at label v with control c
-    for mask in range(1, 2**n):
-        cells[tables.control[mask], tables.fan_in[mask]] += split[:, mask - 1]
+    cells = np.stack(tuple(_fan_in(split.T, n)))  # cells[c, v]: samples at label v with control c
     del split
     x_on_control = (np.arange(size) >> 2 * np.arange(n)[:, None]) & 1
     hits = (cells * x_on_control).sum()
 
     ident = np.arange(size)
-    for (_, _, law), stacks in zip(_ROUND, tables.steps):
+    for (_, _, law), stacks in zip(_ROUND, _round_tables(n).steps):
         for stack in stacks:
             # split only held cells the step moves: not the identity row of an "o"
             # step's own qubit, nor the labels its gate fixes (an empty cell draws nothing)
@@ -686,17 +702,16 @@ def _count_round(counts: np.ndarray, n: int, rng: np.random.Generator) -> tuple[
 
 def _mc_round_packed(v: np.ndarray, n: int, rng: np.random.Generator) -> float:
     """One sampled round applied in place to the label ints v above
-    EXACT_CHAIN_CAP, where the round tables are not built: one _move per step
-    and qubit on packed (xa, xb) int16 masks, fresh draws per sample.  Returns
-    the fraction of samples whose control carries X or Y after the fan-in."""
+    EXACT_CHAIN_CAP, where the round tables are not built: _fan_in_move, then
+    one _move per step and qubit on packed (xa, xb) int16 masks, fresh draws
+    per sample.  Returns the fraction of samples whose control carries X or Y
+    after the fan-in."""
     xa, xb = _from_label_int(v, n)
     xa, xb = xa.astype(np.int16, copy=False), xb.astype(np.int16, copy=False)
     m = xa.shape[0]
     mask = rng.integers(1, 2**n, size=m).astype(np.int16)
     control = _controls(n)[mask]
-    for q in range(n):  # fan-in: CNOT(q -> control) for the other members of B
-        member = ((mask >> q) & 1).astype(bool) & (control != q)
-        xa, xb = _move("CNOT", xa, xb, (q, control), member)
+    xa, xb = _fan_in_move(xa, xb, mask, control, n)
     del mask
     success_rate = float(((xa >> control) & 1).mean())
 
@@ -736,12 +751,20 @@ def _mc_rounds(counts: np.ndarray, n: int, k: int, rng: np.random.Generator):
             yield np.bincount(labels, minlength=4**n), success
 
 
+# twirl_bound reaches epsilon0 in double by k = 66 at every n <= 11 and the exact
+# l1 stops falling near 1e-15 by k = 40, so no round past the cap changes a verdict
+_ROUNDS_CAP = 1000
+
+
 def _check_rounds(n: int, k: int, least_k: int = 1) -> None:
-    """Reject a twirl run on fewer than two qubits or with fewer than least_k rounds."""
+    """Reject a twirl run on fewer than two qubits, or with fewer than least_k
+    or more than _ROUNDS_CAP rounds."""
     if n < 2:
         raise ValueError(f"the randomized twirl needs n >= 2 qubits, got n = {n}")
     if k < least_k:
         raise ValueError(f"the twirl needs k >= {least_k} rounds, got k = {k}")
+    if k > _ROUNDS_CAP:
+        raise ValueError(f"the twirl is capped at k <= {_ROUNDS_CAP} rounds, got k = {k}")
 
 
 # The histograms grow x4 per qubit: the floor and each round's l1 hold two
@@ -778,8 +801,8 @@ def mc_convergence_curve(
     statistic is computed for one exact-uniform multinomial draw of the same
     size and subtracted, clamped at zero.  Each entry carries the raw value,
     the calibration floor, and the corrected estimate.  Needs 2 <= n <= 11,
-    k >= 1 and 1 <= samples <= 10^7 (ValueError otherwise, before anything is
-    allocated).
+    1 <= k <= 1000 and 1 <= samples <= 10^7 (ValueError otherwise, before
+    anything is allocated).
 
     The rounds start from the point mass of `start` (X on qubit 0 by default)
     as a label histogram.  The floor and each round's l1 go through
@@ -834,9 +857,9 @@ def approx_twirl_channel(
     Returns the twirled Pauli channel and B(Lambda) (eps0 + eps_k), where
     eps_k is the realized l1 gap beyond eps0, maximized over source labels in
     exact mode.  Needs n >= 2, a trace-preserving channel on n qubits, and
-    k >= 0 and n <= EXACT_CHAIN_CAP in exact mode; Monte-Carlo mode needs an
-    rng and mc_convergence_curve's bounds on n, k and trials (ValueError
-    otherwise, before the channel is twirled).
+    0 <= k <= 1000 and n <= EXACT_CHAIN_CAP in exact mode; Monte-Carlo mode
+    needs an rng and mc_convergence_curve's bounds on n, k and trials
+    (ValueError otherwise, before the channel is twirled).
     """
     if trials == 0:
         _check_chain(n, k)

@@ -371,6 +371,21 @@ def test_mc_samples_cap_exits_2(capsys, no_numpy):
         2, "", "error: the Monte-Carlo twirl is capped at --samples <= 10000000, got 100000000000\n")
 
 
+@pytest.mark.parametrize("mode", [["--samples", "10"], ["--exact"]])
+def test_rounds_cap_exits_2(capsys, no_numpy, mode):
+    no_numpy(qdesigns.twirl)
+    code, stdout, err = run(capsys, ["twirl", "--n", "2", "--k", "1001", *mode])
+    assert (code, stdout, err) == (2, "", "error: the twirl is capped at k <= 1000 rounds, got k = 1001\n")
+
+
+@pytest.mark.parametrize("mode", [["--samples", "10"], ["--exact"]])
+def test_rounds_cap_admits_a_thousand_rounds(tmp_path, capsys, mode):
+    out = tmp_path / "c.csv"
+    code, _, err = run(capsys, ["twirl", "--n", "2", "--k", "1000", *mode, "--out", str(out)])
+    assert code in (0, 1) and err == ""
+    assert len(out.read_text().splitlines()) == 1001
+
+
 def test_channel_json_round_trip_through_the_cli(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, ["channel", "--depolarizing", "0.9", "--d", "4", "--out", str(a)])[0] == 0
@@ -413,6 +428,8 @@ def test_twirl_mc_smoke(tmp_path, capsys):
     "--n 2 --k 0 --exact",
     "--n 1 --k 3 --exact",
     "--n 12 --k 1 --samples 10",
+    "--n 2 --k 1001 --samples 10",
+    "--n 2 --k 1001 --exact",
 ])
 def test_twirl_usage_errors_exit_2(tmp_path, capsys, flags):
     out = tmp_path / "c.csv"

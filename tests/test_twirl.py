@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import qdesigns.twirl
 from qdesigns.channels import KrausChannel, depolarizing, kraus_to_supermatrix, unitary_channel
 from qdesigns.channels import _invariant_pq, _kraus_traces
-from qdesigns.circuits import Circuit, Gate, circuit_unitary
+from qdesigns.circuits import Circuit, Gate, circuit_unitary, parallel_prefix_parity
 from qdesigns.linalg import dagger, random_complex_matrix, random_density, random_kraus_channel_ops
 from qdesigns.twirl import (
     EXACT_CHAIN_CAP,
@@ -43,8 +43,8 @@ from qdesigns.twirl import (
     unitary_design_check,
 )
 from qdesigns.twirl import (
-    _ROUND, _THIRDS, _count_round, _draw, _exact_chain, _from_label_int, _mc_rounds, _move, _pauli_stack,
-    _perm_table, _place, _push, _to_label_int,
+    _ROUND, _THIRDS, _controls, _count_round, _draw, _exact_chain, _fan_in_move, _from_label_int, _mc_rounds,
+    _move, _pauli_stack, _perm_table, _place, _push, _to_label_int,
 )
 
 from helpers import random_unitary
@@ -420,6 +420,23 @@ def test_mc_samples_cap_fails_before_allocating(no_numpy):
         mc_convergence_curve(3, 1, 10_000_001, rng)
 
 
+def test_rounds_cap_fails_before_allocating(no_numpy):
+    rng, ch = np.random.default_rng(0), depolarizing(4, 0.9)
+    no_numpy(qdesigns.twirl)
+    message = "the twirl is capped at k <= 1000 rounds, got k = 1001"
+    with pytest.raises(ValueError, match=message):
+        mc_convergence_curve(2, 1001, 10, rng)
+    for trials in (0, 10):
+        with pytest.raises(ValueError, match=message):
+            approx_twirl_channel(ch, 2, 1001, trials=trials, rng=rng)
+
+
+def test_rounds_cap_admits_a_thousand_rounds():
+    assert len(mc_convergence_curve(2, 1000, 10, np.random.default_rng(0))) == 1000
+    out, bound = approx_twirl_channel(depolarizing(4, 0.9), 2, 1000)
+    assert abs(out.weights.sum() - 1) <= 1e-12 and bound >= 0
+
+
 def traced_peak_mb(fn, *args) -> float:
     """Peak of the memory traced while fn(*args) runs, numpy arrays included."""
     tracemalloc.start()
@@ -643,6 +660,8 @@ def test_approx_twirl_channel_identity_bound_is_zero():
         (2, 0, 100, "k >= 1"),
         (12, 1, 100, "n <= 11"),
         (6, 2, 0, "n <= 5"),
+        (2, 1001, 0, "k <= 1000"),
+        (2, 1001, 100, "k <= 1000"),
     ],
 )
 def test_approx_twirl_channel_rejects_bad_arguments_before_twirling(monkeypatch, n, k, trials, message):
@@ -681,7 +700,7 @@ def test_markov_transition_matrix_is_built_once_and_read_only(monkeypatch):
     def no_rebuild(*args):
         raise AssertionError("the transition matrix was built again")
 
-    monkeypatch.setattr(qdesigns.twirl, "_chain_step", no_rebuild)
+    monkeypatch.setattr(qdesigns.twirl, "_step2_push", no_rebuild)
     assert markov_transition_matrix(3) is p
     with pytest.raises(ValueError, match="read-only"):
         p[0, 0] = 1
@@ -765,29 +784,30 @@ def test_seeded_twirl_outputs_are_pinned(tmp_path, capsys):
 
 
 def test_benchmark_exact_twirl_output_is_pinned(tmp_path, capsys):
-    # the exact chain at n = 3, as the twirl_convergence benchmark runs it
+    # the exact chain at n = 3, as the twirl_convergence benchmark runs it; rows 2-7 and 9-12 and
+    # the l1 moved in the trailing digits when the chain began to walk the masks once per control
     from qdesigns.cli import main
 
     out = tmp_path / "e3.csv"
     assert main(["twirl", "--n", "3", "--k", "12", "--exact", "--json", "--out", str(out)]) == 0
     assert capsys.readouterr().out == (
         '{"bound": 0.12753441220238096, "epsilon0": 0.12698412698412698, "k": 12, '
-        '"l1": 9.128161504168286e-07, "n": 3}\n'
+        '"l1": 9.128161504411147e-07, "n": 3}\n'
     )
     assert out.read_text() == (
         "k,l1,bound\n"
         "1,0.9365079365079365,1.253968253968254\n"
-        "2,0.2612643822961283,0.6904761904761905\n"
-        "3,0.07401929964944372,0.4087301587301587\n"
-        "4,0.02091801587623556,0.26785714285714285\n"
-        "5,0.005938026260272249,0.1974206349206349\n"
-        "6,0.001688595413130111,0.16220238095238093\n"
-        "7,0.00048076749119973713,0.14459325396825395\n"
+        "2,0.2612643822961284,0.6904761904761905\n"
+        "3,0.0740192996494437,0.4087301587301587\n"
+        "4,0.020918015876235586,0.26785714285714285\n"
+        "5,0.005938026260272266,0.1974206349206349\n"
+        "6,0.0016885954131300729,0.16220238095238093\n"
+        "7,0.00048076749119967815,0.14459325396825395\n"
         "8,0.00013703813161207792,0.13578869047619047\n"
-        "9,3.9100192000842554e-05,0.13138640873015872\n"
-        "10,1.1166944831619147e-05,0.12918526785714285\n"
-        "11,3.1918173717497555e-06,0.1280846974206349\n"
-        "12,9.128161504168286e-07,0.12753441220238096\n"
+        "9,3.9100192000828676e-05,0.13138640873015872\n"
+        "10,1.1166944831636494e-05,0.12918526785714285\n"
+        "11,3.191817371708122e-06,0.1280846974206349\n"
+        "12,9.128161504411147e-07,0.12753441220238096\n"
     )
 
 
@@ -1096,16 +1116,29 @@ def pushed_step2(dist, n, control):
     return dist
 
 
+def pushed_fan_in(dist, n, mask):
+    """A subset's fan-in as one CNOT push per member."""
+    control = (mask & -mask).bit_length() - 1
+    for q in range(n):
+        if (mask >> q) & 1 and q != control:
+            dist = _push(dist, _perm_table(n, "CNOT", (q, control)))
+    return dist
+
+
 def pushed_chain_step(dist, n):
-    """One exact round: each subset's fan-in as one CNOT push per member."""
+    """One exact round, each subset mask walked through the steps on its own."""
     out = np.zeros_like(dist)
     for mask in range(1, 2**n):
-        control = (mask & -mask).bit_length() - 1
-        d_b = dist
-        for q in range(n):
-            if (mask >> q) & 1 and q != control:
-                d_b = _push(d_b, _perm_table(n, "CNOT", (q, control)))
-        out += pushed_step2(d_b, n, control)
+        out += pushed_step2(pushed_fan_in(dist, n, mask), n, (mask & -mask).bit_length() - 1)
+    return out / (2**n - 1)
+
+
+def pushed_chain_step_by_control(dist, n):
+    """pushed_chain_step with the fan-ins of each control summed before its steps."""
+    out = np.zeros_like(dist)
+    for control in range(n):
+        cell = sum(pushed_fan_in(dist, n, mask) for mask in range(1 << control, 2**n, 2 << control))
+        out += pushed_step2(cell, n, control)
     return out / (2**n - 1)
 
 
@@ -1158,4 +1191,52 @@ def test_approx_twirl_mc_mode_matches_packed_mask_oracle(n):
 def test_markov_transition_matrix_matches_pushed_chain_oracle(n):
     p = markov_transition_matrix(n)
     cols = np.arange(0, 4**n, 16) if n == 5 else np.arange(4**n)  # columns push independently
-    assert np.array_equal(p[:, cols], pushed_chain_step(np.eye(4**n)[:, cols], n))
+    start = np.eye(4**n)[:, cols]
+    # bit for bit once the oracle groups the masks by control as the chain does; the
+    # per-mask walk rounds differently, in the trailing places only
+    assert np.array_equal(p[:, cols], pushed_chain_step_by_control(start, n))
+    assert np.abs(p[:, cols] - pushed_chain_step(start, n)).max() <= 1e-15
+
+
+def fan_in_by_members(xa, xb, mask, control, n):
+    """The fan-in as one _move("CNOT") per member: CNOT(q -> control) for each other q in mask."""
+    for q in range(n):
+        member = ((mask >> q) & 1).astype(bool) & (control != q)
+        xa, xb = _move("CNOT", xa, xb, (q, control), member)
+    return xa, xb
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_fan_in_move_is_the_per_member_cnots_on_every_mask_and_label(n):
+    xa, xb = _from_label_int(np.arange(4**n, dtype=np.int16), n)
+    masks = np.arange(1, 2**n, dtype=np.int16)[:, None]
+    control = _controls(n)[1:, None]
+    got = _fan_in_move(xa, xb, masks, control, n)
+    want = fan_in_by_members(xa, xb, masks, control, n)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [8, 11])
+def test_fan_in_move_is_the_per_member_cnots_on_packed_samples(n):
+    # int16 masks and the int8 controls of the packed round, every control drawn, 7 and up included
+    rng = np.random.default_rng(n)
+    xa, xb = (rng.integers(0, 2**n, size=100_000).astype(np.int16) for _ in range(2))
+    mask = np.concatenate((1 << np.arange(n), rng.integers(1, 2**n, size=xa.size - n))).astype(np.int16)
+    control = _controls(n)[mask]
+    assert set(control.tolist()) == set(range(n))
+    got = _fan_in_move(xa, xb, mask, control, n)
+    want = fan_in_by_members(xa, xb, mask, control, n)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fan_in_move_is_the_parity_circuit(n):
+    for mask in range(1, 2**n):
+        control = (mask & -mask).bit_length() - 1
+        members = [q for q in range(n) if (mask >> q) & 1 and q != control]
+        gates = parallel_prefix_parity(n, members, control).gates
+        for v in range(4**n):
+            label = PauliLabel.from_int(2, n, v)
+            for gate in gates:
+                label = conjugate_label(gate, label)
+            assert _to_label_int(*_fan_in_move(*_from_label_int(v, n), mask, control, n), n) == label.to_int()
