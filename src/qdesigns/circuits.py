@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_algebra import GfContext, GfElement, is_prime
+from .finite_algebra import SIZE_CAP, GfContext, is_prime
 from .linalg import basis_state
 
 __all__ = [
@@ -301,6 +301,8 @@ def build_mub_circuit_prime(p: int, n_qubits: int, a: int, b: int) -> Circuit:
     first p amplitudes and renormalized, the output is exactly the
     closed-form MUB state.
     """
+    if p > SIZE_CAP:  # before the primality test, which is slow on a huge p
+        raise ValueError(f"p = {p} exceeds the 2^16 size cap")
     if not is_prime(p) or p == 2:
         raise ValueError(f"p = {p} must be an odd prime")
     m = n_qubits + 1
@@ -334,38 +336,33 @@ def build_mub_circuit_prime(p: int, n_qubits: int, a: int, b: int) -> Circuit:
     return c
 
 
-def _as_label(x) -> int:
-    return x.int_label if isinstance(x, GfElement) else int(x)
-
-
-def build_mub_circuit_prime_power(p: int, n_qudits: int, a, b) -> Circuit:
+def build_mub_circuit_prime_power(p: int, n_qudits: int, a: int, b: int) -> Circuit:
     """Preparation circuit on n_qudits p-level systems for the prime-power MUB
-    state with labels (a, b) in GF(p^n); a = p^n (or the sentinel) selects the
+    state with integer labels (a, b) of GF(p^n); a = p^n selects the
     computational branch.
 
     Layout: level shifts prepare |t_b>, a Fourier gate per qudit produces the
     phases w^tr(bx), then precomputed trace couplings inject w^tr(a x^2) with
     one two-qudit phase per pair and one quadratic level-phase per qudit.
     """
-    if not is_prime(p) or p == 2:
+    ctx = GfContext(p, n_qudits)  # checks the 2^16 size cap before primality
+    if p == 2:
         raise ValueError(f"p = {p} must be an odd prime")
-    ctx = GfContext(p, n_qudits)
     d = ctx.order
-    a_lab, b_lab = _as_label(a), _as_label(b)
-    if not 0 <= a_lab <= d:
-        raise ValueError(f"basis label {a_lab} outside 0..{d}")
-    if not 0 <= b_lab < d:
-        raise ValueError(f"state label {b_lab} outside 0..{d - 1}")
+    if not 0 <= a <= d:
+        raise ValueError(f"basis label {a} outside 0..{d}")
+    if not 0 <= b < d:
+        raise ValueError(f"state label {b} outside 0..{d - 1}")
     c = Circuit(n=n_qudits, d=p)
-    b_el = ctx.element_from_int(b_lab)
+    b_el = ctx.element_from_int(b)
     # level shifts prepare |b> itself on the computational branch, |t_b> otherwise
-    for i, coeff in enumerate(b_el.coeffs if a_lab == d else ctx.trace_forms(b_el.coeffs)):
+    for i, coeff in enumerate(b_el.coeffs if a == d else ctx.trace_forms(b_el.coeffs)):
         if coeff:
             c.append(Gate("Xd", (i,), num=int(coeff)))
-    if a_lab == d:
+    if a == d:
         return c
     # column i of M_a is a X^i, whose trace form holds couplings[i, j] = tr(a X^(i+j))
-    couplings = ctx.trace_forms(ctx.mul_matrix(ctx.element_from_int(a_lab)).T)
+    couplings = ctx.trace_forms(ctx.mul_matrix(ctx.element_from_int(a)).T)
     for i in range(n_qudits):
         c.append(Gate("Fp", (i,)))
     for i in range(n_qudits):

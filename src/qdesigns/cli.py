@@ -26,6 +26,7 @@ from .linalg import random_complex_matrix
 __all__ = ["main"]
 
 PAULI_QUBIT_CAP = 511  # F_2 of the n-qubit Paulis is 4^n, a finite double up to n = 511
+EMIT_QUBIT_CAP = 64  # the register of `emit --parity` and of `emit --mub-circuit --p`
 
 
 def _write(text: str, out: str | None) -> None:
@@ -264,6 +265,12 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _check_register(qubits: int) -> None:
+    """Refuse a register past EMIT_QUBIT_CAP before any gate is built (the prime circuit has O(n^2) gates)."""
+    if qubits > EMIT_QUBIT_CAP:
+        raise ValueError(f"a register of {qubits} qubits exceeds the emit cap {EMIT_QUBIT_CAP}")
+
+
 def cmd_emit(args) -> int:
     if args.parity is not None:
         _not_read(args, "--parity", ("p", "prime_power", "n", "a", "b"))
@@ -271,6 +278,7 @@ def cmd_emit(args) -> int:
             qubits = [int(t) for t in args.parity.split(",")]
         except ValueError:
             raise ValueError(f"--parity takes comma-separated qubit indices, got {args.parity!r}") from None
+        _check_register(max(qubits) + 1)
         circuit = circuits.parallel_prefix_parity(max(qubits) + 1, qubits[:-1], qubits[-1])
     elif args.prime_power is not None:
         _not_read(args, "--prime-power", ("n",))
@@ -279,6 +287,7 @@ def cmd_emit(args) -> int:
         raise ValueError("--mub-circuit needs --p (or --prime-power)")
     else:
         n = args.n if args.n is not None else max((args.p - 1).bit_length() - 1, 1)
+        _check_register(n + 1)
         circuit = circuits.build_mub_circuit_prime(args.p, n, args.a or 0, args.b or 0)
     _write(circuits.emit_circuit(circuit), args.out)
     return 0

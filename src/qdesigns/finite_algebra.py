@@ -2,10 +2,13 @@
 
 Both are Z_q[X]/(h) for a monic h, with q = p for GF(p^k) and q = 4 for
 GR(4^m).  Elements are immutable coefficient vectors over Z_q, least-significant
-coefficient first.  One shared core says every rule that needs only q and h:
-sums, negation, scalar and element products, non-negative powers, the integer
-label, zero, one, the root of h, element construction and the context check.
-It also holds the multiplication matrices M_{X^i} and the trace of
+coefficient first.  Multiplication has one rule, the companion matrix C of h,
+which multiplies by the root X: the multiplication matrices M_{X^i} are C^i,
+M_y is sum_i y_i C^i, x y is M_x coeffs(y), x^e is column 0 of M_x^e, the root
+is column 0 of C and the order test of the root reads powers of C.  One shared
+core says every rule that needs only q and h: sums, negation, scalar and
+element products, non-negative powers, the integer label, zero, one, the root
+of h, element construction and the context check.  It also holds the trace of
 multiplication tr(x) = tr(M_x) mod q, which is Z_q-linear: the field trace of
 GF(p^k) (GF(p) at k = 1) and the generalized trace of GR(4^m), and its trace
 forms u_a.  GF(p^k) adds the inverse and negative powers; GR(4^m) adds the
@@ -33,7 +36,7 @@ __all__ = [
     "is_prime",
 ]
 
-_SIZE_CAP = 2**16
+SIZE_CAP = 2**16  # elements of a context; p >= 2 and k >= SIZE_CAP.bit_length() put p^k past it
 
 
 def is_prime(n: int) -> bool:
@@ -67,54 +70,34 @@ def _digits(value: int, base: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _poly_mul_mod(x: tuple[int, ...], y: tuple[int, ...], h: tuple[int, ...], base: int) -> tuple[int, ...]:
-    """Multiply two degree-<k polynomials modulo a monic degree-k polynomial.
-
-    h holds the low coefficients (h_0, ..., h_{k-1}); the leading 1 is implicit.
-    """
-    k = len(h)
-    prod = [0] * (2 * k - 1)
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y):
-                prod[i + j] = (prod[i + j] + xi * yj) % base
-    # reduce: X^k = -(h_0 + h_1 X + ... + h_{k-1} X^{k-1})
-    for deg in range(2 * k - 2, k - 1, -1):
-        c = prod[deg]
-        if c:
-            prod[deg] = 0
-            for j in range(k):
-                prod[deg - k + j] = (prod[deg - k + j] - c * h[j]) % base
-    return tuple(prod[:k])
+def _companion(h: tuple[int, ...], q: int) -> np.ndarray:
+    """Companion matrix C of the monic h over Z_q: the matrix of multiplication by
+    the root X, so column j is X^(j+1) mod h.  h holds the low coefficients
+    (h_0, ..., h_{k-1}) and the leading 1 is implicit; at degree 1 C is [-h_0]."""
+    c = np.eye(len(h), k=-1, dtype=np.int64)
+    c[:, -1] = np.negative(h) % q
+    return c
 
 
-def _poly_pow_mod(x: tuple[int, ...], e: int, h: tuple[int, ...], base: int) -> tuple[int, ...]:
-    """x^e mod h for e >= 0 (square and multiply)."""
-    k = len(h)
-    acc = tuple([1] + [0] * (k - 1))
-    sq = x
+def _mat_pow_mod(m: np.ndarray, e: int, q: int) -> np.ndarray:
+    """m^e mod q for e >= 0 by square and multiply.  Entries stay below q <= 2^16,
+    so no product sum of k q^2 overflows int64."""
+    acc = np.eye(len(m), dtype=np.int64)
     while e:
         if e & 1:
-            acc = _poly_mul_mod(acc, sq, h, base)
-        sq = _poly_mul_mod(sq, sq, h, base)
+            acc = acc @ m % q
+        m = m @ m % q
         e >>= 1
     return acc
 
 
-def _root_coeffs(h: tuple[int, ...], base: int) -> tuple[int, ...]:
-    """The root of h, reduced: X for degree >= 2, the constant -h_0 for degree 1."""
-    if len(h) == 1:
-        return ((-h[0]) % base,)
-    return tuple([0, 1] + [0] * (len(h) - 2))
-
-
-def _root_has_order(h: tuple[int, ...], base: int, order: int) -> bool:
-    """Check that X mod h(X) has multiplicative order exactly `order`."""
-    one = tuple([1] + [0] * (len(h) - 1))
-    root = _root_coeffs(h, base)
-    if _poly_pow_mod(root, order, h, base) != one:
+def _root_has_order(h: tuple[int, ...], q: int, order: int) -> bool:
+    """Check that X mod h(X) has multiplicative order exactly `order`: C^order = I
+    and C^(order/r) != I for every prime factor r of order."""
+    c, one = _companion(h, q), np.eye(len(h), dtype=np.int64)
+    if not np.array_equal(_mat_pow_mod(c, order, q), one):
         return False
-    return all(_poly_pow_mod(root, order // q, h, base) != one for q in _prime_factors(order))
+    return not any(np.array_equal(_mat_pow_mod(c, order // r, q), one) for r in _prime_factors(order))
 
 
 @dataclass(frozen=True)
@@ -140,14 +123,15 @@ class _PolyElement:
         if isinstance(other, int):
             return type(self)(self.ctx, tuple((other * a) % self.ctx._q for a in self.coeffs))
         self.ctx._own(other)
-        return type(self)(self.ctx, _poly_mul_mod(self.coeffs, other.coeffs, self.ctx.h, self.ctx._q))
+        return self.ctx._from_vector(self.ctx.mul_matrix(self) @ other.coeffs)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError(f"negative powers are not supported in {self.ctx._name}, got {e}")
-        return type(self)(self.ctx, _poly_pow_mod(self.coeffs, e, self.ctx.h, self.ctx._q))
+        # M_x^e applied to coeffs(1) = e_0
+        return self.ctx._from_vector(_mat_pow_mod(self.ctx.mul_matrix(self), e, self.ctx._q)[:, 0])
 
     def trace(self) -> int:
         return self.ctx.trace(self)
@@ -162,7 +146,8 @@ class _PolyContext:
 
     Attributes:
         h: coefficients (h_0, ..., h_{n-1}) of the monic defining polynomial
-        mul_matrices: n x n multiplication matrix over Z_q per basis monomial
+        mul_matrices: (n, n, n) stack of M_{X^i} = C^i over Z_q for the companion
+            matrix C of h; column j of C^i is X^(i+j) mod h
         trace_vector: t with tr(x) = (t, coeffs(x)) mod q
     """
 
@@ -170,11 +155,12 @@ class _PolyContext:
 
     def __init__(self, q: int, n: int, h: tuple[int, ...], name: str):
         self._q, self._n, self.h, self._name = q, n, h, name
-        root = self._element(self, _root_coeffs(h, q))
-        xi_powers = [e.coeffs for e in self._powers(root, 2 * n - 1)]  # X^t mod h, t <= 2n-2
-        # column j of M_{X^i} is X^(i+j) mod h
-        self.mul_matrices = [np.array(xi_powers[i : i + n], dtype=np.int64).T for i in range(n)]
-        self.trace_vector = np.trace(np.array(self.mul_matrices), axis1=1, axis2=2) % q
+        self._c = _companion(h, q)
+        powers = [np.eye(n, dtype=np.int64)]
+        for _ in range(n - 1):
+            powers.append(powers[-1] @ self._c % q)
+        self.mul_matrices = np.array(powers)
+        self.trace_vector = np.trace(self.mul_matrices, axis1=1, axis2=2) % q
 
     @property
     def zero(self):
@@ -193,12 +179,18 @@ class _PolyContext:
         """All q^n elements in integer-label order."""
         return [self.element_from_int(v) for v in range(self._q**self._n)]
 
-    def _powers(self, x: _PolyElement, count: int) -> list[_PolyElement]:
-        """x^0, x^1, ..., x^(count-1)."""
-        out = [self.one]
-        for _ in range(count - 1):
-            out.append(out[-1] * x)
-        return out
+    @property
+    def _root(self):
+        """The root of h, reduced: column 0 of C, so X for degree >= 2 and -h_0 for degree 1."""
+        return self._from_vector(self._c[:, 0])
+
+    def _from_vector(self, v: np.ndarray):
+        """The element with coefficient vector v mod q."""
+        return self._element(self, tuple((v % self._q).tolist()))
+
+    def mul_matrix(self, y: _PolyElement) -> np.ndarray:
+        """Matrix M_y over Z_q with vec(y*x) = M_y @ vec(x)."""
+        return np.tensordot(y.coeffs, self.mul_matrices, axes=1) % self._q
 
     def _own(self, x: _PolyElement) -> None:
         if x.ctx is not self:
@@ -212,7 +204,7 @@ class _PolyContext:
     def trace_forms(self, coeffs) -> np.ndarray:
         """Rows u_a with tr(a y) = (u_a, coeffs(y)) mod q, one per row coeffs(a):
         u_a[j] = sum_i a_i tr(X^(i+j)), and row i of t @ M holds tr(X^(i+j))."""
-        return np.asarray(coeffs, dtype=np.int64) @ (self.trace_vector @ np.array(self.mul_matrices)) % self._q
+        return np.asarray(coeffs, dtype=np.int64) @ (self.trace_vector @ self.mul_matrices) % self._q
 
 
 class GfElement(_PolyElement):
@@ -240,12 +232,13 @@ class GfContext(_PolyContext):
     _element = GfElement
 
     def __init__(self, p: int, k: int):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if k < 1:
             raise ValueError("extension degree k must be >= 1")
-        if p**k > _SIZE_CAP:
-            raise ValueError(f"p^k = {p**k} exceeds the 2^16 size cap")
+        big_k = k >= SIZE_CAP.bit_length()
+        if p >= 2 and (big_k or p**k > SIZE_CAP):  # before the primality test, which is slow on a huge p
+            raise ValueError(f"p^k = {f'{p}^{k}' if big_k else p**k} exceeds the 2^16 size cap")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         self.p = p
         self.k = k
         self.order = p**k
@@ -260,15 +253,7 @@ class GfContext(_PolyContext):
                 return h
         raise RuntimeError(f"no primitive polynomial of degree {k} over F_{p}")  # pragma: no cover
 
-    @property
-    def xi(self) -> GfElement:
-        """The root of h, reduced (equals X for k >= 2, -h_0 for k = 1)."""
-        return GfElement(self, _root_coeffs(self.h, self.p))
-
-    def mul_matrix(self, y: GfElement) -> np.ndarray:
-        """Matrix M_y over F_p with vec(y*x) = M_y @ vec(x)."""
-        acc = sum(c * m for c, m in zip(y.coeffs, self.mul_matrices))
-        return np.asarray(acc % self.p, dtype=np.int64)
+    xi = _PolyContext._root
 
 
 def gf_gauss_sum(ctx: GfContext, a: GfElement) -> complex:
@@ -296,10 +281,8 @@ class GrContext(_PolyContext):
     _element = GrElement
 
     def __init__(self, m: int):
-        if m < 1:
-            raise ValueError("degree m must be >= 1")
-        if 4**m > _SIZE_CAP:
-            raise ValueError(f"4^m = {4**m} exceeds the 2^16 size cap")
+        if not 1 <= m <= 8:
+            raise ValueError(f"degree m = {m} outside 1..8 (4^m <= 2^16, the size cap)")
         self.m = m
         super().__init__(4, m, self._find_basic_primitive(m), f"GR(4^{m})")
         self.teichmuller = self._build_teichmuller()
@@ -317,12 +300,13 @@ class GrContext(_PolyContext):
                 return h
         raise RuntimeError(f"no basic primitive lift found for m = {m}")  # pragma: no cover
 
-    @property
-    def x(self) -> GrElement:
-        return GrElement(self, _root_coeffs(self.h, 4))
+    x = _PolyContext._root
 
     def _build_teichmuller(self) -> list[GrElement]:
-        out = [self.zero] + self._powers(self.x, 2**self.m - 1)
+        out, col = [self.zero], np.array(self.one.coeffs)
+        for _ in range(2**self.m - 1):  # X^t = C^t coeffs(1)
+            out.append(self._from_vector(col))
+            col = self._c @ col % 4
         if len({e.coeffs for e in out}) != 2**self.m:
             raise RuntimeError("Teichmuller set has repeated elements")  # pragma: no cover
         return out

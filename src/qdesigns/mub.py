@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_algebra import GfContext, GrContext, I_POWERS, is_prime
+from .finite_algebra import SIZE_CAP, GfContext, GrContext, I_POWERS, is_prime
 
 __all__ = [
     "MubFamily",
@@ -70,7 +70,7 @@ def _field_states(p: int, k: int) -> np.ndarray:
     """The GF(p^k) family: e_a[a, x] = tr(a x^2) and e_b[b, x] = tr(b x)."""
     ctx = GfContext(p, k)
     c = np.arange(p**k)[:, None] // p ** np.arange(k) % p  # c[x] = coefficients of element x
-    sq = np.einsum("xi,ijl,xl->xj", c, np.array(ctx.mul_matrices), c) % p  # coefficients of x^2
+    sq = np.einsum("xi,ijl,xl->xj", c, ctx.mul_matrices, c) % p  # coefficients of x^2
     u = ctx.trace_forms(c)  # tr(a y) = u[a] . coeffs(y)
     return _phase_states(np.exp(2j * np.pi / p) ** np.arange(p), u @ sq.T % p, u @ c.T % p)
 
@@ -79,10 +79,10 @@ def mub_prime(p: int) -> MubFamily:
     """States (1/sqrt p) sum_x w_p^(a x^2 + b x)|x> for a, b in F_p, plus the
     computational basis: the GF(p^k) family at k = 1.  Requires an odd prime:
     the quadratic character-sum bound underlying unbiasedness fails in characteristic 2."""
+    if p > PRIME_CAP:  # before the primality test, which is slow on a huge p
+        raise ValueError(f"p = {p} exceeds the supported cap {PRIME_CAP}")
     if p == 2 or not is_prime(p):
         raise ValueError(f"p = {p} must be an odd prime (qubit families come from mub_galois_ring)")
-    if p > PRIME_CAP:
-        raise ValueError(f"p = {p} exceeds the supported cap {PRIME_CAP}")
     return MubFamily(d=p, kind="prime", states=_field_states(p, 1))
 
 
@@ -90,10 +90,12 @@ def mub_prime_power(p: int, k: int) -> MubFamily:
     """States (1/sqrt d) sum_x w_p^tr(a x^2 + b x)|x> over GF(p^k), plus the
     computational basis.  Field elements are ordered by their base-p integer
     label, least-significant coefficient first."""
+    big_k = k >= PRIME_POWER_CAP.bit_length()  # p >= 3 puts p^k past the cap without forming it
+    if k < 1 or p > 2 and (big_k or p**k > PRIME_POWER_CAP):  # before the primality test
+        size = f"{p}^{k}" if big_k else p**k
+        raise ValueError(f"p^k = {size} outside the supported range (k >= 1, p^k <= {PRIME_POWER_CAP})")
     if p == 2 or not is_prime(p):
         raise ValueError(f"p = {p} must be an odd prime")
-    if k < 1 or p**k > PRIME_POWER_CAP:
-        raise ValueError(f"p^k = {p**k} outside the supported range (k >= 1, p^k <= {PRIME_POWER_CAP})")
     return MubFamily(d=p**k, kind="prime_power", states=_field_states(p, k))
 
 
@@ -111,7 +113,10 @@ def mub_galois_ring(n: int) -> MubFamily:
 
 def family_for_dimension(d: int) -> MubFamily:
     """Dispatch on d: qubit construction for powers of two, prime construction
-    for odd primes, field construction for odd prime powers."""
+    for odd primes, field construction for odd prime powers.  d above the
+    2^16 size cap is refused before any search."""
+    if d > SIZE_CAP:
+        raise ValueError(f"dimension {d} exceeds the 2^16 size cap")
     if d >= 2 and d & (d - 1) == 0:
         return mub_galois_ring(d.bit_length() - 1)
     if is_prime(d):

@@ -1,4 +1,5 @@
-"""Random draws and the reader of `emit_circuit`'s text, shared by the tests.
+"""Random draws, the reader of `emit_circuit`'s text and the coefficient-tuple
+arithmetic of Z_q[X]/(h), shared by the tests.
 
 A module of its own, not conftest.py: perfbench/tests has a conftest.py too,
 and `from conftest import ...` would find that one when both trees are collected
@@ -42,3 +43,82 @@ def parse_circuit(text: str) -> Circuit:
             gate = Gate(kind, targets, controls, num=int(num), den=int(den))
         circuit.append(gate)
     return circuit
+
+
+# --- Z_q[X]/(h) on coefficient tuples, least-significant first; h holds the low
+# coefficients (h_0, ..., h_{k-1}) of a monic h.  The oracle for finite_algebra,
+# which multiplies by the companion matrix of h instead. ---
+
+def poly_mul_mod(x: tuple, y: tuple, h: tuple, q: int) -> tuple:
+    """x y mod (h, q) by schoolbook product and reduction with X^k = -(h_0 + ... + h_{k-1} X^{k-1})."""
+    k = len(h)
+    prod = [0] * (2 * k - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            prod[i + j] = (prod[i + j] + xi * yj) % q
+    for deg in range(2 * k - 2, k - 1, -1):
+        c, prod[deg] = prod[deg], 0
+        for j in range(k):
+            prod[deg - k + j] = (prod[deg - k + j] - c * h[j]) % q
+    return tuple(prod[:k])
+
+
+def poly_pow_mod(x: tuple, e: int, h: tuple, q: int) -> tuple:
+    """x^e mod (h, q) for e >= 0 by square and multiply."""
+    acc = (1,) + (0,) * (len(h) - 1)
+    while e:
+        if e & 1:
+            acc = poly_mul_mod(acc, x, h, q)
+        x = poly_mul_mod(x, x, h, q)
+        e >>= 1
+    return acc
+
+
+def poly_root(h: tuple, q: int) -> tuple:
+    """The root of h, reduced: X for degree >= 2, the constant -h_0 for degree 1."""
+    return ((-h[0]) % q,) if len(h) == 1 else (0, 1) + (0,) * (len(h) - 2)
+
+
+def _prime_factors(n: int) -> list:
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    return out + [n] * (n > 1)
+
+
+def poly_root_has_order(h: tuple, q: int, order: int) -> bool:
+    """X^order = 1 and X^(order/r) != 1 for every prime factor r of order."""
+    one = (1,) + (0,) * (len(h) - 1)
+    powers = [poly_pow_mod(poly_root(h, q), order // r, h, q) for r in [1, *_prime_factors(order)]]
+    return powers[0] == one and one not in powers[1:]
+
+
+def poly_gf_h(p: int, k: int) -> tuple:
+    """The smallest monic primitive h of degree k over F_p, by base-p integer of its low coefficients."""
+    for value in range(p**k):
+        h = tuple(value // p**i % p for i in range(k))
+        if poly_root_has_order(h, p, p**k - 1):
+            return h
+    raise AssertionError(f"no primitive polynomial of degree {k} over F_{p}")
+
+
+def poly_gr_h(m: int) -> tuple:
+    """The smallest lift to Z_4, by base-4 integer, of poly_gf_h(2, m) whose root has order 2^m - 1."""
+    base = poly_gf_h(2, m)
+    lifts = [tuple(c + 2 * (mask >> i & 1) for i, c in enumerate(base)) for mask in range(2**m)]
+    return next(h for h in sorted(lifts, key=lambda h: sum(c * 4**i for i, c in enumerate(h)))
+                if poly_root_has_order(h, 4, 2**m - 1))
+
+
+def poly_tables(h: tuple, q: int) -> tuple:
+    """(mul_matrices, trace_vector) of Z_q[X]/(h): column j of M_{X^i} is X^(i+j) mod h."""
+    k = len(h)
+    powers = [(1,) + (0,) * (k - 1)]
+    for _ in range(2 * k - 2):
+        powers.append(poly_mul_mod(powers[-1], poly_root(h, q), h, q))
+    mul = np.array([np.array(powers[i:i + k], dtype=np.int64).T for i in range(k)])
+    return mul, np.trace(mul, axis1=1, axis2=2) % q

@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, determinism, and output formats."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -16,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdesigns.channels
+import qdesigns.circuits
 import qdesigns.cli
+import qdesigns.finite_algebra
 import qdesigns.mub
 import qdesigns.twirl
 from qdesigns.channels import channel_to_json, depolarizing
@@ -356,6 +359,60 @@ def test_family_caps_exit_2(capsys, no_numpy, argv, message):
     no_numpy(qdesigns.mub)
     code, stdout, err = run(capsys, argv.split())
     assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
+def _refused(what):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} ran before the cap check")
+    return fail
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("mub --prime 2305843009213693951", "p = 2305843009213693951 exceeds the supported cap 127"),
+    ("mub --prime-power 3 100000000", "p^k = 3^100000000 outside the supported range (k >= 1, p^k <= 128)"),
+    ("mub --prime-power 2305843009213693951 1",
+     "p^k = 2305843009213693951 outside the supported range (k >= 1, p^k <= 128)"),
+    ("design state --d 100000000", "dimension 100000000 exceeds the 2^16 size cap"),
+    ("emit --mub-circuit --prime-power 2305843009213693951 1", "p^k = 2305843009213693951 exceeds the 2^16 size cap"),
+    ("emit --mub-circuit --prime-power 3 100000000", "p^k = 3^100000000 exceeds the 2^16 size cap"),
+    ("emit --mub-circuit --p 2305843009213693951", "p = 2305843009213693951 exceeds the 2^16 size cap"),
+    ("emit --mub-circuit --p 999999999989", "p = 999999999989 exceeds the 2^16 size cap"),
+    ("emit --mub-circuit --p 5 --n 100000", "a register of 100001 qubits exceeds the emit cap 64"),
+    ("emit --mub-circuit --p 5 --n 64", "a register of 65 qubits exceeds the emit cap 64"),
+    ("emit --parity 0,99999999", "a register of 100000000 qubits exceeds the emit cap 64"),
+    ("emit --parity 64,0", "a register of 65 qubits exceeds the emit cap 64"),
+])
+def test_size_and_register_caps_exit_2_before_any_primality_test_or_gate(capsys, monkeypatch, no_numpy, argv,
+                                                                         message):
+    for module in (qdesigns.mub, qdesigns.circuits, qdesigns.finite_algebra):
+        monkeypatch.setattr(module, "is_prime", _refused("a primality test"))
+        no_numpy(module)
+    monkeypatch.setattr(qdesigns.circuits, "Circuit", _refused("a circuit"))
+    code, stdout, err = run(capsys, argv.split())
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,gates", [("emit --mub-circuit --p 5 --n 63", 2208), ("emit --parity 63,0", 1)])
+def test_a_register_at_the_emit_cap_is_written(capsys, argv, gates):
+    code, stdout, err = run(capsys, argv.split())
+    circuit = parse_circuit(stdout)
+    assert (code, err, circuit.n, circuit.gate_count) == (0, "", 64, gates)
+
+
+# sha256 of `emit --mub-circuit --prime-power P K --a 1 --b 1` stdout, fixed when field products
+# were tuple-polynomial loops; the companion-matrix rule must reproduce every byte
+EMIT_PRIME_POWER_SHA256 = {
+    (3, 9): "108221fa3b03c4dcdfa685c44831730cde5748239e432669d1d5b397dde54553",
+    (7, 5): "ee2e11509cfe5bba713ad1dc348a1d2ef865f5fc2dcd138eecd34b1b7d814c3b",
+    (251, 2): "853f642fd6f68993a066070b019924c128ceb2b769d30b3da0339e93efbd3508",
+}
+
+
+@pytest.mark.parametrize("p,k", EMIT_PRIME_POWER_SHA256)
+def test_emit_prime_power_circuit_bytes_are_pinned(capsys, p, k):
+    code, stdout, err = run(capsys, ["emit", "--mub-circuit", "--prime-power", str(p), str(k), "--a", "1", "--b", "1"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == EMIT_PRIME_POWER_SHA256[p, k]
 
 
 def test_exact_chain_cap_exits_2(capsys, no_numpy):

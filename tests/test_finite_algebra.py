@@ -12,7 +12,10 @@ from qdesigns.finite_algebra import (
     GrContext,
     gf_gauss_sum,
     gr_exponential_sum,
+    is_prime,
 )
+
+from helpers import poly_gf_h, poly_gr_h, poly_mul_mod, poly_pow_mod, poly_root, poly_tables
 
 TOL = 1e-9
 
@@ -321,3 +324,74 @@ def test_negative_powers_invert_in_gf_and_are_rejected_in_gr():
     with pytest.raises(ValueError):
         gr.x ** -1
     assert gr.x**0 == gr.one
+
+
+# --- the companion-matrix rule against the coefficient-tuple oracle in helpers ---
+
+ODD_FIELDS = [(p, k) for p in range(3, 128, 2) if is_prime(p) for k in range(1, 8) if p**k <= 128]
+ORACLE_FIELDS = ODD_FIELDS + [(2, k) for k in range(1, 8)] + [(3, 10), (251, 2)]  # the last two at the 2^16 cap
+
+
+@pytest.mark.parametrize("p,k", ORACLE_FIELDS)
+def test_gf_context_matches_the_tuple_oracle(p, k):
+    ctx = GfContext(p, k)
+    h = poly_gf_h(p, k)
+    mul, trace_vector = poly_tables(h, p)
+    assert ctx.h == h
+    assert ctx.mul_matrices.dtype == mul.dtype and np.array_equal(ctx.mul_matrices, mul)
+    assert ctx.trace_vector.dtype == trace_vector.dtype and np.array_equal(ctx.trace_vector, trace_vector)
+    assert ctx.xi.coeffs == poly_root(h, p)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_gr_context_matches_the_tuple_oracle(m):
+    ctx = GrContext(m)
+    h = poly_gr_h(m)
+    mul, trace_vector = poly_tables(h, 4)
+    assert ctx.h == h
+    assert ctx.mul_matrices.dtype == mul.dtype and np.array_equal(ctx.mul_matrices, mul)
+    assert ctx.trace_vector.dtype == trace_vector.dtype and np.array_equal(ctx.trace_vector, trace_vector)
+    teich = [(0,) * m, (1,) + (0,) * (m - 1)]
+    for _ in range(2**m - 2):
+        teich.append(poly_mul_mod(teich[-1], poly_root(h, 4), h, 4))
+    assert [t.coeffs for t in ctx.teichmuller] == teich
+    assert ctx.x.coeffs == poly_root(h, 4)
+
+
+@pytest.mark.parametrize("make", [lambda: GfContext(3, 4), lambda: GfContext(7, 2), lambda: GfContext(61, 1),
+                                  lambda: GfContext(3, 10), lambda: GfContext(251, 2)],
+                         ids=["gf81", "gf49", "gf61", "gf3^10", "gf251^2"])
+def test_gf_products_powers_and_inverses_match_the_tuple_oracle(make):
+    ctx = make()
+    rng = np.random.default_rng(28)
+    for _ in range(40):
+        x, y = (ctx.element_from_int(int(v)) for v in rng.integers(ctx.order, size=2))
+        e = int(rng.integers(3 * ctx.order))
+        assert (x * y).coeffs == poly_mul_mod(x.coeffs, y.coeffs, ctx.h, ctx.p)
+        assert (x**e).coeffs == poly_pow_mod(x.coeffs, e, ctx.h, ctx.p)
+        if any(x.coeffs):
+            inverse = poly_pow_mod(x.coeffs, ctx.order - 2, ctx.h, ctx.p)
+            assert x.inverse().coeffs == inverse
+            assert (x**-e).coeffs == poly_pow_mod(inverse, e, ctx.h, ctx.p)
+
+
+@pytest.mark.parametrize("m", [2, 3, 6, 8])
+def test_gr_products_powers_and_two_adic_match_the_tuple_oracle(m):
+    ctx = GrContext(m)
+    rng = np.random.default_rng(28)
+    for _ in range(40):
+        x, y = (ctx.element_from_int(int(v)) for v in rng.integers(4**m, size=2))
+        e = int(rng.integers(3 * 4**m))
+        assert (x * y).coeffs == poly_mul_mod(x.coeffs, y.coeffs, ctx.h, 4)
+        assert (x**e).coeffs == poly_pow_mod(x.coeffs, e, ctx.h, 4)
+        # c = a + 2b: a = c^(2^m), b = ((c - a)/2)^(2^m)
+        a = poly_pow_mod(x.coeffs, 2**m, ctx.h, 4)
+        half = tuple((c - t) % 4 // 2 for c, t in zip(x.coeffs, a))
+        assert tuple(t.coeffs for t in ctx.two_adic(x)) == (a, poly_pow_mod(half, 2**m, ctx.h, 4))
+
+
+def test_gr_context_size_cap():
+    for m in (0, 9, 10**8):  # 10^8: refused without forming 4^m
+        with pytest.raises(ValueError, match=f"degree m = {m} outside 1..8"):
+            GrContext(m)
+    assert GrContext(8).mul_matrices.shape == (8, 8, 8)
