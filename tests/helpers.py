@@ -1,5 +1,5 @@
-"""Random draws, the reader of `emit_circuit`'s text and the coefficient-tuple
-arithmetic of Z_q[X]/(h), shared by the tests.
+"""Random draws, the reader of `emit_circuit`'s text, the coefficient-tuple
+arithmetic of Z_q[X]/(h) and the sampled state-design rule, shared by the tests.
 
 A module of its own, not conftest.py: perfbench/tests has a conftest.py too,
 and `from conftest import ...` would find that one when both trees are collected
@@ -10,6 +10,7 @@ import numpy as np
 
 from qdesigns.circuits import Circuit, Gate
 from qdesigns.linalg import hermitian_eig, random_complex_matrix
+from qdesigns.mub import MubFamily, state_design_sum
 
 
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -23,6 +24,20 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     _, v = hermitian_eig(random_hermitian(rng, d))
     phases = np.exp(2j * np.pi * rng.random(d))
     return v * phases
+
+
+def sampled_state_design_deviation(family: MubFamily, rounds: int, seed: int) -> float:
+    """The sampled rule that `design state` used before it read the frame potential:
+    the worst relative gap of `state_design_sum` to tr(MN) + tr M tr N over `rounds`
+    seeded Gaussian (M, N) pairs."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(rounds):
+        m = random_complex_matrix(rng, family.d)
+        n = random_complex_matrix(rng, family.d)
+        want = np.trace(m @ n) + np.trace(m) * np.trace(n)
+        worst = max(worst, abs(state_design_sum(family, m, n) - want) / max(abs(want), 1.0))
+    return worst
 
 
 def parse_circuit(text: str) -> Circuit:

@@ -44,7 +44,7 @@ from qdesigns.twirl import (
 )
 from qdesigns.twirl import (
     _ROUND, _THIRDS, _controls, _count_round, _draw, _exact_chain, _fan_in_move, _from_label_int, _mc_rounds,
-    _move, _pauli_stack, _perm_table, _place, _push, _to_label_int,
+    _move, _pauli_stack, _perm_table, _place, _push, _round_gates, _to_label_int,
 )
 
 from helpers import random_unitary
@@ -613,6 +613,40 @@ def test_markov_step_matches_sampled_circuit_ensemble():
     empirical = counts / trials
     exact = markov_transition_matrix(n)[:, start.to_int()]
     assert np.abs(empirical - exact).sum() < 0.03
+
+
+def _round_ensemble(n):
+    """Every (weight, choices) of one round: a uniform subset mask, then each
+    _ROUND step's exponent or coin on each of its qubits."""
+    def outcomes(law):
+        return [(e, 1 / 3) for e in range(3)] if law == _THIRDS else [(True, law), (False, 1 - law)]
+
+    steps = [list(itertools.product(outcomes(law), repeat=n - 1 if "o" in roles else 1)) for _, roles, law in _ROUND]
+    for mask in range(1, 2**n):
+        for picks in itertools.product(*steps):
+            draws = [np.array([v for v, _ in pick]) if "o" in roles else pick[0][0]
+                     for pick, (_, roles, _) in zip(picks, _ROUND)]
+            yield math.prod(w for pick in picks for _, w in pick) / (2**n - 1), (mask, draws)
+
+
+def test_gate_ensemble_frame_potential_is_the_chain_gap():
+    """Phi = E[V (x) V (x) V* (x) V*] over k rounds of the sampled gates after a Pauli
+    twirl has F_2 = ||Phi||_F^2 = 2 + ||P^k - U||_F^2 on the non-identity labels,
+    U the uniform matrix: the gates' law is the label chain."""
+    n = 2
+
+    def fourfold(u):
+        uu = np.kron(u, u)
+        return np.kron(uu, uu.conj())
+
+    ensemble = list(_round_ensemble(n))
+    assert len(ensemble) == 648 and abs(sum(w for w, _ in ensemble) - 1) < 1e-12
+    phi_round = sum(w * fourfold(circuit_unitary(Circuit(n, 2, _round_gates(n, choices)))) for w, choices in ensemble)
+    phi = sum(map(fourfold, _pauli_stack(2, n))) / 4**n
+    for k in range(1, 4):
+        phi = phi_round @ phi
+        gap = np.sum((np.linalg.matrix_power(markov_transition_matrix(n), k)[1:, 1:] - 1 / (4**n - 1)) ** 2)
+        assert gap > 1e-4 and abs(np.sum(np.abs(phi) ** 2) - 2 - gap) < 1e-12
 
 
 def test_mc_convergence_matches_exact_chain():
