@@ -12,14 +12,16 @@ whose bit q is the X and the Z part on qubit q.  An H, S, T or CNOT is then a
 few bit operations, so one function (_move) moves a single label or a whole
 array of labels.  A round's parity fan-in onto its control is one closed form,
 _fan_in_move, and the table _ROUND describes the steps after it.  The gate
-sampler reads _ROUND directly; the exact Markov chain and the Monte-Carlo
-round read one set of permutation tables built from _fan_in_move, _ROUND and
-_move (_round_tables), which push a distribution or a histogram of samples.
-Every step after the fan-in depends only on the control, so both sum the
-subset masks that share a control first (_fan_in) and walk the steps once
-per control.  The tables stop at n = EXACT_CHAIN_CAP (about 0.6 MB of int16
-there); above it the Monte-Carlo round moves each sample's packed int16 masks
-with _fan_in_move and then _move, one step at a time.
+sampler reads _ROUND directly.  Up to n = EXACT_CHAIN_CAP one round walk,
+_count_round, moves a label histogram through permutation tables built from
+_fan_in_move, _ROUND and _move (_round_tables): it splits each count by
+multinomial and binomial draws for the Monte-Carlo round, and with every draw
+replaced by its mean (_MEAN) it is the exact Markov chain.  Every step after
+the fan-in depends only on the control, so the round sums the subset masks
+that share a control first (_fan_in) and walks the steps once per control.
+The tables stop at the cap (about 0.6 MB of int16 there); above it the
+Monte-Carlo round moves each sample's packed int16 masks with _fan_in_move
+and then _move, one step at a time.
 
 Twirling always means averaging U^dag Lambda(U X U^dag) U over the set, and
 _group_average is the one such sum; every set used here (Pauli group, Clifford
@@ -56,7 +58,6 @@ __all__ = [
     "unitary_1design_check",
     "conjugate_label",
     "sample_twirl_circuit",
-    "twirl_markov_step",
     "markov_transition_matrix",
     "ideal_good_case_distribution",
     "l1_to_uniform",
@@ -470,7 +471,7 @@ def sample_twirl_circuit(n: int, rounds: int, rng: np.random.Generator) -> Twirl
     return TwirlSample(circuit=circuit, random_bits_used=total_bits, rounds=rounds)
 
 
-# --- exact Markov chain over label distributions ----------------------------
+# --- the count round: the Monte-Carlo round, and with mean draws the exact chain ---
 
 EXACT_CHAIN_CAP = 5  # largest n for the exact chain: P is 4^n x 4^n
 
@@ -499,8 +500,8 @@ class _RoundTables(NamedTuple):
 @lru_cache(maxsize=None)
 def _round_tables(n: int) -> _RoundTables:
     """One twirl round as permutation tables over base-4 label ints, built from
-    _fan_in_move, _ROUND and _move; the exact chain and the Monte-Carlo round
-    both read them.
+    _fan_in_move, _ROUND and _move; the count round reads them, with sampled
+    draws for Monte Carlo and with mean draws for the exact chain.
 
     fan_in[m] is the fan-in of subset mask m, built for every mask at once.
     steps[i] holds one stack per qubit q for an "o" step (q ascending) and a
@@ -529,27 +530,6 @@ def _round_tables(n: int) -> _RoundTables:
     return _RoundTables(fan_in, tuple(steps))
 
 
-def _push(dist: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    out = np.empty_like(dist)
-    out[perm] = dist
-    return out
-
-
-def _step2_push(dist: np.ndarray, n: int, control: int) -> np.ndarray:
-    """Exact image of label distributions (along axis 0) under the _ROUND
-    steps for a fixed control."""
-    for (_, roles, law), stacks in zip(_ROUND, _round_tables(n).steps):
-        for q, stack in enumerate(stacks):
-            if "o" in roles and q == control:
-                continue  # the identity: the "o" qubit is the control
-            powers = stack[control]
-            if law == _THIRDS:
-                dist = (dist + _push(dist, powers[1]) + _push(dist, powers[2])) / 3
-            else:
-                dist = (1 - law) * dist + law * _push(dist, powers[1])
-    return dist
-
-
 def _fan_in(parts, n: int):
     """Yield, for each control c in turn, the sum over the subset masks m with
     control c of parts[m - 1] pushed through m's fan-in (along axis 0).  Every
@@ -562,6 +542,59 @@ def _fan_in(parts, n: int):
         yield cell
 
 
+def _count_round(counts: np.ndarray, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Apply one round to the (4^n, *S) label histogram of independent samples
+    from S sources, and count per source the samples whose control carries X
+    or Y after the fan-in.  The samples are exchangeable, so their draws are
+    splits of a count: a multinomial over the subset masks, then _round_steps.
+    That has the law of the per-sample round at a cost set by n alone,
+    O((2^n + n^2) 4^n) per source; with rng = _MEAN it is the exact chain."""
+    split = rng.multinomial(counts, np.full(2**n - 1, 1.0 / (2**n - 1)))  # (label, *S, mask - 1)
+    cells = np.stack(tuple(_fan_in(np.moveaxis(split, -1, 0), n)))  # cells[c, v]: samples at label v with control c
+    del split
+    x_on_control = (np.arange(4**n) >> 2 * np.arange(n)[:, None]) & 1
+    hits = np.einsum("cv,cv...->...", x_on_control, cells)
+    return _round_steps(cells, n, rng), hits
+
+
+def _round_steps(cells: np.ndarray, n: int, rng) -> np.ndarray:
+    """Move the (control, label, *S) counts `cells` through the _ROUND steps in
+    place, splitting each by one binomial per coin and two per T^e and pushing
+    the parts through the step's table row; return their sum over the controls."""
+    ident = np.arange(4**n)
+    for (_, _, law), stacks in zip(_ROUND, _round_tables(n).steps):
+        for stack in stacks:
+            # split only held cells the step moves: not the identity row of an "o"
+            # step's own qubit, nor the labels its gate fixes (an empty cell draws nothing)
+            held = (cells > 0).reshape(n, 4**n, -1).any(axis=-1)
+            rows, labels = np.nonzero((stack[:, 1] != ident) & held)
+            stay = cells[rows, labels]
+            if law == _THIRDS:
+                once = rng.binomial(stay, 1 / 3)
+                parts = (once, rng.binomial(stay - once, 0.5))
+            else:
+                parts = (rng.binomial(stay, law),)
+            cells[rows, labels] = stay - sum(parts)
+            for times, part in enumerate(parts, start=1):
+                cells[rows, stack[rows, times, labels]] += part
+    return cells.sum(axis=0)
+
+
+class _MeanDraws:
+    """An rng stand-in whose draws are their means.  The count round draws its
+    multinomial over uniform weights only: a read-only view of one mean."""
+
+    def multinomial(self, n, pvals):
+        mean = np.asarray(n, dtype=float) * pvals[0]
+        return np.broadcast_to(mean[..., None], mean.shape + (len(pvals),))
+
+    def binomial(self, n, p):
+        return n * p
+
+
+_MEAN = _MeanDraws()
+
+
 def _check_chain(n: int, k: int = 0) -> None:
     """Reject an exact-chain run outside 2 <= n <= EXACT_CHAIN_CAP or with k
     outside 0 <= k <= _ROUNDS_CAP rounds."""
@@ -570,16 +603,7 @@ def _check_chain(n: int, k: int = 0) -> None:
         raise ValueError(f"exact chain capped at n <= {EXACT_CHAIN_CAP}")
 
 
-def twirl_markov_step(dist: np.ndarray, n: int) -> np.ndarray:
-    """Exact one-round pushforward of a distribution over qubit Pauli labels
-    under the randomized twirl (uniform over the 2^n - 1 subset choices)."""
-    _check_chain(n)
-    dist = np.asarray(dist, dtype=float)
-    if dist.shape != (4**n,):
-        raise ValueError(f"distribution length {dist.shape} != 4^{n}")
-    if dist.min() < -1e-12 or abs(dist.sum() - 1) > 1e-8:
-        raise ValueError("input is not a probability distribution")
-    return markov_transition_matrix(n) @ dist
+_CHAIN_BLOCK = 32  # sources per count round of P: 1.3 MB of cells at n = 5, 42 MB for all 4^n
 
 
 @lru_cache(maxsize=None)
@@ -587,8 +611,8 @@ def markov_transition_matrix(n: int) -> np.ndarray:
     """Column-stochastic matrix P with P[:, v] the one-round image of the
     point mass at label v, built once per n and shared read-only."""
     _check_chain(n)
-    cells = _fan_in([np.eye(4**n)] * (2**n - 1), n)  # one at a time: all n at once peak near 0.1 GB at n = 5
-    p = sum(_step2_push(cell, n, c) for c, cell in enumerate(cells)) / (2**n - 1)
+    eye = np.eye(4**n)
+    p = np.hstack([_count_round(eye[:, i:i + _CHAIN_BLOCK], n, _MEAN)[0] for i in range(0, 4**n, _CHAIN_BLOCK)])
     p.flags.writeable = False
     return p
 
@@ -599,10 +623,11 @@ def _exact_chain(n: int, k: int) -> tuple[list[float], np.ndarray]:
     the final (4^n, 4^n - 1) stack whose column v - 1 started at label v."""
     p = markov_transition_matrix(n)
     dists = np.eye(4**n, 4**n - 1, k=-1)
-    l1 = [max(map(l1_to_uniform, dists.T))]
+    # each source's rest made contiguous, so it sums as l1_to_uniform's does
+    l1 = [float(_l1_split(dists[0], dists[1:].T.copy()).max())]
     for _ in range(k):
         dists = p @ dists
-        l1.append(max(map(l1_to_uniform, dists.T)))
+        l1.append(float(_l1_split(dists[0], dists[1:].T.copy()).max()))
     return l1, dists
 
 
@@ -614,9 +639,9 @@ def ideal_good_case_distribution(n: int) -> tuple[np.ndarray, np.ndarray]:
     and I/Z elsewhere, so ||u - q||_1 = 2 (2^(n-1) - 1) / (4^n - 1).
     """
     _check_chain(n)
-    start = np.zeros(4**n)
-    start[1] = 1  # X on qubit 0
-    exact = _step2_push(start, n, control=0)
+    start = np.zeros((n, 4**n))
+    start[0, 1] = 1  # X on qubit 0, with qubit 0 the control
+    exact = _round_steps(start, n, _MEAN)
     support = exact > 1e-15
     ideal = np.where(support, 1.0 / support.sum(), 0.0)
     return exact, ideal
@@ -625,15 +650,16 @@ def ideal_good_case_distribution(n: int) -> tuple[np.ndarray, np.ndarray]:
 def l1_to_uniform(dist: np.ndarray) -> float:
     """l1 distance to the uniform distribution over non-identity labels."""
     dist = np.asarray(dist, dtype=float)
-    return _l1_split(dist[0], dist[1:].copy())
+    return float(_l1_split(dist[0], dist[1:].copy()))
 
 
-def _l1_split(identity: float, rest: np.ndarray) -> float:
+def _l1_split(identity, rest: np.ndarray):
     """l1_to_uniform of the distribution (identity, *rest), computed in the
-    float array rest, which it overwrites."""
-    rest -= 1.0 / rest.size
+    float array rest, which it overwrites; a stack of them along rest's last
+    axis gives one distance per row."""
+    rest -= 1.0 / rest.shape[-1]
     np.abs(rest, out=rest)
-    return float(abs(identity) + rest.sum())
+    return np.abs(identity) + rest.sum(axis=-1)
 
 
 def epsilon0(n: int) -> float:
@@ -662,43 +688,6 @@ def step1_success_probability(label: PauliLabel) -> float:
 
 
 # --- vectorized Monte-Carlo convergence --------------------------------------
-
-def _count_round(counts: np.ndarray, n: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Apply one sampled round to the (4^n,) int64 label histogram of
-    independent samples, drawing fresh randomness per sample.
-
-    Returns the new histogram and the number of samples whose control qubit
-    carries X or Y after the fan-in.  The samples are exchangeable, so their
-    draws are made as splits of a count: a multinomial over the subset masks
-    for the fan-in, then per _ROUND step one binomial of each (control, label)
-    cell per coin and two per T^e, each part pushed through the step's table
-    row.  Every output has the law of the per-sample round, at a cost set by
-    n alone, O((2^n + n^2) 4^n), whatever the sample count.
-    """
-    size = 4**n
-    split = rng.multinomial(counts, np.full(2**n - 1, 1.0 / (2**n - 1)))  # (label, mask - 1)
-    cells = np.stack(tuple(_fan_in(split.T, n)))  # cells[c, v]: samples at label v with control c
-    del split
-    x_on_control = (np.arange(size) >> 2 * np.arange(n)[:, None]) & 1
-    hits = (cells * x_on_control).sum()
-
-    ident = np.arange(size)
-    for (_, _, law), stacks in zip(_ROUND, _round_tables(n).steps):
-        for stack in stacks:
-            # split only held cells the step moves: not the identity row of an "o"
-            # step's own qubit, nor the labels its gate fixes (an empty cell draws nothing)
-            rows, labels = np.nonzero((stack[:, 1] != ident) & (cells > 0))
-            stay = cells[rows, labels]
-            if law == _THIRDS:
-                once = rng.binomial(stay, 1 / 3)
-                parts = (once, rng.binomial(stay - once, 0.5))
-            else:
-                parts = (rng.binomial(stay, law),)
-            cells[rows, labels] = stay - sum(parts)
-            for times, part in enumerate(parts, start=1):
-                cells[rows, stack[rows, times, labels]] += part
-    return cells.sum(axis=0), hits
-
 
 def _mc_round_packed(v: np.ndarray, n: int, rng: np.random.Generator) -> float:
     """One sampled round applied in place to the label ints v above
@@ -813,7 +802,7 @@ def mc_convergence_curve(
     if start is None:
         start = PauliLabel(2, n, (1,) + (0,) * (n - 1), (0,) * n)
     # the uniform weights, then the null counts, are freed as soon as they are used
-    floor = _l1_split(0.0, rng.multinomial(samples, np.full(4**n - 1, 1.0 / (4**n - 1))) / samples)
+    floor = float(_l1_split(0.0, rng.multinomial(samples, np.full(4**n - 1, 1.0 / (4**n - 1))) / samples))
     counts = np.zeros(4**n, dtype=np.int64)
     counts[start.to_int()] = samples
     rounds = _mc_rounds(counts, n, k, rng)
@@ -821,7 +810,7 @@ def mc_convergence_curve(
     curve = []
     for step, (counts, success) in enumerate(rounds, start=1):
         dist = counts / samples
-        raw = _l1_split(dist[0], dist[1:])
+        raw = float(_l1_split(dist[0], dist[1:]))
         del counts, dist  # freed before the next round's histogram
         curve.append(
             {

@@ -1,5 +1,6 @@
-"""Random draws, the reader of `emit_circuit`'s text, the coefficient-tuple
-arithmetic of Z_q[X]/(h) and the sampled state-design rule, shared by the tests.
+"""Random draws, the push of a distribution through a label permutation, the
+reader of `emit_circuit`'s text, the coefficient-tuple arithmetic of Z_q[X]/(h)
+and the sampled state-design rule, shared by the tests.
 
 A module of its own, not conftest.py: perfbench/tests has a conftest.py too,
 and `from conftest import ...` would find that one when both trees are collected
@@ -38,6 +39,13 @@ def sampled_state_design_deviation(family: MubFamily, rounds: int, seed: int) ->
         want = np.trace(m @ n) + np.trace(m) * np.trace(n)
         worst = max(worst, abs(state_design_sum(family, m, n) - want) / max(abs(want), 1.0))
     return worst
+
+
+def push(dist: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The image of distributions (along axis 0) under the label permutation perm."""
+    out = np.empty_like(dist)
+    out[perm] = dist
+    return out
 
 
 def parse_circuit(text: str) -> Circuit:
