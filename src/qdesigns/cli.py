@@ -182,7 +182,7 @@ def cmd_twirl(args) -> int:
     twirl._check_rounds(args.n, args.k)
     if args.exact:
         _not_read(args, "--exact", ("samples", "seed"))
-        l1 = twirl._exact_chain(args.n, args.k)[0][1:]
+        l1 = twirl._exact_chain(args.n, args.k)[1:]
     else:
         samples = 100_000 if args.samples is None else args.samples
         curve = twirl.mc_convergence_curve(args.n, args.k, samples, np.random.default_rng(args.seed or 0))

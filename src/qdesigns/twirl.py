@@ -617,10 +617,9 @@ def markov_transition_matrix(n: int) -> np.ndarray:
     return p
 
 
-def _exact_chain(n: int, k: int) -> tuple[list[float], np.ndarray]:
+def _exact_chain(n: int, k: int) -> list[float]:
     """Push every non-identity point mass through k rounds of the exact chain:
-    the l1 gap to uniform after rounds 0..k, maximized over the sources, and
-    the final (4^n, 4^n - 1) stack whose column v - 1 started at label v."""
+    the l1 gap to uniform after rounds 0..k, maximized over the sources."""
     p = markov_transition_matrix(n)
     dists = np.eye(4**n, 4**n - 1, k=-1)
     # each source's rest made contiguous, so it sums as l1_to_uniform's does
@@ -628,7 +627,7 @@ def _exact_chain(n: int, k: int) -> tuple[list[float], np.ndarray]:
     for _ in range(k):
         dists = p @ dists
         l1.append(float(_l1_split(dists[0], dists[1:].T.copy()).max()))
-    return l1, dists
+    return l1
 
 
 def ideal_good_case_distribution(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -776,6 +775,13 @@ def _check_mc(n: int, k: int, samples: int) -> None:
         raise ValueError(f"the Monte-Carlo twirl is capped at --samples <= {_MC_SAMPLES_CAP}, got {samples}")
 
 
+def _noise_floor(n: int, samples: int, rng: np.random.Generator) -> float:
+    """l1_to_uniform of one exact-uniform multinomial draw of `samples`
+    non-identity labels: the floor that sampling noise puts under a plug-in l1."""
+    # the uniform weights, then the null counts, are freed as soon as they are used
+    return float(_l1_split(0.0, rng.multinomial(samples, np.full(4**n - 1, 1.0 / (4**n - 1))) / samples))
+
+
 def mc_convergence_curve(
     n: int,
     k: int,
@@ -801,8 +807,7 @@ def mc_convergence_curve(
     _check_mc(n, k, samples)
     if start is None:
         start = PauliLabel(2, n, (1,) + (0,) * (n - 1), (0,) * n)
-    # the uniform weights, then the null counts, are freed as soon as they are used
-    floor = float(_l1_split(0.0, rng.multinomial(samples, np.full(4**n - 1, 1.0 / (4**n - 1))) / samples))
+    floor = _noise_floor(n, samples, rng)
     counts = np.zeros(4**n, dtype=np.int64)
     counts[start.to_int()] = samples
     rounds = _mc_rounds(counts, n, k, rng)
@@ -837,18 +842,25 @@ def approx_twirl_channel(
     trials: int = 0,
     rng: np.random.Generator | None = None,
 ) -> tuple[PauliChannel, float]:
-    """Push a channel's Pauli weights through k twirl rounds and bound the
-    diamond-norm gap to the perfect Clifford twirl.
+    """Push a channel's Pauli weights through k twirl rounds, and return the
+    twirled Pauli channel and its diamond distance to the full Clifford twirl.
 
-    trials = 0 runs the exact chain (n <= EXACT_CHAIN_CAP); otherwise
-    `trials` samples of the non-identity weights, drawn as one multinomial
-    histogram, go through k sampled rounds.
-    Returns the twirled Pauli channel and B(Lambda) (eps0 + eps_k), where
-    eps_k is the realized l1 gap beyond eps0, maximized over source labels in
-    exact mode.  Needs n >= 2, a trace-preserving channel on n qubits, and
-    0 <= k <= 1000 and n <= EXACT_CHAIN_CAP in exact mode; Monte-Carlo mode
-    needs an rng and mc_convergence_curve's bounds on n, k and trials
-    (ValueError otherwise, before the channel is twirled).
+    The full twirl is the depolarizing channel with the same identity weight
+    w_0, so the distance is sum over v != 0 of |w_v - (1 - w_0) / (4^n - 1)|.
+    That sum is the diamond norm of the difference of two Pauli channels: the
+    triangle inequality over the maps rho -> P_v rho P_v gives <=, and the
+    trace norm of the difference's Choi matrix, which is diagonal in the Bell
+    basis, gives >=.
+
+    trials = 0 runs the count round with mean draws (the exact chain, n <=
+    EXACT_CHAIN_CAP) on the non-identity weights.  Otherwise `trials` samples
+    of them, drawn as one multinomial histogram, go through k sampled rounds;
+    the plug-in distance then carries a sampling-noise floor, so (1 - w_0)
+    times one exact-uniform draw's l1 (mc_convergence_curve's floor) is
+    subtracted and the result clamped at 0.  Needs n >= 2, a trace-preserving
+    channel on n qubits, and 0 <= k <= 1000 and n <= EXACT_CHAIN_CAP in exact
+    mode; Monte-Carlo mode needs an rng and mc_convergence_curve's bounds on
+    n, k and trials (ValueError otherwise, before the channel is twirled).
     """
     if trials == 0:
         _check_chain(n, k)
@@ -856,32 +868,24 @@ def approx_twirl_channel(
         _check_mc(n, k, trials)
         if rng is None:
             raise ValueError("Monte-Carlo mode needs an rng")
-    dim = 2**n
-    if ch.dim != dim:
+    if ch.dim != 2**n:
         raise ValueError("channel size disagrees with n")
     if not ch.trace_preserving:
         raise ValueError("the approximate twirl requires a trace-preserving channel")
-    pauli_ch = pauli_twirl(ch)
-    tr_hat, tr_on_id = _kraus_traces(ch)
-    b_lambda = (dim * tr_on_id - tr_hat) / dim**4
-    eps_k = 0.0
+    beta = pauli_twirl(ch).weights
+    rest = 1 - beta[0]
+    weights, floor = np.zeros(4**n), 0.0
     if trials == 0:
-        l1, dists = _exact_chain(n, k)
-        # the identity label is a fixed point, so it keeps its own weight
-        weights = dists @ pauli_ch.weights[1:]
-        weights[0] += pauli_ch.weights[0]
-        eps_k = max(0.0, l1[-1] - epsilon0(n))
-    else:
-        weights = np.zeros(4**n)
-        weights[0] = pauli_ch.weights[0]
-        rest = 1 - pauli_ch.weights[0]
-        if rest > 1e-12:
-            counts = np.concatenate(([0], rng.multinomial(trials, pauli_ch.weights[1:] / rest)))
-            for counts, _ in _mc_rounds(counts, n, k, rng):
-                pass
-            weights[1:] += counts[1:] / trials * rest
-            est = mc_convergence(n, k, trials, rng)
-            eps_k = max(0.0, est["l1"] - epsilon0(n))
-    bound = b_lambda * (epsilon0(n) + eps_k)
-    return PauliChannel(2, n, weights), bound
-
+        weights[1:] = beta[1:]
+        for _ in range(k):
+            weights = _count_round(weights, n, _MEAN)[0]
+    elif rest > 1e-12:
+        counts = np.concatenate(([0], rng.multinomial(trials, beta[1:] / rest)))
+        for counts, _ in _mc_rounds(counts, n, k, rng):
+            pass
+        weights = counts / trials * rest
+        floor = rest * _noise_floor(n, trials, rng)
+    # the identity label is a fixed point, so it keeps its own weight
+    weights[0] = beta[0]
+    distance = float(np.abs(weights[1:] - rest / (4**n - 1)).sum())
+    return PauliChannel(2, n, weights), max(0.0, distance - floor)
