@@ -2,7 +2,11 @@
 
 Exit codes: 0 pass, 1 check failure, 2 usage/config error, each error one
 `error:` line on stderr.  Each subcommand and mode accepts only the options it
-reads.  Every run with the same flags and seed produces byte-identical output.
+reads, except four that old command lines pass and that are accepted but not
+read: `estimate --workers`, `design unitary --seed`, and `design state
+--rounds` and `--seed`.  The check subcommands (`mub`, `verify`, `design`)
+write their PASS/FAIL line or JSON through one writer, _report.  Every run
+with the same flags and seed produces byte-identical output.
 Config files (the `estimate` subcommand) are flat `key=value` text; flags
 override file values.
 """
@@ -40,6 +44,23 @@ def _json_dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+# the text line's short names of two JSON fields
+_TEXT_NAMES = {"max_orthonormality_error": "max_orth_err", "max_unbiasedness_error": "max_unbias_err"}
+
+
+def _report(args, ok: bool, fields: dict, out: str | None = None) -> int:
+    """Write a check's report to `out` or stdout and return its exit code, 0 if ok
+    else 1.  With --json it is `fields` and `ok` as sorted JSON; otherwise one line,
+    PASS or FAIL, then key=value in `fields` order with floats as %.3e."""
+    if args.json:
+        text = _json_dump({**fields, "ok": ok})
+    else:
+        pairs = (f"{_TEXT_NAMES.get(k, k)}={format(v, '.3e') if isinstance(v, float) else v}" for k, v in fields.items())
+        text = " ".join(["PASS" if ok else "FAIL", *pairs])
+    _write(text + "\n", out)
+    return 0 if ok else 1
+
+
 def _not_read(args, mode: str, keys) -> None:
     """Reject any option in `keys` (argparse dests, None unless given) that `mode` does not read."""
     for key in keys:
@@ -57,44 +78,22 @@ def cmd_mub(args) -> int:
     report = mub.verify_unbiased(family, tol=args.tol)
     if args.out:
         mub.export_family(family, args.out)
-    if args.json:
-        print(_json_dump({
-            "d": family.d,
-            "kind": family.kind,
-            "ok": report.ok,
-            "max_orthonormality_error": report.max_orthonormality_error,
-            "max_unbiasedness_error": report.max_unbiasedness_error,
-        }))
-    else:
-        status = "PASS" if report.ok else "FAIL"
-        print(f"{status} d={family.d} kind={family.kind} "
-              f"max_orth_err={report.max_orthonormality_error:.3e} "
-              f"max_unbias_err={report.max_unbiasedness_error:.3e}")
-    return 0 if report.ok else 1
+    return _report(args, report.ok, {"d": family.d, "kind": family.kind,
+                                     "max_orthonormality_error": report.max_orthonormality_error,
+                                     "max_unbiasedness_error": report.max_unbiasedness_error})
 
 
 def cmd_verify(args) -> int:
     family = mub.load_family(args.family)
     report = mub.verify_unbiased(family, tol=args.tol)
     worst = report.worst_unbiasedness_pair if report.max_unbiasedness_error >= report.max_orthonormality_error else report.worst_orthonormality_pair
-    if args.json:
-        text = _json_dump({
-            "d": family.d,
-            "ok": report.ok,
-            "max_orthonormality_error": report.max_orthonormality_error,
-            "max_unbiasedness_error": report.max_unbiasedness_error,
-            "worst_pair": list(map(list, worst)),
-        })
-    else:
-        status = "PASS" if report.ok else "FAIL"
-        text = (f"{status} d={family.d} max_orth_err={report.max_orthonormality_error:.3e} "
-                f"max_unbias_err={report.max_unbiasedness_error:.3e} worst_pair={worst}")
-    _write(text + "\n", args.out)
-    return 0 if report.ok else 1
+    return _report(args, report.ok, {"d": family.d,
+                                     "max_orthonormality_error": report.max_orthonormality_error,
+                                     "max_unbiasedness_error": report.max_unbiasedness_error,
+                                     "worst_pair": worst}, args.out)
 
 
 def cmd_design(args) -> int:
-    results = {}
     if args.which == "state":
         if args.rounds < 1:
             raise ValueError(f"--rounds must be >= 1, got {args.rounds}")
@@ -102,34 +101,24 @@ def cmd_design(args) -> int:
         d = family.d
         sums = mub.t_design_angle_check(family, (1, 2))
         # the state frame potentials are exactly 1/d and 2/(d (d+1)) for a 2-design; np.max keeps a NaN
-        results["max_relative_deviation"] = float(np.max(np.abs(np.multiply(sums, (d, d * (d + 1) / 2)) - 1)))
+        fields = {"max_relative_deviation": float(np.max(np.abs(np.multiply(sums, (d, d * (d + 1) / 2)) - 1)))}
         for k, got, want in zip((1, 2), sums, (1 / d, 2 / (d * (d + 1)))):
-            results[f"angle_sum_error_k{k}"] = abs(got - want)
-        ok = results["max_relative_deviation"] <= args.tol
-    else:
-        if args.cliffords1q:
-            _not_read(args, "--cliffords1q", ("n",))
-            unitaries, power, label = twirl.clifford_group_1q(), 1, "cliffords1q"
-        else:  # the n-qubit Paulis are the n-fold tensor power of the one-qubit set
-            n = 1 if args.n is None else args.n
-            if not 1 <= n <= PAULI_QUBIT_CAP:
-                bound = "n >= 1" if n < 1 else f"n <= {PAULI_QUBIT_CAP}"
-                raise ValueError(f"Pauli stack needs {bound} qudits, got {n}")
-            unitaries, power, label = twirl._pauli_stack(2, 1), n, "paulis"
-        results["set"] = label
-        # a t-design's frame potential is exactly its Haar value, 1 at t = 1 and 2 at t = 2
-        results["max_2design_deviation"] = abs(twirl.frame_potential(unitaries, 2) ** power - 2)
-        results["max_1design_deviation"] = abs(twirl.frame_potential(unitaries, 1) ** power - 1)
-        ok = results["max_2design_deviation"] <= args.tol
-    results["ok"] = ok
-    if args.json:
-        text = _json_dump(results)
-    else:
-        detail = " ".join(f"{k}={v:.3e}" if isinstance(v, float) else f"{k}={v}"
-                          for k, v in results.items() if k != "ok")
-        text = f"{'PASS' if ok else 'FAIL'} {detail}"
-    _write(text + "\n", args.out)
-    return 0 if ok else 1
+            fields[f"angle_sum_error_k{k}"] = abs(got - want)
+        return _report(args, fields["max_relative_deviation"] <= args.tol, fields, args.out)
+    if args.cliffords1q:
+        _not_read(args, "--cliffords1q", ("n",))
+        unitaries, power, label = twirl.clifford_group_1q(), 1, "cliffords1q"
+    else:  # the n-qubit Paulis are the n-fold tensor power of the one-qubit set
+        n = 1 if args.n is None else args.n
+        if not 1 <= n <= PAULI_QUBIT_CAP:
+            bound = "n >= 1" if n < 1 else f"n <= {PAULI_QUBIT_CAP}"
+            raise ValueError(f"Pauli stack needs {bound} qudits, got {n}")
+        unitaries, power, label = twirl._pauli_stack(2, 1), n, "paulis"
+    # a t-design's frame potential is exactly its Haar value, 1 at t = 1 and 2 at t = 2
+    fields = {"set": label,
+              "max_2design_deviation": abs(twirl.frame_potential(unitaries, 2) ** power - 2),
+              "max_1design_deviation": abs(twirl.frame_potential(unitaries, 1) ** power - 1)}
+    return _report(args, fields["max_2design_deviation"] <= args.tol, fields, args.out)
 
 
 def _make_channel(args, sweep=None) -> channels.KrausChannel:

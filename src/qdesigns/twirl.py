@@ -19,7 +19,7 @@ multinomial and binomial draws for the Monte-Carlo round, and with every draw
 replaced by its mean (_MEAN) it is the exact Markov chain.  Every step after
 the fan-in depends only on the control, so the round sums the subset masks
 that share a control first (_fan_in) and walks the steps once per control.
-The tables stop at the cap (about 0.6 MB of int16 there); above it the
+The tables stop at the cap (about 0.3 MB of int16 there); above it the
 Monte-Carlo round moves each sample's packed int16 masks with _fan_in_move
 and then _move, one step at a time.
 
@@ -64,7 +64,6 @@ __all__ = [
     "epsilon0",
     "twirl_bound",
     "step1_success_probability",
-    "mc_convergence",
     "mc_convergence_curve",
     "approx_twirl_channel",
 ]
@@ -476,11 +475,6 @@ def sample_twirl_circuit(n: int, rounds: int, rng: np.random.Generator) -> Twirl
 EXACT_CHAIN_CAP = 5  # largest n for the exact chain: P is 4^n x 4^n
 
 
-def _perm_table(n: int, kind: str, qubits: tuple[int, ...]) -> np.ndarray:
-    xa, xb = _from_label_int(np.arange(4**n, dtype=np.int64), n)
-    return _to_label_int(*_move(kind, xa, xb, qubits), n)
-
-
 def _label_dtype(n: int):
     """The narrowest integer type that holds every label int below 4^n."""
     return np.int16 if 4**n <= 2**15 else np.int32
@@ -494,7 +488,7 @@ def _controls(n: int) -> np.ndarray:
 
 class _RoundTables(NamedTuple):
     fan_in: np.ndarray  # (2^n, 4^n) int16: the parity fan-in of each subset mask
-    steps: tuple  # per _ROUND step, one (control, times, 4^n) int16 stack per qubit
+    steps: tuple  # per _ROUND step, one (control, 4^n) int16 permutation per qubit
 
 
 @lru_cache(maxsize=None)
@@ -504,29 +498,26 @@ def _round_tables(n: int) -> _RoundTables:
     draws for Monte Carlo and with mean draws for the exact chain.
 
     fan_in[m] is the fan-in of subset mask m, built for every mask at once.
-    steps[i] holds one stack per qubit q for an "o" step (q ascending) and a
-    single stack for a "c" step; stack[c, e] is the step's permutation applied
-    e times with control c, the identity where q is c.  The tables take
-    O(n^2 4^n) int16 entries, about 0.6 MB at n = EXACT_CHAIN_CAP, so they
-    stop there.
+    steps[i] holds one table per qubit q for an "o" step (q ascending) and a
+    single table for a "c" step; table[c] is the step's gate with control c,
+    the identity where q is c, built for every control at once.  A T^e step
+    applies its row once or twice.  The tables take O(n^2 4^n) int16 entries,
+    about 0.3 MB at n = EXACT_CHAIN_CAP, so they stop there.
     """
     if n > EXACT_CHAIN_CAP:
         raise ValueError(f"round tables capped at n <= {EXACT_CHAIN_CAP}")
     ident = np.arange(4**n, dtype=_label_dtype(n))
     xa, xb = _from_label_int(ident, n)
     fan_in = _to_label_int(*_fan_in_move(xa, xb, ident[: 2**n, None], _controls(n)[:, None], n), n)
+    controls = np.arange(n)[:, None]  # a table's row c is its step with control c
     steps = []
-    for kind, roles, law in _ROUND:
-        stacks = []
+    for kind, roles, _ in _ROUND:
+        tables = []
         for q in range(n) if "o" in roles else [None]:
-            stack = np.empty((n, 3 if law == _THIRDS else 2, 4**n), dtype=ident.dtype)
-            for c in range(n):
-                perm = ident if q == c else _perm_table(n, kind, _place(roles, c, q))
-                stack[c, 0] = ident
-                for e in range(1, stack.shape[1]):
-                    stack[c, e] = perm[stack[c, e - 1]]
-            stacks.append(stack)
-        steps.append(tuple(stacks))
+            # an "o" step's row is the identity where its qubit is the control
+            moved = _move(kind, xa, xb, _place(roles, controls, q), True if q is None else controls != q)
+            tables.append(_to_label_int(*moved, n).astype(ident.dtype))
+        steps.append(tuple(tables))
     return _RoundTables(fan_in, tuple(steps))
 
 
@@ -560,14 +551,15 @@ def _count_round(counts: np.ndarray, n: int, rng) -> tuple[np.ndarray, np.ndarra
 def _round_steps(cells: np.ndarray, n: int, rng) -> np.ndarray:
     """Move the (control, label, *S) counts `cells` through the _ROUND steps in
     place, splitting each by one binomial per coin and two per T^e and pushing
-    the parts through the step's table row; return their sum over the controls."""
+    the once-drawn part through the step's table row, the twice-drawn part
+    through it twice; return their sum over the controls."""
     ident = np.arange(4**n)
-    for (_, _, law), stacks in zip(_ROUND, _round_tables(n).steps):
-        for stack in stacks:
+    for (_, _, law), perms in zip(_ROUND, _round_tables(n).steps):
+        for perm in perms:
             # split only held cells the step moves: not the identity row of an "o"
             # step's own qubit, nor the labels its gate fixes (an empty cell draws nothing)
             held = (cells > 0).reshape(n, 4**n, -1).any(axis=-1)
-            rows, labels = np.nonzero((stack[:, 1] != ident) & held)
+            rows, labels = np.nonzero((perm != ident) & held)
             stay = cells[rows, labels]
             if law == _THIRDS:
                 once = rng.binomial(stay, 1 / 3)
@@ -575,8 +567,9 @@ def _round_steps(cells: np.ndarray, n: int, rng) -> np.ndarray:
             else:
                 parts = (rng.binomial(stay, law),)
             cells[rows, labels] = stay - sum(parts)
-            for times, part in enumerate(parts, start=1):
-                cells[rows, stack[rows, times, labels]] += part
+            for part in parts:
+                labels = perm[rows, labels]
+                cells[rows, labels] += part
     return cells.sum(axis=0)
 
 
@@ -827,12 +820,6 @@ def mc_convergence_curve(
             }
         )
     return curve
-
-
-def mc_convergence(n: int, k: int, samples: int, rng: np.random.Generator) -> dict:
-    """Final entry of mc_convergence_curve (noise-floor-corrected l1 after k rounds)."""
-    curve = mc_convergence_curve(n, k, samples, rng)
-    return {key: curve[-1][key] for key in ("l1_raw", "noise_floor", "l1")}
 
 
 def approx_twirl_channel(

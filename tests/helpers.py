@@ -1,6 +1,6 @@
-"""Random draws, the push of a distribution through a label permutation, the
-reader of `emit_circuit`'s text, the coefficient-tuple arithmetic of Z_q[X]/(h)
-and the sampled state-design rule, shared by the tests.
+"""Random draws, a gate's label permutation and the push of a distribution
+through it, the reader of `emit_circuit`'s text, the coefficient-tuple
+arithmetic of Z_q[X]/(h) and the sampled state-design rule, shared by the tests.
 
 A module of its own, not conftest.py: perfbench/tests has a conftest.py too,
 and `from conftest import ...` would find that one when both trees are collected
@@ -12,6 +12,7 @@ import numpy as np
 from qdesigns.circuits import Circuit, Gate
 from qdesigns.linalg import hermitian_eig, random_complex_matrix
 from qdesigns.mub import MubFamily, state_design_sum
+from qdesigns.twirl import _from_label_int, _move, _to_label_int
 
 
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -39,6 +40,13 @@ def sampled_state_design_deviation(family: MubFamily, rounds: int, seed: int) ->
         want = np.trace(m @ n) + np.trace(m) * np.trace(n)
         worst = max(worst, abs(state_design_sum(family, m, n) - want) / max(abs(want), 1.0))
     return worst
+
+
+def perm_table(n: int, kind: str, qubits: tuple) -> np.ndarray:
+    """The image of every base-4 label int below 4^n under one H, S, T or CNOT
+    on `qubits`: one gate on its own, as the per-mask oracles push it."""
+    xa, xb = _from_label_int(np.arange(4**n, dtype=np.int64), n)
+    return _to_label_int(*_move(kind, xa, xb, qubits), n)
 
 
 def push(dist: np.ndarray, perm: np.ndarray) -> np.ndarray:

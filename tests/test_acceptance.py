@@ -66,7 +66,7 @@ from qdesigns.twirl import (
     ideal_good_case_distribution,
     l1_to_uniform,
     markov_transition_matrix,
-    mc_convergence,
+    mc_convergence_curve,
     pauli_matrix,
     pauli_twirl,
     pauli_twirl_brute,
@@ -266,7 +266,7 @@ def test_criterion_10_approximate_twirl_convergence():
             dist = p @ dist
             assert l1_to_uniform(dist) <= eps + 2 * 0.5**k * (eps + 1) + 1e-9
     rng = np.random.default_rng(1010)
-    est = mc_convergence(3, 15, 100_000, rng)
+    est = mc_convergence_curve(3, 15, 100_000, rng)[-1]
     assert est["l1"] <= epsilon0(3) + 0.02
     elapsed = time.monotonic() - start
     assert elapsed < 120

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -223,6 +224,32 @@ def test_design_and_verify_write_their_report_to_out(tmp_path, capsys, argv):
     report = tmp_path / "report.txt"
     assert run(capsys, [*argv, "--out", str(report)]) == (code, "", err)
     assert report.read_text() == stdout
+
+
+@pytest.mark.parametrize("argv", [
+    "mub --prime 5 --out {tmp}/f.mub",
+    "mub --qubits 2",
+    "verify --family {tmp}/q2.mub",
+    "design state --d 9",
+    "design unitary --cliffords1q",
+    "design unitary --paulis --n 2",  # exits 1: a 1-design, not a 2-design
+])
+def test_check_text_line_says_what_its_json_says(tmp_path, capsys, argv):
+    # PASS exactly when "ok", exit 0 exactly when "ok", and each text value its JSON
+    # value: floats as %.3e, worst_pair as a tuple, two names shortened in the text
+    run(capsys, ["mub", "--qubits", "2", "--out", str(tmp_path / "q2.mub")])
+    argv = argv.format(tmp=tmp_path).split()
+    text_code, text, _ = run(capsys, argv)
+    json_code, payload, _ = run(capsys, [*argv, "--json"])
+    report = json.loads(payload)
+    ok = report.pop("ok")
+    assert text_code == json_code == (0 if ok else 1)
+    status, *pairs = re.split(r" (?=\w+=)", text.removesuffix("\n"))
+    assert status == ("PASS" if ok else "FAIL")
+    short = {"max_orthonormality_error": "max_orth_err", "max_unbiasedness_error": "max_unbias_err"}
+    want = {short.get(k, k): f"{v:.3e}" if isinstance(v, float) else str(tuple(map(tuple, v)))
+            if isinstance(v, list) else str(v) for k, v in report.items()}
+    assert dict(pair.split("=", 1) for pair in pairs) == want
 
 
 def test_design_unitary_cliffords_pass(capsys):

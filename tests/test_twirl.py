@@ -30,7 +30,6 @@ from qdesigns.twirl import (
     ideal_good_case_distribution,
     l1_to_uniform,
     markov_transition_matrix,
-    mc_convergence,
     mc_convergence_curve,
     pauli_matrix,
     pauli_twirl,
@@ -43,10 +42,10 @@ from qdesigns.twirl import (
 )
 from qdesigns.twirl import (
     _MEAN, _ROUND, _THIRDS, _controls, _count_round, _draw, _exact_chain, _fan_in_move, _from_label_int,
-    _mc_rounds, _move, _pauli_stack, _perm_table, _place, _round_gates, _to_label_int,
+    _mc_rounds, _move, _pauli_stack, _place, _round_gates, _to_label_int,
 )
 
-from helpers import push, random_unitary
+from helpers import perm_table, push, random_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -666,7 +665,7 @@ def test_mc_convergence_matches_exact_chain():
     start = np.zeros(16)
     start[1] = 1
     exact = l1_to_uniform(p @ start)
-    est = mc_convergence(n, k, samples=200_000, rng=rng)
+    est = mc_convergence_curve(n, k, samples=200_000, rng=rng)[-1]
     assert abs(est["l1"] - exact) < 0.02
 
 
@@ -843,7 +842,7 @@ def test_markov_chain_n4_is_stochastic_and_matches_mc():
     start = np.zeros(4**n)
     start[1] = 1  # X on qubit 0
     exact = l1_to_uniform(np.linalg.matrix_power(p, k) @ start)
-    est = mc_convergence(n, k, samples=200_000, rng=np.random.default_rng(71))
+    est = mc_convergence_curve(n, k, samples=200_000, rng=np.random.default_rng(71))[-1]
     assert abs(est["l1"] - exact) < 0.02
 
 
@@ -1197,7 +1196,7 @@ def pushed_step2(dist, n, control):
     others = [q for q in range(n) if q != control]
     for kind, roles, law in _ROUND:
         for q in others if "o" in roles else [control]:
-            perm = _perm_table(n, kind, _place(roles, control, q))
+            perm = perm_table(n, kind, _place(roles, control, q))
             if law == _THIRDS:
                 once = push(dist, perm)
                 dist = (dist + once + push(once, perm)) / 3
@@ -1211,7 +1210,7 @@ def pushed_fan_in(dist, n, mask):
     control = (mask & -mask).bit_length() - 1
     for q in range(n):
         if (mask >> q) & 1 and q != control:
-            dist = push(dist, _perm_table(n, "CNOT", (q, control)))
+            dist = push(dist, perm_table(n, "CNOT", (q, control)))
     return dist
 
 
