@@ -1,24 +1,23 @@
 """Gate-level circuits, statevector simulation, and the MUB preparation circuits.
 
 Registers are n qudits of equal local dimension d; qudit j carries the base-d
-digit of weight d^j of the computational-basis index (little-endian).  Every
-gate kind is in one of three classes, and simulation has one rule per class:
+digit of weight d^j of the computational-basis index (little-endian).
+Simulation has one rule: each gate's local matrix from gate_matrix, on its
+qudits with the controls first, applied by tensor contraction.  The gate kinds:
 
-diagonal: a phase vector over the basis states
+    H, T                           Hadamard and the Clifford cycler H*S (d = 2)
+    Fp, Fpinv                      discrete Fourier gate on one qudit and its inverse
     Z, S, T_pi8                    qubit phases -1, i and e^{i pi/4} on |1>
     PhaseExp(num, den)             diag(1, exp(2 pi i num/den)) on a qubit
     Zd(num)                        diag(exp(2 pi i num j/d)) on a qudit
     PhaseVec(phases, den)          diag(exp(2 pi i phases[j]/den))
     CPhase(num, den)               |u,v> -> exp(2 pi i num u v / den)|u,v>
-shift: the index permutation "target digit += num * control (mod d)"; X and
-CNOT have num = 1, and X and Xd have no control, which reads as 1
     X, Xd(num)                     level shift on a qubit / on a qudit
     CNOT, CADD(num)                controlled add on qubits / on qudits
-dense: the local matrix of gate_matrix, applied by tensor contraction
-    H, T                           Hadamard and the Clifford cycler H*S (d = 2)
-    Fp, Fpinv                      discrete Fourier gate on one qudit and its inverse
 
-The full unitary is never materialized during simulation.
+The shifts add num * control to the target digit (mod d); X and CNOT have
+num = 1, and X and Xd have no control, which reads as 1.  The full unitary is
+never materialized during simulation.
 """
 
 from __future__ import annotations
@@ -53,8 +52,6 @@ SIMULATE_DIM_CAP = 2**12
 UNITARY_DIM_CAP = 256
 
 _QUBIT_ONLY = {"H", "X", "Z", "S", "T_pi8", "T", "PhaseExp", "CNOT"}
-_DIAGONAL = {"Z", "S", "T_pi8", "PhaseExp", "Zd", "PhaseVec", "CPhase"}
-_SHIFT = {"X", "Xd", "CNOT", "CADD"}  # the rest (H, T, Fp, Fpinv) are dense
 # kind -> (number of targets, number of controls)
 _ARITY = {
     **dict.fromkeys(_QUBIT_ONLY - {"CNOT"} | {"Xd", "Zd", "Fp", "Fpinv", "PhaseVec"}, (1, 0)),
@@ -174,7 +171,9 @@ def _fourier(d: int) -> np.ndarray:
 
 
 def gate_matrix(g: Gate, d: int) -> np.ndarray:
-    """Local matrix of a dense gate (H, T, Fp or Fpinv) on its qudit."""
+    """Local matrix of any gate on g.qudits, controls first: the first listed
+    qudit is the major index.  The diagonal kinds carry their exact phases; a
+    shift is the 0/1 matrix of "target digit += num * control (mod d)"."""
     k = g.kind
     if k == "H":
         return _H2
@@ -184,7 +183,22 @@ def gate_matrix(g: Gate, d: int) -> np.ndarray:
         return _fourier(d)
     if k == "Fpinv":
         return _fourier(d).conj().T
-    raise ValueError(f"gate kind {k!r} is not a dense gate")
+    u = np.arange(d)
+    if k in ("X", "Xd", "CNOT", "CADD"):
+        num = g.num if k in ("Xd", "CADD") else 1
+        c = u[:, None] if g.controls else 1
+        rows = (u + num * c) % d + (d * c if g.controls else 0)
+        return np.eye(rows.size)[:, rows.ravel()]
+    if k == "CPhase":
+        phases = np.exp(2j * np.pi * g.num * np.outer(u, u).ravel() / g.den)
+    elif k == "PhaseVec":
+        phases = np.exp(2j * np.pi * np.asarray(g.phases) / g.den)
+    elif k == "Zd":
+        phases = np.exp(2j * np.pi * g.num * u / d)
+    else:
+        num, den = _FIXED_PHASE.get(k, (g.num, g.den))
+        phases = np.array([1.0, cmath.exp(2j * np.pi * num / den)])
+    return np.diag(phases)
 
 
 def apply_local(state: np.ndarray, mat: np.ndarray, qudits: tuple[int, ...], n: int, d: int) -> np.ndarray:
@@ -201,48 +215,6 @@ def apply_local(state: np.ndarray, mat: np.ndarray, qudits: tuple[int, ...], n: 
     return t.reshape(state.shape)
 
 
-def _digit(idx: np.ndarray, q, d: int) -> np.ndarray:
-    return (idx // d**q) % d
-
-
-def _register_digits(n: int, d: int) -> np.ndarray:
-    """Row q holds qudit q's digit of every basis index of an n-qudit register."""
-    return _digit(np.arange(d**n), np.arange(n)[:, None], d)
-
-
-def _diagonal_phases(g: Gate, digits: np.ndarray, d: int) -> np.ndarray:
-    """The diagonal of a diagonal gate over all basis states, given the
-    register's digit table from _register_digits."""
-    k = g.kind
-    if k == "CPhase":
-        u = digits[g.targets[0]]
-        v = digits[g.targets[1]]
-        return np.exp(2j * np.pi * g.num * (u * v) / g.den)
-    t = digits[g.targets[0]]
-    if k == "PhaseVec":
-        return np.exp(2j * np.pi * np.asarray(g.phases)[t] / g.den)
-    if k == "Zd":
-        return np.exp(2j * np.pi * g.num * t / d)
-    num, den = _FIXED_PHASE.get(k, (g.num, g.den))
-    return np.where(t == 1, cmath.exp(2j * np.pi * num / den), 1.0)
-
-
-def _apply_gate(state: np.ndarray, g: Gate, n: int, d: int) -> np.ndarray:
-    """Apply one gate by the rule of its class: diagonal, shift or dense."""
-    k = g.kind
-    if k in _DIAGONAL:
-        return state * _diagonal_phases(g, _register_digits(n, d), d)
-    if k in _SHIFT:
-        idx = np.arange(state.shape[-1])
-        v = _digit(idx, g.targets[0], d)
-        c = _digit(idx, g.controls[0], d) if g.controls else 1
-        num = g.num if k in ("Xd", "CADD") else 1
-        out = np.empty_like(state)
-        out[..., idx + ((v + num * c) % d - v) * d ** g.targets[0]] = state
-        return out
-    return apply_local(state, gate_matrix(g, d), g.targets, n, d)
-
-
 def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply the circuit's gates in order to a statevector of shape (dim,), or
     to each row of a stack of shape (m, dim); returns a fresh array of the same shape."""
@@ -254,7 +226,7 @@ def simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
         raise ValueError(f"input shape {state.shape} is not (dim,) or (m, dim) for register size {dim}")
     out = state.copy()
     for g in circuit.gates:
-        out = _apply_gate(out, g, circuit.n, circuit.d)
+        out = apply_local(out, gate_matrix(g, circuit.d), g.qudits, circuit.n, circuit.d)
     return out
 
 

@@ -32,6 +32,7 @@ from .channels import (
     entanglement_fidelity,
 )
 from .circuits import Circuit, Gate, embedding_prime, projected_mub_states, simulate
+from .linalg import basis_state
 from .mub import MubFamily, family_for_dimension
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
 ]
 
 PROTOCOLS = ("mub_mc", "mub_exact", "projected", "ancilla")
-_BRANCH_CHUNK = 256  # Kraus branches per simulate call in the ancilla protocol
 _STATE_CHUNK = 512  # states per outcome-probability product; every d <= 16 run is one chunk
 
 
@@ -190,26 +190,23 @@ def _bell_prep(n: int) -> Circuit:
 
 
 def ancilla_entanglement_estimate(cfg: ExperimentConfig) -> EstimateResult:
-    """Entanglement-fidelity protocol: Bell pairs with n ancillas, noise on
-    the data half, inverse preparation, probability of all-zeros = F_e; the
-    fidelity field carries the converted F_avg = (d F_e + 1)/(d + 1)."""
+    """Entanglement-fidelity protocol: Bell pairs with n ancillas and noise on
+    the data half; the probability that undoing the preparation leaves all
+    zeros is F_e, and the fidelity field carries F_avg = (d F_e + 1)/(d + 1).
+
+    Undoing the preparation maps |phi> to |0>, so branch k's all-zeros
+    amplitude is <phi|(I (x) A_k)|phi>, the inner product of vec(A_k) with
+    vec(Phi^dagger Phi), where Phi is |phi> as a d x d matrix (ancilla rows,
+    data columns): one product over every Kraus operator, and no inverse
+    circuit is simulated."""
     noise = cfg.noise_channel()
     d = noise.dim
     n = d.bit_length() - 1
-    if 2**n != d or n > 5:
-        raise ValueError(f"ancilla protocol needs d = 2^n with n <= 5, got {d}")
-    prep = _bell_prep(n)
-    inv = prep.inverse()
-    dim = d * d
-    phi = simulate(prep, np.eye(dim, dtype=complex)[0])
-    # row k is (I (x) A_k) |phi>; the rows are simulated _BRANCH_CHUNK at a time
-    # so the stack of branch states stays small for Kraus rank d^2 at large d
-    zero_amps = []
-    for lo in range(0, len(noise.kraus), _BRANCH_CHUNK):
-        part = noise.kraus[lo:lo + _BRANCH_CHUNK]
-        branches = (phi.reshape(d, d) @ part.transpose(0, 2, 1)).reshape(len(part), dim)
-        zero_amps.append(simulate(inv, branches)[:, 0])
-    p_zero = float((np.abs(np.concatenate(zero_amps)) ** 2).sum())
+    if not 1 <= n <= 5 or 2**n != d:
+        raise ValueError(f"ancilla protocol needs d = 2^n with 1 <= n <= 5, got {d}")
+    phi = simulate(_bell_prep(n), basis_state(d * d, 0)).reshape(d, d)
+    amps = noise.kraus.reshape(-1, d * d) @ (phi.conj().T @ phi).reshape(d * d)
+    p_zero = float((np.abs(amps) ** 2).sum())
     exact = entanglement_fidelity(noise)
     return _result(cfg, d, np.array([p_zero]), None, exact, lambda p: avg_from_entanglement(d, p))
 

@@ -1,15 +1,18 @@
 """Random draws, a gate's label permutation and the push of a distribution
-through it, the reader of `emit_circuit`'s text, the coefficient-tuple
-arithmetic of Z_q[X]/(h) and the sampled state-design rule, shared by the tests.
+through it, the per-class gate rules of `simulate`, the reader of
+`emit_circuit`'s text, the coefficient-tuple arithmetic of Z_q[X]/(h) and the
+sampled state-design rule, shared by the tests.
 
 A module of its own, not conftest.py: perfbench/tests has a conftest.py too,
 and `from conftest import ...` would find that one when both trees are collected
 in one run.
 """
 
+import cmath
+
 import numpy as np
 
-from qdesigns.circuits import Circuit, Gate
+from qdesigns.circuits import _FIXED_PHASE, Circuit, Gate, apply_local, gate_matrix
 from qdesigns.linalg import hermitian_eig, random_complex_matrix
 from qdesigns.mub import MubFamily, state_design_sum
 from qdesigns.twirl import _from_label_int, _move, _to_label_int
@@ -53,6 +56,55 @@ def push(dist: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """The image of distributions (along axis 0) under the label permutation perm."""
     out = np.empty_like(dist)
     out[perm] = dist
+    return out
+
+
+_DIAGONAL = {"Z", "S", "T_pi8", "PhaseExp", "Zd", "PhaseVec", "CPhase"}
+_SHIFT = {"X", "Xd", "CNOT", "CADD"}  # the rest (H, T, Fp, Fpinv) are dense
+
+
+def _digit(idx: np.ndarray, q, d: int) -> np.ndarray:
+    return (idx // d**q) % d
+
+
+def _diagonal_phases(g: Gate, n: int, d: int) -> np.ndarray:
+    """The diagonal of a diagonal gate over all d^n basis states."""
+    digits = _digit(np.arange(d**n), np.arange(n)[:, None], d)
+    k = g.kind
+    if k == "CPhase":
+        u = digits[g.targets[0]]
+        v = digits[g.targets[1]]
+        return np.exp(2j * np.pi * g.num * (u * v) / g.den)
+    t = digits[g.targets[0]]
+    if k == "PhaseVec":
+        return np.exp(2j * np.pi * np.asarray(g.phases)[t] / g.den)
+    if k == "Zd":
+        return np.exp(2j * np.pi * g.num * t / d)
+    num, den = _FIXED_PHASE.get(k, (g.num, g.den))
+    return np.where(t == 1, cmath.exp(2j * np.pi * num / den), 1.0)
+
+
+def per_class_simulate(circuit: Circuit, state: np.ndarray) -> np.ndarray:
+    """`simulate` by one rule per gate class: a diagonal gate multiplies by its
+    phase vector over the basis states, a shift moves every amplitude to the
+    index whose target digit gained num * control (mod d), and only H, T, Fp
+    and Fpinv take their local matrix."""
+    n, d = circuit.n, circuit.d
+    out = np.array(state, dtype=complex)
+    for g in circuit.gates:
+        k = g.kind
+        if k in _DIAGONAL:
+            out = out * _diagonal_phases(g, n, d)
+        elif k in _SHIFT:
+            idx = np.arange(out.shape[-1])
+            v = _digit(idx, g.targets[0], d)
+            c = _digit(idx, g.controls[0], d) if g.controls else 1
+            num = g.num if k in ("Xd", "CADD") else 1
+            shifted = np.empty_like(out)
+            shifted[..., idx + ((v + num * c) % d - v) * d ** g.targets[0]] = out
+            out = shifted
+        else:
+            out = apply_local(out, gate_matrix(g, d), g.targets, n, d)
     return out
 
 

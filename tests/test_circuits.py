@@ -29,14 +29,13 @@ from qdesigns.circuits import (
     projected_mub_states,
     simulate,
     _ARITY,
-    _DIAGONAL,
     _QUBIT_ONLY,
     _tournament_rounds,
 )
 from qdesigns.linalg import basis_state
 from qdesigns.mub import mub_prime, mub_prime_power
 
-from helpers import parse_circuit, random_unitary
+from helpers import parse_circuit, per_class_simulate, random_unitary
 
 
 def overlap(u, v):
@@ -403,7 +402,7 @@ def test_mub_circuit_plans_are_the_h_layer_and_the_exponent_table():
                 for b in range(p):
                     c = build_mub_circuit_prime(p, n, a, b)
                     assert c.gates[:m] == [Gate("H", (q,)) for q in range(m)]
-                    assert all(g.kind in _DIAGONAL for g in c.gates[m:])
+                    assert all(g.kind in {"PhaseExp", "CPhase"} for g in c.gates[m:])
                     want = np.exp(2j * np.pi * ((a * x * x + b * x) % p) / p) / 2 ** (m / 2)
                     assert np.abs(simulate(c, basis_state(2**m, 0)) - want).max() <= 1e-14, (p, n, a, b)
 
@@ -549,6 +548,9 @@ def test_batched_simulate_matches_row_by_row(n, d):
     rows = np.array([simulate(c, row) for row in stack])
     assert np.abs(simulate(c, stack) - rows).max() < 1e-14
     assert np.abs(stack @ circuit_unitary(c).T - rows).max() < 1e-12
+    # the diagonal, shift and dense rules: the same numbers up to rounding, not bit for bit
+    assert np.abs(per_class_simulate(c, stack) - rows).max() <= 1e-14
+    assert np.abs(per_class_simulate(c, stack[0]) - rows[0]).max() <= 1e-14
 
 
 def random_stack(rng, m, dim):
@@ -608,3 +610,14 @@ def test_emit_parse_round_trip_property(circuit):
     parsed = parse_circuit(text)
     assert (parsed.n, parsed.d, parsed.gates) == (circuit.n, circuit.d, circuit.gates)
     assert emit_circuit(parsed) == text
+
+
+@settings(max_examples=80, deadline=None)
+@given(valid_circuits(), st.integers(0, 2**32 - 1))
+def test_simulate_matches_per_class_oracle_property(circuit, seed):
+    # negative numerators and denominators up to 40, on a single state and on a stack
+    rng = np.random.default_rng(seed)
+    dim = circuit.d**circuit.n
+    for shape in ((dim,), (3, dim)):
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.abs(simulate(circuit, psi) - per_class_simulate(circuit, psi)).max() <= 1e-14

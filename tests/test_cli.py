@@ -358,7 +358,7 @@ def test_depolarizing_outputs_are_pinned(tmp_path, capsys):
     )
     argv = ["estimate", "--protocol", "ancilla", "--depolarizing", "0.9", "--d", "4"]
     assert run(capsys, argv) == (0, (
-        '{"d": 4, "exact": 0.9062500000000001, "fidelity": 0.9249999999999996, "p_hat": 0.9062499999999994, '
+        '{"d": 4, "exact": 0.9062500000000001, "fidelity": 0.9249999999999993, "p_hat": 0.9062499999999992, '
         '"protocol": "ancilla", "seed": 0, "std_err": 0.0, "trials": 0}\n'
     ), "")
     assert run(capsys, [*argv, "--trials", "20000", "--seed", "11"]) == (0, (
@@ -631,6 +631,12 @@ def test_estimate_trials_beyond_int64_is_usage_error(capsys):
                                      "--d", "4", "--trials", str(10**19), "--seed", "1"])
     assert code == 2 and stdout == ""
     assert err == f"error: trials must be < 2**63, got {10**19}\n"
+
+
+@pytest.mark.parametrize("d", [1, 3, 64])
+def test_ancilla_dimension_outside_two_to_the_one_to_five_is_usage_error(capsys, d):
+    code, stdout, err = run(capsys, ["estimate", "--protocol", "ancilla", "--depolarizing", "0.9", "--d", str(d)])
+    assert (code, stdout, err) == (2, "", f"error: ancilla protocol needs d = 2^n with 1 <= n <= 5, got {d}\n")
 
 
 def test_estimate_trillion_trials(capsys):

@@ -220,23 +220,20 @@ def test_outcome_prob_chunks_do_not_change_probs(monkeypatch):
         assert np.abs(_pure_outcome_probs(states, kraus) - whole).max() < 1e-15
 
 
-@pytest.mark.parametrize("d", [2, 4, 8, 16])
+@pytest.mark.parametrize("d", [2, 4, 8, 16, 32])
 def test_batched_ancilla_matches_per_branch_oracle(d):
+    # the contraction with Phi^dagger Phi against one inverse simulation per Kraus
+    # branch: Kraus rank d^2, seeded random channels, and one target unitary
     rng = np.random.default_rng(200 + d)
-    for k in (1, 3, d):
-        ch = random_channel(rng, d, k)
-        res = ancilla_entanglement_estimate(ExperimentConfig(ch, protocol="ancilla"))
-        assert abs(res.p_hat - per_branch_p_zero(ch)) < 1e-14
-
-
-def test_ancilla_branch_chunks_do_not_change_p_hat(monkeypatch):
-    rng = np.random.default_rng(31)
-    for ch in (depolarizing(4, 0.9), random_channel(rng, 8, 7)):
-        cfg = ExperimentConfig(ch, protocol="ancilla")
-        whole = ancilla_entanglement_estimate(cfg)
-        for chunk in (1, 3, 5):
-            monkeypatch.setattr(qdesigns.estimate, "_BRANCH_CHUNK", chunk)
-            assert ancilla_entanglement_estimate(cfg) == whole
+    u = random_unitary(rng, d)
+    noisy = random_channel(rng, d, 5)
+    cases = [ExperimentConfig(random_channel(rng, d, k), protocol="ancilla") for k in (1, 3, d)]
+    cases += [ExperimentConfig(depolarizing(d, 0.9), protocol="ancilla"),
+              ExperimentConfig(KrausChannel(d, tuple(a @ u for a in noisy.kraus)), protocol="ancilla",
+                               target_unitary=u)]
+    for cfg in cases:
+        res = ancilla_entanglement_estimate(cfg)
+        assert abs(res.p_hat - per_branch_p_zero(cfg.noise_channel())) <= 1e-15
 
 
 def test_target_unitary_is_factored_out():
