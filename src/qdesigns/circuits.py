@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_algebra import SIZE_CAP, GfContext, is_prime
+from .finite_algebra import SIZE_CAP, GfContext, _digits, is_prime
 from .linalg import basis_state
 
 __all__ = [
@@ -262,6 +262,15 @@ def _tournament_rounds(m: int) -> list[tuple[list[tuple[int, int]], int | None]]
     return rounds
 
 
+def _check_labels(order: int, a: int, b: int) -> None:
+    """Refuse MUB labels outside 0 <= a <= order (a = order is the computational
+    basis) and 0 <= b < order."""
+    if not 0 <= a <= order:
+        raise ValueError(f"basis label a = {a} outside 0..{order}")
+    if not 0 <= b < order:
+        raise ValueError(f"state label b = {b} outside 0..{order - 1}")
+
+
 def build_mub_circuit_prime(p: int, n_qubits: int, a: int, b: int) -> Circuit:
     """Preparation circuit on n_qubits+1 qubits for the prime-dimension MUB
     state with labels (a, b); a = p selects the computational branch.
@@ -280,14 +289,11 @@ def build_mub_circuit_prime(p: int, n_qubits: int, a: int, b: int) -> Circuit:
     m = n_qubits + 1
     if p > 2**m:
         raise ValueError(f"p = {p} does not fit on {m} qubits")
-    if not 0 <= a <= p:
-        raise ValueError(f"basis label a = {a} outside 0..{p}")
-    if not 0 <= b < p:
-        raise ValueError(f"state label b = {b} outside 0..{p - 1}")
+    _check_labels(p, a, b)
     c = Circuit(n=m, d=2)
     if a == p:
-        for i in range(m):
-            if (b >> i) & 1:
+        for i, bit in enumerate(_digits(b, 2, m)):
+            if bit:
                 c.append(Gate("X", (i,)))
         return c
     for i in range(m):
@@ -321,10 +327,7 @@ def build_mub_circuit_prime_power(p: int, n_qudits: int, a: int, b: int) -> Circ
     if p == 2:
         raise ValueError(f"p = {p} must be an odd prime")
     d = ctx.order
-    if not 0 <= a <= d:
-        raise ValueError(f"basis label {a} outside 0..{d}")
-    if not 0 <= b < d:
-        raise ValueError(f"state label {b} outside 0..{d - 1}")
+    _check_labels(d, a, b)
     c = Circuit(n=n_qudits, d=p)
     b_el = ctx.element_from_int(b)
     # level shifts prepare |b> itself on the computational branch, |t_b> otherwise
@@ -492,10 +495,7 @@ def projected_mub_prepare(n_qubits: int, a: int, b: int) -> np.ndarray:
         raise ValueError(f"need n_qubits >= 1, got {n_qubits}")
     p = embedding_prime(n_qubits)
     d = 2**n_qubits
-    if not 0 <= a <= p:
-        raise ValueError(f"basis label a = {a} outside 0..{p}")
-    if not 0 <= b < p:
-        raise ValueError(f"state label b = {b} outside 0..{p - 1}")
+    _check_labels(p, a, b)
     if a == p:
         if b >= d:
             raise ValueError(f"computational state {b} projects to zero on {n_qubits} qubits")

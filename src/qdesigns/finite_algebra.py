@@ -16,12 +16,15 @@ Teichmuller set and the 2-adic split, and rejects negative powers.  Contexts
 are immutable after construction and every operation is pure.
 
 The computational-basis label of an element is the base-q integer of its
-coefficient vector, least-significant coefficient first.
+coefficient vector, least-significant coefficient first.  One digit codec,
+_digits and its inverse _undigits, converts between integers and digits
+everywhere: for a Python int it gives a digit tuple, and for an integer array
+one digit array per place.  One trial division, _prime_factors, serves the
+primality test, the order test and the prime-power split of a dimension.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +43,11 @@ SIZE_CAP = 2**16  # elements of a context; p >= 2 and k >= SIZE_CAP.bit_length()
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, int(math.isqrt(n)) + 1):
-        if n % q == 0:
-            return False
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, ascending, by trial division; none for n <= 1."""
     out, q = [], 2
     while q * q <= n:
         if n % q == 0:
@@ -61,13 +60,15 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _digits(value: int, base: int, k: int) -> tuple[int, ...]:
-    """The k base-`base` digits of value, least significant first."""
-    out = []
-    for _ in range(k):
-        out.append(value % base)
-        value //= base
-    return tuple(out)
+def _digits(value, base: int, k: int) -> tuple:
+    """The k base-`base` digits of value, least significant first; for an
+    integer array, elementwise, one array per digit."""
+    return tuple(value // base**i % base for i in range(k))
+
+
+def _undigits(digits, base: int) -> int:
+    """The integer whose base-`base` digits, least significant first, are `digits`."""
+    return sum(c * base**i for i, c in enumerate(digits))
 
 
 def _companion(h: tuple[int, ...], q: int) -> np.ndarray:
@@ -138,7 +139,7 @@ class _PolyElement:
 
     @property
     def int_label(self) -> int:
-        return sum(c * self.ctx._q**i for i, c in enumerate(self.coeffs))
+        return _undigits(self.coeffs, self.ctx._q)
 
 
 class _PolyContext:
@@ -259,7 +260,7 @@ class GfContext(_PolyContext):
 def gf_gauss_sum(ctx: GfContext, a: GfElement) -> complex:
     """Additive character sum sum_x exp(2 pi i tr(a x) / p) over GF(p^k)."""
     ctx._own(a)
-    c = np.arange(ctx.order)[:, None] // ctx.p ** np.arange(ctx.k) % ctx.p  # c[x] = coefficients of element x
+    c = np.stack(_digits(np.arange(ctx.order), ctx.p, ctx.k), axis=1)  # c[x] = coefficients of element x
     tr_ax = c @ ctx.trace_forms(a.coeffs) % ctx.p
     return complex(np.exp(2j * np.pi * tr_ax / ctx.p).sum())
 
@@ -291,11 +292,8 @@ class GrContext(_PolyContext):
     def _find_basic_primitive(m: int) -> tuple[int, ...]:
         base_h = GfContext._find_primitive(2, m)
         # lifts of each F_2 coefficient are {b, b+2}; order candidates by base-4 value
-        lifts = []
-        for mask in range(2**m):
-            coeffs = tuple(base_h[i] + 2 * ((mask >> i) & 1) for i in range(m))
-            lifts.append((sum(c * 4**i for i, c in enumerate(coeffs)), coeffs))
-        for _, h in sorted(lifts):
+        lifts = [tuple(c + 2 * bit for c, bit in zip(base_h, _digits(mask, 2, m))) for mask in range(2**m)]
+        for h in sorted(lifts, key=lambda h: _undigits(h, 4)):
             if _root_has_order(h, 4, 2**m - 1):
                 return h
         raise RuntimeError(f"no basic primitive lift found for m = {m}")  # pragma: no cover

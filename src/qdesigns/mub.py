@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_algebra import SIZE_CAP, GfContext, GrContext, I_POWERS, is_prime
+from .finite_algebra import SIZE_CAP, GfContext, GrContext, I_POWERS, _digits, _prime_factors, is_prime
 
 __all__ = [
     "MubFamily",
@@ -69,7 +69,7 @@ def _phase_states(roots: np.ndarray, e_a: np.ndarray, e_b: np.ndarray) -> np.nda
 def _field_states(p: int, k: int) -> np.ndarray:
     """The GF(p^k) family: e_a[a, x] = tr(a x^2) and e_b[b, x] = tr(b x)."""
     ctx = GfContext(p, k)
-    c = np.arange(p**k)[:, None] // p ** np.arange(k) % p  # c[x] = coefficients of element x
+    c = np.stack(_digits(np.arange(p**k), p, k), axis=1)  # c[x] = coefficients of element x
     sq = np.einsum("xi,ijl,xl->xj", c, ctx.mul_matrices, c) % p  # coefficients of x^2
     u = ctx.trace_forms(c)  # tr(a y) = u[a] . coeffs(y)
     return _phase_states(np.exp(2j * np.pi / p) ** np.arange(p), u @ sq.T % p, u @ c.T % p)
@@ -112,24 +112,19 @@ def mub_galois_ring(n: int) -> MubFamily:
 
 
 def family_for_dimension(d: int) -> MubFamily:
-    """Dispatch on d: qubit construction for powers of two, prime construction
-    for odd primes, field construction for odd prime powers.  d above the
-    2^16 size cap is refused before any search."""
+    """Dispatch on d = p^k: qubit construction for p = 2, prime construction
+    for an odd prime, field construction for an odd prime power.  d above the
+    2^16 size cap is refused before any factorization."""
     if d > SIZE_CAP:
         raise ValueError(f"dimension {d} exceeds the 2^16 size cap")
-    if d >= 2 and d & (d - 1) == 0:
-        return mub_galois_ring(d.bit_length() - 1)
-    if is_prime(d):
-        return mub_prime(d)
-    for p in range(3, d, 2):
-        if not is_prime(p):
-            continue
-        k = 1
-        while p**k < d:
-            k += 1
-        if p**k == d:
-            return mub_prime_power(p, k)
-    raise ValueError(f"no MUB construction for dimension {d} (not a prime power)")
+    factors = _prime_factors(d)
+    if len(factors) != 1:
+        raise ValueError(f"no MUB construction for dimension {d} (not a prime power)")
+    p = factors[0]
+    k = round(math.log(d, p))
+    if p == 2:
+        return mub_galois_ring(k)
+    return mub_prime(p) if k == 1 else mub_prime_power(p, k)
 
 
 @dataclass(frozen=True)

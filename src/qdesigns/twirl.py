@@ -39,7 +39,8 @@ import numpy as np
 
 from .channels import KrausChannel, generalized_paulis
 from .channels import _invariant_pq, _kraus_traces
-from .circuits import Circuit, Gate, parallel_prefix_parity
+from .circuits import UNITARY_DIM_CAP, Circuit, Gate, parallel_prefix_parity
+from .finite_algebra import _digits, _undigits
 from .linalg import SUPERMATRIX_DIM_CAP, dagger
 
 __all__ = [
@@ -68,8 +69,6 @@ __all__ = [
     "approx_twirl_channel",
 ]
 
-MATRIX_DIM_CAP = 256
-
 
 @dataclass(frozen=True)
 class PauliLabel:
@@ -94,19 +93,14 @@ class PauliLabel:
 
     @classmethod
     def from_int(cls, d: int, n: int, value: int) -> "PauliLabel":
-        xa, xb = [], []
-        for _ in range(n):
-            digit = value % (d * d)
-            xa.append(digit % d)
-            xb.append(digit // d)
-            value //= d * d
-        return cls(d, n, tuple(xa), tuple(xb))
+        """The label whose base-d^2 digit q is xa_q + d xb_q; value must lie in [0, d^(2n))."""
+        if not 0 <= value < (d * d) ** n:
+            raise ValueError(f"Pauli label {value} out of range for n = {n} qudits of dimension {d}")
+        digits = _digits(value, d * d, n)
+        return cls(d, n, tuple(g % d for g in digits), tuple(g // d for g in digits))
 
     def to_int(self) -> int:
-        out = 0
-        for q in range(self.n - 1, -1, -1):
-            out = out * self.d * self.d + (self.xa[q] + self.d * self.xb[q])
-        return out
+        return _undigits([a + self.d * b for a, b in zip(self.xa, self.xb)], self.d * self.d)
 
     def is_identity(self) -> bool:
         return not any(self.xa) and not any(self.xb)
@@ -126,7 +120,7 @@ class PauliLabel:
 
 def pauli_matrix(label: PauliLabel) -> np.ndarray:
     """Dense matrix of the label (qudit 0 least significant)."""
-    if label.d**label.n > MATRIX_DIM_CAP:
+    if label.d**label.n > UNITARY_DIM_CAP:
         raise ValueError("matrix dimension exceeds the cap")
     paulis = generalized_paulis(label.d)  # index a*d + b holds X^a Z^b
     factors = [paulis[label.xa[q] * label.d + label.xb[q]] for q in range(label.n - 1, -1, -1)]
@@ -543,7 +537,7 @@ def _count_round(counts: np.ndarray, n: int, rng) -> tuple[np.ndarray, np.ndarra
     split = rng.multinomial(counts, np.full(2**n - 1, 1.0 / (2**n - 1)))  # (label, *S, mask - 1)
     cells = np.stack(tuple(_fan_in(np.moveaxis(split, -1, 0), n)))  # cells[c, v]: samples at label v with control c
     del split
-    x_on_control = (np.arange(4**n) >> 2 * np.arange(n)[:, None]) & 1
+    x_on_control = np.stack(_digits(np.arange(4**n), 4, n)) % 2  # digit c is a_c + 2 b_c
     hits = np.einsum("cv,cv...->...", x_on_control, cells)
     return _round_steps(cells, n, rng), hits
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -314,6 +315,21 @@ def test_projected_prepare_single_qubit():
             want = fam.states[a, b][:2]
             want = want / np.linalg.norm(want)
             assert overlap(out, want) >= 1 - 1e-8
+
+
+@pytest.mark.parametrize("build,size,a,b,message", [
+    (build_mub_circuit_prime, (5, 2), 6, 0, "basis label a = 6 outside 0..5"),
+    (build_mub_circuit_prime, (5, 2), -1, 0, "basis label a = -1 outside 0..5"),
+    (build_mub_circuit_prime, (5, 2), 0, 5, "state label b = 5 outside 0..4"),
+    (build_mub_circuit_prime_power, (3, 2), 10, 0, "basis label a = 10 outside 0..9"),
+    (build_mub_circuit_prime_power, (3, 2), 0, 9, "state label b = 9 outside 0..8"),
+    (build_mub_circuit_prime_power, (3, 2), 0, -1, "state label b = -1 outside 0..8"),
+    (projected_mub_prepare, (2,), 6, 0, "basis label a = 6 outside 0..5"),  # embedding prime p = 5
+    (projected_mub_prepare, (2,), 0, 5, "state label b = 5 outside 0..4"),
+])
+def test_mub_label_out_of_range_is_one_message_for_every_builder(build, size, a, b, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(*size, a, b)
 
 
 def test_projected_prepare_computational_branch():

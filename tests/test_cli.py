@@ -23,7 +23,7 @@ import qdesigns.cli
 import qdesigns.finite_algebra
 import qdesigns.mub
 import qdesigns.twirl
-from qdesigns.channels import channel_to_json, depolarizing
+from qdesigns.channels import avg_fidelity_exact, channel_to_json, depolarizing, standard_noise
 from qdesigns.cli import _CONFIG_KEYS, _load_config, main
 from qdesigns.circuits import simulate
 from qdesigns.linalg import basis_state
@@ -476,6 +476,9 @@ def test_size_and_register_caps_exit_2_before_any_primality_test_or_gate(capsys,
     for module in (qdesigns.mub, qdesigns.circuits, qdesigns.finite_algebra):
         monkeypatch.setattr(module, "is_prime", _refused("a primality test"))
         no_numpy(module)
+    # circuits factors only through is_prime, whose trial division is finite_algebra's
+    for module in (qdesigns.mub, qdesigns.finite_algebra):
+        monkeypatch.setattr(module, "_prime_factors", _refused("a factorization"))
     monkeypatch.setattr(qdesigns.circuits, "Circuit", _refused("a circuit"))
     code, stdout, err = run(capsys, argv.split())
     assert (code, stdout, err) == (2, "", f"error: {message}\n")
@@ -840,6 +843,30 @@ def test_conflicting_choices_exit_2(tmp_path, capsys, argv, message):
     out = tmp_path / "artifact"
     assert run(capsys, [*argv.split(), "--out", str(out)]) == (2, "", f"error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("estimate --noise bit_flip", "--noise needs --p"),
+    ("estimate --depolarizing 0.9", "--depolarizing needs --d"),
+    ("estimate --protocol mub_mc", "specify a channel: --channel-json, --depolarizing, or --noise"),
+    ("emit --mub-circuit", "--mub-circuit needs --p (or --prime-power)"),
+    ("emit --mub-circuit --p 5 --a 6", "basis label a = 6 outside 0..5"),
+    ("emit --mub-circuit --prime-power 3 2 --b 9", "state label b = 9 outside 0..8"),
+    ("design state --d 6", "no MUB construction for dimension 6 (not a prime power)"),
+])
+def test_missing_or_out_of_range_input_exits_2(capsys, argv, message):
+    assert run(capsys, argv.split()) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("kind", ["bit_flip", "phase_flip", "bit_phase_flip"])
+def test_noise_source_is_the_standard_channel(tmp_path, capsys, kind):
+    out = tmp_path / "noise.json"
+    code, _, err = run(capsys, ["channel", "--noise", kind, "--p", "0.8", "--out", str(out)])
+    assert (code, err) == (0, "")
+    assert out.read_text() == channel_to_json(standard_noise(kind, 0.8))
+    code, stdout, err = run(capsys, ["estimate", "--protocol", "mub_exact", "--noise", kind, "--p", "0.8"])
+    assert (code, err) == (0, "")
+    assert json.loads(stdout)["exact"] == avg_fidelity_exact(np.eye(2), standard_noise(kind, 0.8))
 
 
 @pytest.mark.parametrize("argv,option", [

@@ -54,6 +54,11 @@ def test_deterministic_mode_matches_exact():
             assert abs(res.p_hat - res.exact) < 1e-8
 
 
+def test_mub_mc_estimate_refuses_a_family_of_another_dimension():
+    with pytest.raises(ValueError, match=r"^family dimension 3 != channel dimension 4$"):
+        mub_mc_estimate(ExperimentConfig(depolarizing(4, 0.9)), family_for_dimension(3))
+
+
 def test_mc_depolarizing_hits_formula():
     cfg = ExperimentConfig(depolarizing(4, 0.9), trials=100_000, seed=7)
     res = mub_mc_estimate(cfg, family_for_dimension(4))

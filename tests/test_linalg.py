@@ -56,6 +56,30 @@ def test_hermitian_eig_reconstruction_and_orientation():
         hermitian_eig(random_complex_matrix(rng, 4))
 
 
+def per_column_phase_eig(a: np.ndarray) -> tuple:
+    """The eigendecomposition hermitian_eig pins, one column at a time: each
+    eigenvector is divided by the phase of its first entry above 1e-8."""
+    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        pivot = np.flatnonzero(np.abs(col) > 1e-8)[0]
+        v[:, k] = col / (col[pivot] / abs(col[pivot]))
+    return w, v
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_hermitian_eig_matches_per_column_oracle_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 40))
+    g = random_complex_matrix(rng, d)
+    # dense, positive semidefinite, and diagonal with repeats, whose eigenvectors
+    # have their first entry above 1e-8 in a row other than 0
+    for a in (g + g.conj().T, g @ g.conj().T, np.diag(rng.integers(0, 3, d)).astype(complex)):
+        w, v = hermitian_eig(a)
+        want_w, want_v = per_column_phase_eig(a)
+        assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+
+
 def test_trace_invariant_under_random_unitaries():
     rng = np.random.default_rng(9)
     for _ in range(5):

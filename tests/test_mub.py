@@ -20,6 +20,7 @@ from qdesigns.mub import (
     QUBIT_CAP,
     MubFamily,
     export_family,
+    family_for_dimension,
     haar_moment,
     haar_moment_mc,
     load_family,
@@ -58,6 +59,19 @@ def test_family_caps_fail_before_allocating(monkeypatch, no_numpy):
         mub_prime_power(3, 5)
     with pytest.raises(ValueError, match=f"qubit count n = {QUBIT_CAP + 1} outside 1..{QUBIT_CAP}"):
         mub_galois_ring(QUBIT_CAP + 1)
+
+
+@pytest.mark.parametrize("d", [0, 1, 6, 12, 100])
+def test_family_for_dimension_refuses_a_dimension_that_is_no_prime_power(d):
+    with pytest.raises(ValueError, match=rf"^no MUB construction for dimension {d} \(not a prime power\)$"):
+        family_for_dimension(d)
+
+
+@pytest.mark.parametrize("d,p,k", [(121, 11, 2), (125, 5, 3)])
+def test_family_for_dimension_builds_an_odd_prime_power(d, p, k):
+    family = family_for_dimension(d)
+    assert (family.d, family.kind) == (d, "prime_power")
+    assert np.array_equal(family.states, mub_prime_power(p, k).states)
 
 
 def test_qutrit_family_matches_worked_example():

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 import qdesigns.twirl
 from qdesigns.channels import KrausChannel, depolarizing, kraus_to_supermatrix, unitary_channel
 from qdesigns.channels import _invariant_pq
-from qdesigns.circuits import Circuit, Gate, circuit_unitary, parallel_prefix_parity
+from qdesigns.circuits import UNITARY_DIM_CAP, Circuit, Gate, circuit_unitary, parallel_prefix_parity
 from qdesigns.linalg import dagger, random_complex_matrix, random_density, random_kraus_channel_ops
 from qdesigns.twirl import (
     EXACT_CHAIN_CAP,
-    MATRIX_DIM_CAP,
     PauliChannel,
     PauliLabel,
     all_labels,
@@ -74,6 +73,12 @@ def test_pauli_matrix_basics():
             factors = [np.linalg.matrix_power(x, lab.xa[q]) @ np.linalg.matrix_power(z, lab.xb[q])
                        for q in range(n - 1, -1, -1)]
             assert np.abs(pauli_matrix(lab) - np.kron(*factors)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d,n,value", [(2, 1, 4), (2, 2, 16), (2, 1, -1), (3, 2, 81), (3, 1, -9)])
+def test_label_from_int_refuses_a_value_out_of_range(d, n, value):
+    with pytest.raises(ValueError, match=f"^Pauli label {value} out of range for n = {n} qudits of dimension {d}$"):
+        PauliLabel.from_int(d, n, value)
 
 
 def test_label_int_round_trip():
@@ -382,11 +387,28 @@ def test_step1_success_probability():
     assert abs(curve[0]["step1_success"] - want) < 0.01
 
 
+@pytest.mark.parametrize("d,n,n_max", [(2, 7, 6), (3, 4, 3)])
+def test_pauli_stack_cap_fails_before_allocating(no_numpy, d, n, n_max):
+    for module in (qdesigns.twirl, qdesigns.channels):
+        no_numpy(module)
+    with pytest.raises(ValueError, match=rf"^Pauli stack needs n <= {n_max} qudits of dimension {d} "):
+        _pauli_stack(d, n)
+
+
+def test_pauli_channel_to_kraus_cap_fails_before_building_the_stack(monkeypatch):
+    def no_paulis(d):
+        raise AssertionError("built the Pauli factors past the cap")
+
+    monkeypatch.setattr(qdesigns.twirl, "generalized_paulis", no_paulis)
+    with pytest.raises(ValueError, match=r"^Pauli stack needs n <= 6 qudits of dimension 2 "):
+        PauliChannel(2, 7, np.zeros(4**7)).to_kraus()
+
+
 def test_pauli_matrix_cap_fails_before_allocating(monkeypatch, no_numpy):
     def no_paulis(d):
         raise AssertionError("built the Pauli factors past the cap")
 
-    n = MATRIX_DIM_CAP.bit_length()  # 2^n = 2 * MATRIX_DIM_CAP
+    n = UNITARY_DIM_CAP.bit_length()  # 2^n = 2 * UNITARY_DIM_CAP
     label = PauliLabel(2, n, (1,) * n, (0,) * n)
     monkeypatch.setattr(qdesigns.twirl, "generalized_paulis", no_paulis)
     no_numpy(qdesigns.twirl)
@@ -724,6 +746,15 @@ def test_approx_twirl_channel_checks_the_channel_size_before_twirling(monkeypatc
     monkeypatch.setattr(qdesigns.twirl, "pauli_twirl", no_twirl)
     with pytest.raises(ValueError, match="channel size disagrees with n"):
         approx_twirl_channel(depolarizing(32, 0.9), 2, 1, trials=trials, rng=np.random.default_rng(0))
+
+
+def test_approx_twirl_channel_monte_carlo_mode_needs_an_rng(monkeypatch):
+    def no_twirl(*args, **kwargs):
+        raise AssertionError("pauli_twirl ran before the rng was checked")
+
+    monkeypatch.setattr(qdesigns.twirl, "pauli_twirl", no_twirl)
+    with pytest.raises(ValueError, match="^Monte-Carlo mode needs an rng$"):
+        approx_twirl_channel(depolarizing(4, 0.9), 2, 1, trials=10)
 
 
 @pytest.mark.parametrize("trials", [0, 100])
